@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import augmentation, metrics, preference_miner, refine_agent
@@ -15,6 +16,7 @@ from .errors import SqlforgeError, ConfigError
 from .executor import DEFAULT_TIMEOUT_SECS
 from .model_client import ModelEndpoint
 from .schema_catalog import (
+    DatabaseSchema,
     corpus_db_path,
     introspect_database,
     schema_to_json,
@@ -22,17 +24,18 @@ from .schema_catalog import (
 
 log = logging.getLogger("sqlforge")
 
+# Config key -> (argument attribute, type).
 _CONFIG_KEYS = {
-    "corpus_root",
-    "variant_root",
-    "exec_timeout_secs",
-    "n_candidates",
-    "temperature",
-    "max_iters",
-    "jobs",
-    "seed",
-    "generator",
-    "debugger",
+    "corpus_root": ("corpus", str),
+    "variant_root": ("variants", str),
+    "exec_timeout_secs": ("exec_timeout_secs", float),
+    "n_candidates": ("n_candidates", int),
+    "temperature": ("temperature", float),
+    "max_iters": ("max_iters", int),
+    "jobs": ("jobs", int),
+    "seed": ("seed", int),
+    "generator": ("generator", str),
+    "debugger": ("debugger", str),
 }
 
 
@@ -40,18 +43,19 @@ def _default_jobs() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path) -> dict[str, dict[str, str]]:
+    """The values of each section of an INI file, keyed by section name."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    values: dict = {}
+    sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        for key, value in parser.items(section):
+        sections[section] = dict(parser.items(section))
+        for key in sections[section]:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            values[key] = value
-    return values
+    return sections
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,27 +123,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill args from the config file for flags not given on the command line."""
+    """Fill args from the config section named after the subcommand, for
+    flags not given on the command line."""
     if not args.config:
         return
-    values = load_config(args.config)
-    mapping = {
-        "corpus_root": ("corpus", str),
-        "variant_root": ("variants", str),
-        "exec_timeout_secs": ("exec_timeout_secs", float),
-        "n_candidates": ("n_candidates", int),
-        "temperature": ("temperature", float),
-        "max_iters": ("max_iters", int),
-        "jobs": ("jobs", int),
-        "seed": ("seed", int),
-        "generator": ("generator", str),
-        "debugger": ("debugger", str),
-    }
+    values = load_config(args.config).get(args.command, {})
     given = {tok.split("=")[0].lstrip("-").replace("-", "_") for tok in argv
              if tok.startswith("--")}
-    for key, (attr, cast) in mapping.items():
-        if key in values and hasattr(args, attr) and attr not in given:
-            setattr(args, attr, cast(values[key]))
+    for key, value in values.items():
+        attr, cast = _CONFIG_KEYS[key]
+        if hasattr(args, attr) and attr not in given:
+            setattr(args, attr, cast(value))
 
 
 def _make_client(spec: str):
@@ -182,22 +176,44 @@ def _cmd_augment(args) -> int:
     return 0
 
 
+def _in_sample_order(fn, samples, width: int):
+    """Yield ``fn(s)`` for each sample, in sample order, running up to
+    ``width`` samples at once. The first sample to raise cancels every
+    sample not yet started; its exception is raised in its turn."""
+    pool = ThreadPoolExecutor(max_workers=width)
+
+    def cancel_rest(future):
+        if not future.cancelled() and future.exception() is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    try:
+        futures = [pool.submit(fn, s) for s in samples]
+        for future in futures:
+            future.add_done_callback(cancel_rest)
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_mine(args) -> int:
     records = metrics.load_samples(args.samples)
     samples = metrics.samples_from_records(records, args.corpus)
     client = _make_client(args.endpoint if args.endpoint else f"mock:{args.mock}")
-    pairs = []
-    skipped = 0
-    for s in samples:
-        db_path = corpus_db_path(args.corpus, s.db_id)
-        sample_pairs = preference_miner.mine_pairs(
+
+    def mine(s):
+        return preference_miner.mine_pairs(
             s,
             client,
-            db_path,
+            corpus_db_path(args.corpus, s.db_id),
             n=args.n_candidates,
             temperature=args.temperature,
             timeout=args.exec_timeout_secs,
         )
+
+    pairs = []
+    skipped = 0
+    for sample_pairs in _in_sample_order(mine, samples, client.max_in_flight):
         if not sample_pairs:
             skipped += 1
         pairs.extend(sample_pairs)
@@ -211,23 +227,24 @@ def _cmd_refine(args) -> int:
     samples = metrics.samples_from_records(records, args.corpus)
     generator = _make_client(args.generator)
     debugger = _make_client(args.debugger)
-    schemas = {}
+
+    def refine(s):
+        db_path = corpus_db_path(args.corpus, s.db_id)
+        # Every sample carries its tables, so the schema is not read again.
+        db = DatabaseSchema(s.db_id, str(db_path), s.schema_tables)
+        return refine_agent.refine_sample(
+            s,
+            db,
+            generator,
+            debugger,
+            db_path,
+            max_iters=args.max_iters,
+            timeout=args.exec_timeout_secs,
+        )
+
+    width = min(generator.max_in_flight, debugger.max_in_flight)
     with open(args.out, "w", encoding="utf-8") as out:
-        for s in samples:
-            if s.db_id not in schemas:
-                schemas[s.db_id] = introspect_database(
-                    corpus_db_path(args.corpus, s.db_id), s.db_id
-                )
-            db_path = corpus_db_path(args.corpus, s.db_id)
-            result = refine_agent.refine_sample(
-                s,
-                schemas[s.db_id],
-                generator,
-                debugger,
-                db_path,
-                max_iters=args.max_iters,
-                timeout=args.exec_timeout_secs,
-            )
+        for s, result in zip(samples, _in_sample_order(refine, samples, width)):
             out.write(
                 json.dumps(
                     {"sample_id": s.sample_id, "sql": result.final_sql},

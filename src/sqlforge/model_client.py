@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,6 +53,23 @@ class GenerationResponse:
     usage: dict = field(default_factory=dict)
 
 
+# The text before the first top-level ';'. Quoted strings and identifiers
+# ('...', "...", `...`, [...]) and -- / /* */ comments are skipped whole;
+# an unterminated one runs to the end of the text.
+_FIRST_STATEMENT = re.compile(
+    r"""(?: '[^']*'?
+          | "[^"]*"?
+          | `[^`]*`?
+          | \[[^\]]*\]?
+          | --[^\n]*
+          | /\*(?:[^*]|\*(?!/))*(?:\*/)?
+          | [^;'"`\[/-]+
+          | [/-]
+    )*""",
+    re.VERBOSE,
+)
+
+
 def extract_sql(completion: str) -> str:
     """Strip markdown code fences and keep the first SQL statement."""
     text = completion.strip()
@@ -65,15 +83,7 @@ def extract_sql(completion: str) -> str:
         if fence_end != -1:
             text = text[:fence_end]
         text = text.strip()
-    # First statement only: cut at the first ';' outside string literals.
-    in_string = False
-    for i, ch in enumerate(text):
-        if ch == "'":
-            in_string = not in_string
-        elif ch == ";" and not in_string:
-            text = text[:i]
-            break
-    return text.strip()
+    return _FIRST_STATEMENT.match(text).group().strip()
 
 
 class HttpModelClient:
@@ -95,6 +105,7 @@ class HttpModelClient:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.request_timeout = request_timeout
+        self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
         self._session = requests.Session()
 
@@ -182,6 +193,8 @@ class _MockEntry:
 
 class MockModelClient:
     """Deterministic scripted stand-in for a model endpoint."""
+
+    max_in_flight = 1  # entries are consumed in arrival order: serial keeps replies deterministic
 
     def __init__(self, entries: list[dict], model_name: str = "mock"):
         self._entries = [

@@ -9,6 +9,7 @@ from sqlforge import metrics
 from sqlforge.schema_catalog import DatabaseSchema, corpus_db_path, introspect_database
 
 from corpus_builder import build_corpus, make_sample_records
+from model_server import ModelServer
 
 
 @dataclass(frozen=True)
@@ -51,3 +52,10 @@ def schemas(corpus) -> dict[str, DatabaseSchema]:
         db_id = db_dir.name
         out[db_id] = introspect_database(corpus.db_path(db_id), db_id)
     return out
+
+
+@pytest.fixture
+def model_server():
+    server = ModelServer().start()
+    yield server
+    server.stop()

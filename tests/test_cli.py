@@ -3,10 +3,14 @@ import json
 
 import pytest
 
+from sqlforge import cli
 from sqlforge.cli import load_config, run
 from sqlforge.errors import ConfigError
+from sqlforge.executor import DEFAULT_TIMEOUT_SECS
+from sqlforge.model_client import ModelEndpoint
 
 from corpus_builder import TRYOUT_QUESTION, TRYOUT_REJECTED
+from model_server import DEBUG_MARKER
 
 
 def corpus_digest(corpus):
@@ -204,6 +208,82 @@ class TestRefine:
         assert summary["ex_accuracy"] == 1.0
 
 
+class TestConcurrentSamples:
+    """mine and refine against an HTTP endpoint run up to the client's
+    max_in_flight samples at once, with the output of a serial run."""
+
+    WIDTH = ModelEndpoint.max_in_flight
+
+    @staticmethod
+    def serial_clients(monkeypatch):
+        monkeypatch.setattr(
+            cli, "_make_client",
+            lambda spec: ModelEndpoint(url=spec, max_in_flight=1).make_client(),
+        )
+
+    @staticmethod
+    def mine(corpus, url, out, samples=None):
+        return run([
+            "mine", "--samples", str(samples or corpus.samples_path),
+            "--corpus", str(corpus.root), "--endpoint", url,
+            "--n-candidates", "4", "--out", str(out),
+        ])
+
+    @staticmethod
+    def refine(corpus, url, out, trace):
+        return run([
+            "refine", "--samples", str(corpus.samples_path),
+            "--corpus", str(corpus.root), "--generator", url, "--debugger", url,
+            "--out", str(out), "--trace", str(trace),
+        ])
+
+    def test_mine_matches_serial_run(self, corpus, model_server, tmp_path, monkeypatch):
+        assert self.mine(corpus, model_server.url, tmp_path / "pool.jsonl") == 0
+        assert 1 < model_server.peak_in_flight <= self.WIDTH
+        model_server.peak_in_flight = 0
+        self.serial_clients(monkeypatch)
+        assert self.mine(corpus, model_server.url, tmp_path / "serial.jsonl") == 0
+        assert model_server.peak_in_flight == 1
+        pooled = (tmp_path / "pool.jsonl").read_bytes()
+        assert pooled == (tmp_path / "serial.jsonl").read_bytes()
+        assert pooled  # the replies yield pairs
+
+    def test_refine_matches_serial_run(self, corpus, model_server, tmp_path, monkeypatch):
+        assert self.refine(corpus, model_server.url, tmp_path / "pool.jsonl",
+                           tmp_path / "pool") == 0
+        assert 1 < model_server.peak_in_flight <= self.WIDTH
+        model_server.peak_in_flight = 0
+        self.serial_clients(monkeypatch)
+        assert self.refine(corpus, model_server.url, tmp_path / "serial.jsonl",
+                           tmp_path / "serial") == 0
+        assert model_server.peak_in_flight == 1
+        assert (tmp_path / "pool.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+        traces = sorted(p.name for p in (tmp_path / "pool").iterdir())
+        assert traces == sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len(traces) == 50
+        for name in traces:
+            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        assert any(DEBUG_MARKER in p for p in model_server.prompts)  # debugger used
+
+    def test_first_failure_stops_the_run(self, corpus, sample_records, model_server,
+                                         tmp_path, capsys):
+        # Sample 0 is slow; sample 1's gold SQL fails before any model call.
+        records = [dict(r) for r in sample_records]
+        records[1]["gold_sql"] = "SELECT * FROM no_such_table"
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        model_server.slow_prompts = {records[0]["question"]}
+        out = tmp_path / "pairs.jsonl"
+        assert self.mine(corpus, model_server.url, out, samples=samples) == 1
+        assert records[1]["sample_id"] in capsys.readouterr().err
+        assert not out.exists()
+        assert model_server.peak_in_flight > 1  # samples did run concurrently
+        later = {r["question"] for r in records[2:]}
+        started_after = [p for p in model_server.prompts
+                         if any(f"-- {q}" in p for q in later)]
+        assert len(started_after) <= self.WIDTH
+
+
 class TestConfig:
     def test_config_file_fills_defaults(self, corpus, sample_records, tmp_path, capsys):
         cfg = tmp_path / "sqlforge.ini"
@@ -241,3 +321,35 @@ class TestConfig:
             "--json",
         ]) == 0
         capsys.readouterr()
+
+    def test_section_applies_only_to_its_subcommand(
+        self, corpus, sample_records, tmp_path, capsys, monkeypatch
+    ):
+        timeouts = []
+        evaluate = cli.metrics.evaluate_corpus
+
+        def spy(*args, timeout, **kwargs):
+            timeouts.append(timeout)
+            return evaluate(*args, timeout=timeout, **kwargs)
+
+        monkeypatch.setattr(cli.metrics, "evaluate_corpus", spy)
+        preds = tmp_path / "preds.jsonl"
+        write_gold_preds(corpus, sample_records, preds)
+        argv = ["eval", "--samples", str(corpus.samples_path), "--preds", str(preds),
+                "--corpus", str(corpus.root), "--json"]
+        cfg = tmp_path / "sqlforge.ini"
+        cfg.write_text("[mine]\nexec_timeout_secs = 0.5\n[eval]\njobs = 1\n")
+        assert run(["--config", str(cfg)] + argv) == 0
+        cfg.write_text("[eval]\nexec_timeout_secs = 7\n")
+        assert run(["--config", str(cfg)] + argv) == 0
+        capsys.readouterr()
+        assert timeouts == [DEFAULT_TIMEOUT_SECS, 7.0]
+
+    def test_unknown_key_in_another_section_rejected(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[mine]\nbogus_key = 1\n")
+        assert run([
+            "--config", str(cfg), "introspect",
+            "--corpus", str(corpus.root), "--db-id", "concert_singer",
+        ]) == 1
+        assert "bogus_key" in capsys.readouterr().err

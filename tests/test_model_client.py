@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlforge.errors import MalformedResponse, MockExhausted
 from sqlforge.model_client import (
@@ -21,10 +23,43 @@ class TestExtractSql:
             ("```\nSELECT a FROM t\n```", "SELECT a FROM t"),
             ("```sql\nSELECT a FROM t;\nSELECT b FROM u;\n```", "SELECT a FROM t"),
             ("SELECT 'x;y' FROM t; SELECT 2", "SELECT 'x;y' FROM t"),
+            ('SELECT a AS "x;y" FROM t', 'SELECT a AS "x;y" FROM t'),
+            ("SELECT `x;y` FROM t; SELECT 2", "SELECT `x;y` FROM t"),
+            ("SELECT [x;y] FROM t; SELECT 2", "SELECT [x;y] FROM t"),
+            ("SELECT a -- it's\nFROM t; DROP TABLE t", "SELECT a -- it's\nFROM t"),
+            ("SELECT a /* it's; */ FROM t; DROP TABLE t", "SELECT a /* it's; */ FROM t"),
+            ("SELECT 'it''s;' FROM t; SELECT 2", "SELECT 'it''s;' FROM t"),
+            ("SELECT 4 - 2 / 1; SELECT 2", "SELECT 4 - 2 / 1"),
         ],
     )
     def test_variants(self, completion, expected):
         assert extract_sql(completion) == expected
+
+    @staticmethod
+    def _quote(kind: str, text: str) -> str:
+        if kind == "string":
+            return "'" + text.replace("'", "''") + "'"
+        if kind == "double":
+            return '"' + text.replace('"', '""') + '"'
+        if kind == "backtick":
+            return "`" + text.replace("`", "") + "`"
+        if kind == "bracket":
+            return "[" + text.replace("]", "") + "]"
+        if kind == "line_comment":
+            return "-- " + text.replace("\n", " ").replace("\r", " ") + "\n"
+        return "/* " + text.replace("*/", "") + " */"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["string", "double", "backtick", "bracket", "line_comment", "block_comment"]
+        ),
+        text=st.text(alphabet=st.sampled_from(";'\"`[]-/*\n ax"), max_size=12),
+    )
+    def test_quoted_semicolons_and_quotes_survive(self, kind, text):
+        statement = f"SELECT a, {self._quote(kind, text)} FROM t"
+        assert extract_sql(statement) == statement
+        assert extract_sql(statement + "; DROP TABLE t") == statement
 
     def test_no_fence_characters_or_padding_ever(self):
         for raw in ("```sql\n SELECT 1 \n```", "\n\nSELECT 1\n\n", "```SELECT 1```"):
