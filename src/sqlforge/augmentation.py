@@ -82,22 +82,45 @@ def _used_references(sample: Sample, schema: DatabaseSchema):
     return used_tables, used_columns
 
 
+#: The schemas of the last corpus passed to cross_db_candidates, and its
+#: candidate lists by db_id.
+_candidate_memo: tuple[tuple[DatabaseSchema, ...], dict] = ((), {})
+
+
+def cross_db_candidates(
+    db_id: str, corpus: list[DatabaseSchema]
+) -> tuple[tuple[str, TableSchema], ...]:
+    """Tables of other databases that share a PK/FK column name with
+    ``db_id``, as (db_id, table) in corpus order. Schemas are immutable, so
+    the lists are kept while calls pass the same schema objects: augmenting
+    a run's samples scans the corpus once per database."""
+    global _candidate_memo
+    memo_corpus, memo = _candidate_memo
+    if len(memo_corpus) != len(corpus) or any(
+        a is not b for a, b in zip(memo_corpus, corpus)
+    ):
+        memo_corpus, memo = tuple(corpus), {}
+        _candidate_memo = (memo_corpus, memo)
+    if db_id not in memo:
+        own = next((s for s in corpus if s.db_id == db_id), None)
+        if own is None:
+            raise ValueError(f"corpus does not contain schema for db_id {db_id!r}")
+        keys = own.key_column_names()
+        memo[db_id] = tuple(
+            (schema.db_id, table)
+            for schema in corpus
+            if schema.db_id != db_id
+            for table in schema.tables
+            if any(c.name.lower() in keys for c in table.columns)
+        )
+    return memo[db_id]
+
+
 def cross_db_augment(
     sample: Sample, corpus: list[DatabaseSchema], seed: int
 ) -> AugmentedSample:
     """Insert 1-3 tables from other databases sharing a PK/FK column name."""
-    own = next((s for s in corpus if s.db_id == sample.db_id), None)
-    if own is None:
-        raise ValueError(f"corpus does not contain schema for db_id {sample.db_id!r}")
-    keys = own.key_column_names()
-
-    candidates: list[tuple[str, TableSchema]] = []
-    for schema in corpus:
-        if schema.db_id == sample.db_id:
-            continue
-        for table in schema.tables:
-            if any(c.name.lower() in keys for c in table.columns):
-                candidates.append((schema.db_id, table))
+    candidates = cross_db_candidates(sample.db_id, corpus)
 
     if not candidates:
         return AugmentedSample(

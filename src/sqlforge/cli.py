@@ -153,13 +153,8 @@ def _cmd_introspect(args) -> int:
 
 def _cmd_augment(args) -> int:
     records = metrics.load_samples(args.samples)
-    samples = metrics.samples_from_records(records, args.corpus)
-    schemas = {}
-    for s in samples:
-        if s.db_id not in schemas:
-            schemas[s.db_id] = introspect_database(
-                corpus_db_path(args.corpus, s.db_id), s.db_id
-            )
+    schemas: dict[str, DatabaseSchema] = {}
+    samples = metrics.samples_from_records(records, args.corpus, schemas)
     corpus_schemas = list(schemas.values())
     augmented = []
     for s in samples:
@@ -225,6 +220,9 @@ def _cmd_mine(args) -> int:
 def _cmd_refine(args) -> int:
     records = metrics.load_samples(args.samples)
     samples = metrics.samples_from_records(records, args.corpus)
+    if args.trace:
+        for s in samples:
+            refine_agent.trace_path(args.trace, s.sample_id)
     generator = _make_client(args.generator)
     debugger = _make_client(args.debugger)
 
@@ -259,7 +257,8 @@ def _cmd_refine(args) -> int:
 
 def _cmd_eval(args) -> int:
     records = metrics.load_samples(args.samples)
-    samples = metrics.samples_from_records(records, args.corpus)
+    schemas: dict[str, DatabaseSchema] = {}
+    samples = metrics.samples_from_records(records, args.corpus, schemas)
     predictions = metrics.load_predictions(args.preds)
     report = metrics.evaluate_corpus(
         predictions,
@@ -268,6 +267,7 @@ def _cmd_eval(args) -> int:
         variant_root=args.variants,
         parallelism=args.jobs,
         timeout=args.exec_timeout_secs,
+        schemas=schemas,
     )
     if args.out:
         Path(args.out).write_text(

@@ -68,30 +68,71 @@ def normalize_cell(value):
     return value
 
 
-def execute(
-    db_path: str | Path, sql: str, timeout: float = DEFAULT_TIMEOUT_SECS
-) -> ExecutionOutcome:
-    """Run one statement against a SQLite file on a private read-only
-    connection. Write attempts fail with an ExecError outcome; the file is
-    never modified."""
-    db_path = Path(db_path)
-    if not db_path.exists():
-        raise FileNotFoundError(db_path)
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
-    start = time.monotonic()
-    deadline = start + timeout
-    timed_out = False
-    try:
-        conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise NotADatabaseError(f"{db_path}: {exc}") from exc
-    try:
+#: The authorizer actions a query needs. A handle denies every other action
+#: -- ATTACH, PRAGMA, temp-schema DDL, writes -- when the statement is
+#: prepared, so no statement can change what later statements on the same
+#: handle see, or touch the file system.
+READ_ACTIONS = frozenset(
+    {
+        sqlite3.SQLITE_SELECT,
+        sqlite3.SQLITE_READ,
+        sqlite3.SQLITE_FUNCTION,
+        sqlite3.SQLITE_RECURSIVE,
+    }
+)
+
+
+class ReadOnlyHandle:
+    """A read-only connection to one SQLite file, opened on first use and
+    reusable for any number of queries until :meth:`close`.
+
+    Only SELECT, READ, FUNCTION and RECURSIVE actions are authorized. A
+    handle is used by one thread at a time, but may be closed from another.
+    """
+
+    def __init__(self, db_path: str | Path):
+        self.path = Path(db_path)
+        self._conn: sqlite3.Connection | None = None
+        self._releasing = False
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+    def __enter__(self) -> "ReadOnlyHandle":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _connection(self) -> sqlite3.Connection:
+        if self._conn is not None:
+            return self._conn
+        if not self.path.exists():
+            raise FileNotFoundError(self.path)
+        try:
+            conn = sqlite3.connect(
+                f"file:{self.path}?mode=ro", uri=True, check_same_thread=False
+            )
+        except sqlite3.Error as exc:
+            raise NotADatabaseError(f"{self.path}: {exc}") from exc
         try:
             # Force a header read; junk files fail here, not at connect time.
             conn.execute("SELECT 1 FROM sqlite_master LIMIT 1")
         except sqlite3.DatabaseError as exc:
-            raise NotADatabaseError(f"{db_path}: {exc}") from exc
+            conn.close()
+            raise NotADatabaseError(f"{self.path}: {exc}") from exc
+        conn.set_authorizer(self._authorize)
+        self._conn = conn
+        return conn
+
+    def run(self, sql: str, timeout: float = DEFAULT_TIMEOUT_SECS) -> ExecutionOutcome:
+        """Run one statement with a fresh deadline of ``timeout`` seconds."""
+        conn = self._connection()
+        if timeout <= 0:
+            raise ValueError("timeout must be positive")
+        start = time.monotonic()
+        deadline = start + timeout
+        timed_out = False
 
         def on_progress():
             nonlocal timed_out
@@ -102,21 +143,60 @@ def execute(
 
         conn.set_progress_handler(on_progress, _PROGRESS_STEP)
         try:
-            cursor = conn.execute(sql)
-            raw = cursor.fetchall()
+            raw = conn.execute(sql).fetchall()
         except sqlite3.DatabaseError as exc:
             elapsed = time.monotonic() - start
             if timed_out:
                 return ExecutionOutcome.of_timeout(elapsed)
             message = str(exc)
             if "file is not a database" in message:
-                raise NotADatabaseError(f"{db_path}: {message}") from exc
+                raise NotADatabaseError(f"{self.path}: {message}") from exc
             return ExecutionOutcome.of_error(message, elapsed)
+        finally:
+            self._free_page_cache(conn)
         elapsed = time.monotonic() - start
         rows = tuple(tuple(normalize_cell(c) for c in row) for row in raw)
         return ExecutionOutcome.of_rows(rows, elapsed)
-    finally:
-        conn.close()
+
+    def _authorize(self, action, arg1, *_names) -> int:
+        if action in READ_ACTIONS:
+            return sqlite3.SQLITE_OK
+        if action == sqlite3.SQLITE_PRAGMA and arg1 == "shrink_memory" and self._releasing:
+            return sqlite3.SQLITE_OK
+        return sqlite3.SQLITE_DENY
+
+    def _free_page_cache(self, conn: sqlite3.Connection) -> None:
+        """Drop the pages the last query cached (up to SQLite's 2 MB per
+        connection), so an idle open handle holds no more memory than a
+        closed one. The authorizer allows this one pragma only during this
+        call. ``executescript`` bypasses the statement cache, so a query
+        with the same text is still prepared, and denied, on its own. A
+        failed release is ignored: the query's outcome stands."""
+        self._releasing = True
+        try:
+            conn.executescript("PRAGMA shrink_memory")
+        except sqlite3.Error:
+            pass
+        finally:
+            self._releasing = False
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+
+def execute(
+    db: str | Path | ReadOnlyHandle, sql: str, timeout: float = DEFAULT_TIMEOUT_SECS
+) -> ExecutionOutcome:
+    """Run one statement against a SQLite file, read-only. ``db`` is either
+    a path, run on a private connection closed before returning, or an
+    open :class:`ReadOnlyHandle` to reuse. Write attempts fail with an
+    ExecError outcome; the file is never modified."""
+    if isinstance(db, ReadOnlyHandle):
+        return db.run(sql, timeout)
+    with ReadOnlyHandle(db) as handle:
+        return handle.run(sql, timeout)
 
 
 # --- comparison -------------------------------------------------------------

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import executor, sql_analysis
 from .errors import CorpusLayoutError, EmptyVariantSuiteError, GoldExecutionFailed
-from .executor import DEFAULT_TIMEOUT_SECS, execute, results_match
+from .executor import DEFAULT_TIMEOUT_SECS, ReadOnlyHandle, execute, results_match
 from .schema_catalog import (
     DatabaseSchema,
     TableSchema,
@@ -48,7 +49,9 @@ class EvalReport:
     verdicts: tuple[EvalVerdict, ...]
 
 
-def _order_sensitive(gold_sql: str) -> bool:
+def order_sensitive(gold_sql: str) -> bool:
+    """Whether EX compares the rows of ``gold_sql`` in order: it has a
+    top-level ORDER BY. Unparseable SQL compares as a multiset."""
     try:
         return sql_analysis.extract_references(gold_sql).has_order_by
     except sql_analysis.ParseError:
@@ -58,21 +61,22 @@ def _order_sensitive(gold_sql: str) -> bool:
 def execution_accuracy(
     pred_sql: str,
     sample: Sample,
-    db_path: str | Path,
+    db_path: str | Path | ReadOnlyHandle,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> bool:
     gold_outcome = execute(db_path, sample.gold_sql, timeout)
     pred_outcome = execute(db_path, pred_sql, timeout)
-    return results_match(pred_outcome, gold_outcome, _order_sensitive(sample.gold_sql))
+    return results_match(pred_outcome, gold_outcome, order_sensitive(sample.gold_sql))
 
 
 def test_suite_accuracy(
     pred_sql: str,
     sample: Sample,
-    variant_db_paths: list[str | Path],
+    variant_db_paths: list[str | Path | ReadOnlyHandle],
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> bool:
-    """EX must hold on every variant database; short-circuits on failure."""
+    """EX must hold on every variant database (a path or an open handle);
+    short-circuits on failure."""
     if not variant_db_paths:
         raise EmptyVariantSuiteError(sample.sample_id)
     for path in variant_db_paths:
@@ -91,12 +95,29 @@ def variant_suite_paths(variant_root: str | Path, db_id: str) -> list[Path]:
     return sorted(suite_dir.glob("*.sqlite"))
 
 
+class _DbHandles:
+    """One thread's open read-only handles for the database it is working
+    on: the base file and each TS variant."""
+
+    def __init__(self, db_id: str, base: Path, suite: list[Path]):
+        self.db_id = db_id
+        self.base = ReadOnlyHandle(base)
+        self.suite = [ReadOnlyHandle(p) for p in suite]
+
+    def close(self) -> None:
+        for handle in [self.base, *self.suite]:
+            handle.close()
+
+
 @dataclass
 class _EvalContext:
     corpus_root: Path
     variant_root: Path | None
     timeout: float
     schemas: dict[str, DatabaseSchema] = field(default_factory=dict)
+    suites: dict[str, list[Path]] = field(default_factory=dict)
+    #: Each thread's handles, by thread id; a thread only touches its own.
+    _open: dict[int, _DbHandles] = field(default_factory=dict, init=False, repr=False)
 
     def schema(self, db_id: str) -> DatabaseSchema:
         if db_id not in self.schemas:
@@ -106,30 +127,55 @@ class _EvalContext:
             self.schemas[db_id] = introspect_database(path, db_id)
         return self.schemas[db_id]
 
+    def suite(self, db_id: str) -> list[Path]:
+        if db_id not in self.suites:
+            self.suites[db_id] = (
+                variant_suite_paths(self.variant_root, db_id)
+                if self.variant_root is not None
+                else []
+            )
+        return self.suites[db_id]
+
+    def handles(self, db_id: str) -> _DbHandles:
+        """The calling thread's handles for ``db_id``; the handles it held
+        for another database are closed."""
+        key = threading.get_ident()
+        current = self._open.get(key)
+        if current is None or current.db_id != db_id:
+            if current is not None:
+                current.close()
+            current = self._open[key] = _DbHandles(
+                db_id,
+                corpus_db_path(self.corpus_root, db_id),
+                self.suite(db_id),
+            )
+        return current
+
+    def close(self) -> None:
+        for handles in self._open.values():
+            handles.close()
+        self._open.clear()
+
 
 def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> EvalVerdict:
-    db_path = corpus_db_path(ctx.corpus_root, sample.db_id)
-    if not db_path.exists():
-        raise CorpusLayoutError(f"expected database file at {db_path}")
     if pred_sql is None:
         return EvalVerdict(
             sample_id=sample.sample_id,
             ex_match=False,
-            ts_match=False if _has_suite(ctx, sample.db_id) else None,
+            ts_match=False if ctx.suite(sample.db_id) else None,
             pred_sql="",
             failure_class=sql_analysis.SYNTAX_ERROR,
             outcome_kind=executor.EXEC_ERROR,
         )
-    gold_outcome = execute(db_path, sample.gold_sql, ctx.timeout)
-    pred_outcome = execute(db_path, pred_sql, ctx.timeout)
-    order = _order_sensitive(sample.gold_sql)
+    db = ctx.handles(sample.db_id)
+    gold_outcome = execute(db.base, sample.gold_sql, ctx.timeout)
+    pred_outcome = execute(db.base, pred_sql, ctx.timeout)
+    order = order_sensitive(sample.gold_sql)
     ex = results_match(pred_outcome, gold_outcome, order)
 
     ts: bool | None = None
-    if ctx.variant_root is not None:
-        suite = variant_suite_paths(ctx.variant_root, sample.db_id)
-        if suite:
-            ts = test_suite_accuracy(pred_sql, sample, suite, ctx.timeout)
+    if db.suite:
+        ts = test_suite_accuracy(pred_sql, sample, db.suite, ctx.timeout)
 
     failure = None
     if not ex:
@@ -144,12 +190,6 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
     )
 
 
-def _has_suite(ctx: _EvalContext, db_id: str) -> bool:
-    return ctx.variant_root is not None and bool(
-        variant_suite_paths(ctx.variant_root, db_id)
-    )
-
-
 def evaluate_corpus(
     predictions: dict[str, str],
     samples: list[Sample],
@@ -157,9 +197,18 @@ def evaluate_corpus(
     variant_root: str | Path | None = None,
     parallelism: int = 1,
     timeout: float = DEFAULT_TIMEOUT_SECS,
+    schemas: dict[str, DatabaseSchema] | None = None,
 ) -> EvalReport:
     """Score every sample; missing predictions count as failures. The
-    report is deterministic regardless of ``parallelism``."""
+    report is deterministic regardless of ``parallelism``. ``schemas``, if
+    given, holds schemas already introspected by db_id and is filled in for
+    the rest.
+
+    Samples are visited grouped by db_id, so each worker thread keeps its
+    database's read-only handles open across samples; all of them are
+    closed before this returns or raises. If samples fail (e.g.
+    GoldExecutionFailed), the error of the first one in input order is
+    raised."""
     unknown = set(predictions) - {s.sample_id for s in samples}
     if unknown:
         raise CorpusLayoutError(f"predictions for unknown sample ids: {sorted(unknown)}")
@@ -167,22 +216,42 @@ def evaluate_corpus(
         corpus_root=Path(corpus_root),
         variant_root=Path(variant_root) if variant_root is not None else None,
         timeout=timeout,
+        schemas=schemas if schemas is not None else {},
     )
-    # Warm the schema cache serially; worker threads then only read it.
+    # Warm the schema and suite caches serially; worker threads then only
+    # read them.
     for s in samples:
         ctx.schema(s.db_id)
+        ctx.suite(s.db_id)
+    by_db = sorted(enumerate(samples), key=lambda item: item[1].db_id)
+    # A failing sample's error, by input index. Only the first in input
+    # order is raised, so samples after it need not run.
+    failures: dict[int, Exception] = {}
+    lock = threading.Lock()
 
-    if parallelism <= 1:
-        verdicts = [_evaluate_one(ctx, s, predictions.get(s.sample_id)) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            verdicts = list(
-                pool.map(
-                    lambda s: _evaluate_one(ctx, s, predictions.get(s.sample_id)),
-                    samples,
-                )
-            )
-    verdicts.sort(key=lambda v: v.sample_id)
+    def evaluate(item: tuple[int, Sample]) -> EvalVerdict | None:
+        index, s = item
+        with lock:
+            if any(i < index for i in failures):
+                return None
+        try:
+            return _evaluate_one(ctx, s, predictions.get(s.sample_id))
+        except Exception as exc:
+            with lock:
+                failures[index] = exc
+            return None
+
+    try:
+        if parallelism <= 1:
+            results = [evaluate(item) for item in by_db]
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                results = list(pool.map(evaluate, by_db))
+    finally:
+        ctx.close()
+    if failures:
+        raise failures[min(failures)]
+    verdicts = sorted(results, key=lambda v: v.sample_id)
 
     n = len(samples)
     ex_count = sum(1 for v in verdicts if v.ex_match)
@@ -216,10 +285,15 @@ def load_samples(path: str | Path) -> list[dict]:
 
 
 def samples_from_records(
-    records: list[dict], corpus_root: str | Path
+    records: list[dict],
+    corpus_root: str | Path,
+    schemas: dict[str, DatabaseSchema] | None = None,
 ) -> list[Sample]:
-    """Attach each record's full database schema as its prompt schema."""
-    schemas: dict[str, DatabaseSchema] = {}
+    """Attach each record's full database schema as its prompt schema.
+    Each database is introspected once, into ``schemas`` when given, so
+    the caller can reuse the schemas."""
+    if schemas is None:
+        schemas = {}
     samples = []
     for rec in records:
         db_id = rec["db_id"]

@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .errors import GoldExecutionFailed
 from .executor import DEFAULT_TIMEOUT_SECS, EXEC_ERROR, TIMEOUT, execute, results_match
-from .metrics import Sample
+from .metrics import Sample, order_sensitive
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
-from .sql_analysis import extract_references, ParseError
+from .sql_analysis import extract_references  # noqa: F401 -- bench/tracer.py wraps this name
 
 DEFAULT_N_CANDIDATES = 8
 DEFAULT_TEMPERATURE = 0.5
@@ -55,10 +55,7 @@ def mine_pairs(
         raise GoldExecutionFailed(
             f"{sample.sample_id}: gold execution was {gold_outcome.kind}"
         )
-    try:
-        order_sensitive = extract_references(sample.gold_sql).has_order_by
-    except ParseError:
-        order_sensitive = False
+    ordered = order_sensitive(sample.gold_sql)
 
     prompt = render_prompt(sample.schema_tables, sample.question)
     response = client.generate(
@@ -74,7 +71,7 @@ def mine_pairs(
         if not norm or norm == gold_norm or norm in seen:
             continue
         outcome = execute(db_path, candidate, timeout)
-        if results_match(outcome, gold_outcome, order_sensitive):
+        if results_match(outcome, gold_outcome, ordered):
             continue  # execution-equivalent candidates are correct, not rejected
         if outcome.kind == EXEC_ERROR:
             reason = EXEC_ERROR_REASON

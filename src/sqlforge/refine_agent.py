@@ -163,8 +163,19 @@ def result_to_dict(sample_id: str, result: RefineResult) -> dict:
     }
 
 
+def trace_path(trace_dir: str | Path, sample_id: str) -> Path:
+    """The trace file of ``sample_id``. Sample ids come from the samples
+    file, so one whose file would land outside ``trace_dir`` (``..``
+    parts, an absolute path) is rejected with ValueError."""
+    root = Path(trace_dir).resolve()
+    path = (root / f"{sample_id}.json").resolve()
+    if not path.is_relative_to(root):
+        raise ValueError(f"sample id {sample_id!r} names a trace file outside {trace_dir}")
+    return path
+
+
 def write_trace(trace_dir: str | Path, sample_id: str, result: RefineResult) -> None:
-    path = Path(trace_dir) / f"{sample_id}.json"
+    path = trace_path(trace_dir, sample_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(result_to_dict(sample_id, result), indent=2))
 

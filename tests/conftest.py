@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,3 +60,35 @@ def model_server():
     server = ModelServer().start()
     yield server
     server.stop()
+
+
+class ConnectionLog(list):
+    """The SQLite connections opened while a test runs."""
+
+    def still_open(self) -> list[sqlite3.Connection]:
+        return [c for c in self if _is_open(c)]
+
+
+def _is_open(conn: sqlite3.Connection) -> bool:
+    try:
+        conn.total_changes
+    except sqlite3.ProgrammingError as exc:
+        if "closed" not in str(exc):
+            raise
+        return False
+    return True
+
+
+@pytest.fixture
+def opened(monkeypatch) -> ConnectionLog:
+    """Records every ``sqlite3.connect`` made during the test."""
+    log = ConnectionLog()
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        log.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    return log

@@ -8,6 +8,7 @@ from sqlforge.augmentation import (
     UNCHANGED,
     augmented_to_record,
     cross_db_augment,
+    cross_db_candidates,
     derive_seed,
     inner_db_augment,
 )
@@ -69,6 +70,19 @@ class TestCrossDb:
         for seed in range(50):
             aug = cross_db_augment(s, corpus_schemas, seed)
             assert set(aug.provenance.inserted_tables) <= brute
+
+    def test_candidates_follow_the_corpus_passed(self, schemas):
+        corpus_schemas = list(schemas.values())
+        full = cross_db_candidates("shop", corpus_schemas)
+        assert full
+        assert cross_db_candidates("shop", [schemas["shop"]]) == ()
+        assert cross_db_candidates("shop", list(corpus_schemas)) == full
+        without = [sch for sch in corpus_schemas if sch.db_id != full[0][0]]
+        assert cross_db_candidates("shop", without) == tuple(
+            c for c in full if c[0] != full[0][0]
+        )
+        with pytest.raises(ValueError):
+            cross_db_candidates("shop", without[:0])
 
     def test_gold_preservation(self, samples, schemas):
         corpus_schemas = list(schemas.values())

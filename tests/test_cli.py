@@ -208,6 +208,28 @@ class TestRefine:
         assert summary["ex_accuracy"] == 1.0
 
 
+    def test_escaping_trace_id_rejected_before_any_call(self, corpus, tmp_path, capsys):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps({
+            "sample_id": "../escaped", "db_id": "shop", "question": "q",
+            "gold_sql": "SELECT 1",
+        }) + "\n")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert run([
+            "refine",
+            "--samples", str(samples),
+            "--corpus", str(corpus.root),
+            "--generator", f"mock:{empty}",
+            "--debugger", f"mock:{empty}",
+            "--out", str(tmp_path / "preds.jsonl"),
+            "--trace", str(tmp_path / "traces"),
+        ]) == 1
+        assert "../escaped" in capsys.readouterr().err
+        assert not (tmp_path / "escaped.json").exists()
+        assert not (tmp_path / "preds.jsonl").exists()
+
+
 class TestConcurrentSamples:
     """mine and refine against an HTTP endpoint run up to the client's
     max_in_flight samples at once, with the output of a serial run."""

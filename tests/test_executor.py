@@ -10,8 +10,10 @@ from sqlforge.errors import GoldExecutionFailed, NotADatabaseError
 from sqlforge.executor import (
     EXEC_ERROR,
     ROWS,
+    READ_ACTIONS,
     TIMEOUT,
     ExecutionOutcome,
+    ReadOnlyHandle,
     execute,
     normalize_cell,
     results_match,
@@ -79,6 +81,87 @@ class TestExecute:
         outcome = execute(path, "SELECT avg(x) FROM v")
         assert outcome.rows == ((2,),)
         assert isinstance(outcome.rows[0][0], int)
+
+
+class TestAuthorizer:
+    """Only SELECT, READ, FUNCTION and RECURSIVE actions are authorized."""
+
+    def test_attach_creates_no_file(self, corpus, tmp_path):
+        target = tmp_path / "attached.db"
+        outcome = execute(corpus.db_path("shop"), f"ATTACH DATABASE '{target}' AS z")
+        assert outcome.kind == EXEC_ERROR
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "sql", ["CREATE TEMP TABLE orders(x)", "PRAGMA case_sensitive_like=1"]
+    )
+    def test_connection_state_change_is_error(self, corpus, sql):
+        assert execute(corpus.db_path("shop"), sql).kind == EXEC_ERROR
+
+    def test_recursive_cte_and_functions_allowed(self, corpus):
+        outcome = execute(
+            corpus.db_path("shop"),
+            "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n WHERE i < 3) "
+            "SELECT max(i), upper(name) FROM n, customers WHERE customer_id = 1",
+        )
+        assert outcome.rows == ((3, "ANA"),)
+
+
+class TestReadOnlyHandle:
+    def test_reused_after_timeout(self, corpus):
+        slow = (
+            "SELECT count(*) FROM singer a, singer b, singer c, singer d, "
+            "singer e, singer f, singer g, singer h, singer i, singer j, singer k"
+        )
+        with ReadOnlyHandle(corpus.db_path("concert_singer")) as handle:
+            assert execute(handle, slow, timeout=0.2).kind == TIMEOUT
+            outcome = execute(handle, "SELECT count(*) FROM singer", timeout=0.2)
+            assert outcome.rows == ((6,),)
+
+    def test_denied_statement_leaves_handle_unchanged(self, corpus):
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            assert execute(handle, "CREATE TEMP TABLE orders(x)").kind == EXEC_ERROR
+            assert execute(handle, "PRAGMA case_sensitive_like=1").kind == EXEC_ERROR
+            assert execute(handle, "SELECT count(*) FROM orders").rows == ((4,),)
+            # The handle frees its page cache with this pragma after each query.
+            assert execute(handle, "PRAGMA shrink_memory").kind == EXEC_ERROR
+            assert execute(
+                handle, "SELECT count(*) FROM customers WHERE city LIKE 'rome'"
+            ).rows == ((2,),)
+
+    def test_page_cache_release_is_authorized(self, corpus, monkeypatch):
+        answers = []
+        authorize = ReadOnlyHandle._authorize
+
+        def recording(self, action, arg1, *names):
+            answer = authorize(self, action, arg1, *names)
+            if action == sqlite3.SQLITE_PRAGMA:
+                answers.append((arg1, answer))
+            return answer
+
+        monkeypatch.setattr(ReadOnlyHandle, "_authorize", recording)
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            execute(handle, "SELECT count(*) FROM customers")
+            execute(handle, "SELECT nope FROM customers")
+        assert answers == [("shrink_memory", sqlite3.SQLITE_OK)] * 2
+
+    def test_denied_release_keeps_the_query_outcome(self, corpus, monkeypatch):
+        def reads_only(self, action, *names):
+            return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
+
+        monkeypatch.setattr(ReadOnlyHandle, "_authorize", reads_only)
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
+            assert execute(handle, "SELECT nope FROM customers").kind == EXEC_ERROR
+        assert execute(corpus.db_path("shop"), "SELECT 1").rows == ((1,),)
+
+    def test_closed_handle_reopens(self, corpus):
+        handle = ReadOnlyHandle(corpus.db_path("shop"))
+        assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
+        handle.close()
+        handle.close()
+        assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
+        handle.close()
 
 
 class TestNormalizeCell:

@@ -1,9 +1,17 @@
-import pytest
+import dataclasses
+import shutil
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlforge import executor, metrics
 from sqlforge.errors import (
     CorpusLayoutError,
     EmptyVariantSuiteError,
     GoldExecutionFailed,
+    NotADatabaseError,
 )
 from sqlforge.metrics import (
     Sample,
@@ -161,6 +169,120 @@ class TestEvaluateCorpus:
     def test_corpus_layout_error(self, tmp_path, samples):
         with pytest.raises(CorpusLayoutError):
             evaluate_corpus({}, samples[:1], tmp_path)
+
+
+class TestHandleReuse:
+    """Eval reuses one read-only handle per database file in each worker
+    thread."""
+
+    def test_no_handle_left_open_after_gold_failure(self, corpus, samples, opened):
+        bad = Sample(sample_id="zz-bad", db_id="shop", question="q",
+                     gold_sql="SELECT nope FROM customers")
+        subset = [s for s in samples if s.db_id in ("shop", "school", "hr")] + [bad]
+        preds = {s.sample_id: "SELECT broken FROM" for s in subset}
+        with pytest.raises(GoldExecutionFailed):
+            evaluate_corpus(preds, subset, corpus.root,
+                            variant_root=corpus.variant_root, parallelism=2)
+        assert opened
+        assert not opened.still_open()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_first_failure_in_input_order_is_raised(self, corpus, samples, parallelism):
+        # "shop" sorts after "concert_singer", so the visit order is reversed.
+        first = Sample(sample_id="bad-1", db_id="shop", question="q",
+                       gold_sql="SELECT nope_one FROM customers")
+        second = Sample(sample_id="bad-2", db_id="concert_singer", question="q",
+                        gold_sql="SELECT nope_two FROM singer")
+        subset = [s for s in samples if s.db_id in ("shop", "concert_singer")]
+        preds = {s.sample_id: s.gold_sql for s in subset}
+        preds.update({"bad-1": "SELECT 1", "bad-2": "SELECT 1"})
+        with pytest.raises(GoldExecutionFailed, match="nope_one"):
+            evaluate_corpus(preds, [first, *subset, second], corpus.root,
+                            parallelism=parallelism)
+        with pytest.raises(GoldExecutionFailed, match="nope_two"):
+            evaluate_corpus(preds, [second, *subset, first], corpus.root,
+                            parallelism=parallelism)
+
+    def test_corrupt_variant_raises(self, corpus, samples, tmp_path, opened):
+        suite = tmp_path / "variants" / "shop"
+        suite.mkdir(parents=True)
+        shutil.copyfile(corpus.variant_root / "shop" / "0.sqlite", suite / "0.sqlite")
+        (suite / "1.sqlite").write_text("not a database " * 40)
+        subset = [s for s in samples if s.db_id == "shop"]
+        preds = {s.sample_id: s.gold_sql for s in subset}
+        with pytest.raises(NotADatabaseError):
+            evaluate_corpus(preds, subset, corpus.root,
+                            variant_root=tmp_path / "variants", parallelism=2)
+        assert not opened.still_open()
+
+
+#: Predictions that would change a reused connection if they ran: each sits
+#: on a database next to queries whose results that change would alter.
+HOSTILE = [
+    "CREATE TEMP TABLE singer(Name)",
+    "CREATE TEMP TABLE orders(total)",
+    "PRAGMA case_sensitive_like=1",
+    "ATTACH DATABASE '{attach}' AS z",
+]
+
+#: (db_id, gold, prediction): EX-equal under case-insensitive LIKE only.
+LIKE_CASES = [
+    ("concert_singer", "SELECT count(*) FROM singer WHERE Name LIKE 'j%'",
+     "SELECT count(*) FROM singer WHERE Name LIKE 'J%'"),
+    ("shop", "SELECT name FROM customers WHERE city LIKE 'rome'",
+     "SELECT name FROM customers WHERE city LIKE 'ROME'"),
+]
+
+
+class TestIsolationAndDeterminism:
+    @pytest.fixture(scope="class")
+    def case(self, corpus, samples, tmp_path_factory):
+        """Samples with hostile predictions among normal ones, and the
+        report of a reference run that opens a fresh connection for every
+        query."""
+        attach = tmp_path_factory.mktemp("attach") / "attached.db"
+        subset = [s for s in samples if s.db_id in ("concert_singer", "shop")]
+        preds = {s.sample_id: s.gold_sql for s in subset}
+        preds[subset[1].sample_id] = "SELECT broken FROM"
+        extra = []
+        for db_id in ("concert_singer", "shop"):
+            base = next(s for s in subset if s.db_id == db_id)
+            for i, sql in enumerate(HOSTILE):
+                extra.append(dataclasses.replace(base, sample_id=f"h-{db_id}-{i}"))
+                preds[extra[-1].sample_id] = sql.format(attach=attach)
+        for i, (db_id, gold, pred) in enumerate(LIKE_CASES):
+            base = next(s for s in subset if s.db_id == db_id)
+            extra.append(dataclasses.replace(base, sample_id=f"like-{i}", gold_sql=gold))
+            preds[extra[-1].sample_id] = pred
+        cases = subset + extra
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "execute",
+                       lambda db, sql, timeout: executor.execute(db.path, sql, timeout))
+            reference = metrics.report_to_dict(evaluate_corpus(
+                preds, cases, corpus.root, variant_root=corpus.variant_root))
+        assert all(v["ex_match"] for v in reference["verdicts"]
+                   if v["sample_id"].startswith("like-"))
+        return cases, preds, reference, attach
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_report_independent_of_order_and_parallelism(self, corpus, case, data):
+        cases, preds, reference, attach = case
+        order = data.draw(st.permutations(cases))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports = [
+                metrics.report_to_dict(evaluate_corpus(
+                    preds, order, corpus.root, variant_root=corpus.variant_root,
+                    parallelism=parallelism))
+                for parallelism in (1, 2, 4)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [reference] * 3
+        assert not attach.exists()
 
 
 class TestSerialization:

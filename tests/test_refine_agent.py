@@ -4,6 +4,7 @@ from sqlforge.model_client import MockModelClient
 from sqlforge.refine_agent import (
     DEBUGGER,
     GENERATOR,
+    RefineResult,
     build_debug_prompt,
     invalid_check,
     parse_question,
@@ -171,3 +172,14 @@ class TestTrace:
         assert data == result_to_dict(s.sample_id, result)
         assert data["iterations_used"] == 2
         assert [a["role"] for a in data["attempts"]] == [GENERATOR, DEBUGGER]
+
+    def test_trace_cannot_leave_trace_directory(self, tmp_path):
+        result = RefineResult(final_sql="SELECT 1", attempts=(), succeeded=True,
+                              iterations_used=1)
+        trace_dir = tmp_path / "trace"
+        for sample_id in ("../escaped", "a/../../escaped", str(tmp_path / "escaped")):
+            with pytest.raises(ValueError):
+                write_trace(trace_dir, sample_id, result)
+        assert list(tmp_path.iterdir()) == []
+        write_trace(trace_dir, "nested/s1", result)
+        assert (trace_dir / "nested" / "s1.json").exists()
