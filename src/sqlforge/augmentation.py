@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GoldReferencesUnknownColumn
+from .errors import GoldReferencesUnknownColumn, ParseError
 from .metrics import Sample
 from .schema_catalog import DatabaseSchema, TableSchema, render_prompt
-from .sql_analysis import UNRESOLVED, extract_references
+from .sql_analysis import extract_references
 
 MAX_TABLES = 6
 MAX_COLUMNS_PER_TABLE = 10
@@ -56,30 +56,16 @@ def derive_seed(global_seed: int, sample_id: str) -> int:
 
 
 def _used_references(sample: Sample, schema: DatabaseSchema):
-    """Resolve gold SQL references to concrete (table, columns) usage."""
-    refs = extract_references(sample.gold_sql)
-    used_tables = {t for t in refs.tables if schema.table(t) is not None}
-    used_columns: dict[str, set[str]] = {t: set() for t in used_tables}
-    for table_name, col in refs.columns:
-        if table_name != UNRESOLVED:
-            table = schema.table(table_name)
-            if table is None:
-                continue
-            if not table.has_column(col):
-                raise GoldReferencesUnknownColumn(
-                    f"{sample.sample_id}: {col!r} not in table {table.name!r}"
-                )
-            used_columns.setdefault(table.name.lower(), set()).add(col)
-        else:
-            owners = [t for t in used_tables if schema.table(t).has_column(col)]
-            if not owners:
-                raise GoldReferencesUnknownColumn(
-                    f"{sample.sample_id}: {col!r} not found in any referenced table"
-                )
-            # Conservatively preserve the column in every table that has it.
-            for owner in owners:
-                used_columns.setdefault(owner, set()).add(col)
-    return used_tables, used_columns
+    """The tables the gold SQL reads, and the columns it reads of each, as
+    SQLite resolves them on the sample's schema."""
+    try:
+        refs = extract_references(sample.gold_sql, schema.tables)
+    except ParseError as exc:
+        raise GoldReferencesUnknownColumn(f"{sample.sample_id}: {exc}") from None
+    used_columns: dict[str, set[str]] = {t: set() for t in refs.tables}
+    for table, col in refs.columns:
+        used_columns[table].add(col)
+    return refs.tables, used_columns
 
 
 #: The schemas of the last corpus passed to cross_db_candidates, and its

@@ -10,14 +10,8 @@ class NotADatabaseError(SqlforgeError):
 
 
 class ParseError(SqlforgeError):
-    """SQL text could not be tokenized or parsed.
-
-    ``position`` is the character offset of the offending text when known.
-    """
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
+    """SQLite could not compile the statement on the schema replica; the
+    message is SQLite's."""
 
 
 class EmptySchemaListError(SqlforgeError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,13 +50,21 @@ class EvalReport:
     verdicts: tuple[EvalVerdict, ...]
 
 
+_PAREN_OR_ORDER_BY = re.compile(r"[()]|\border\s+by\b", re.IGNORECASE)
+
+
 def order_sensitive(gold_sql: str) -> bool:
-    """Whether EX compares the rows of ``gold_sql`` in order: it has a
-    top-level ORDER BY. Unparseable SQL compares as a multiset."""
-    try:
-        return sql_analysis.extract_references(gold_sql).has_order_by
-    except sql_analysis.ParseError:
-        return False
+    """Whether EX compares the rows of ``gold_sql`` in order: it has an
+    ORDER BY outside every parenthesis, quoted text and comment."""
+    depth = 0
+    for m in _PAREN_OR_ORDER_BY.finditer(sql_analysis.mask_quoted(gold_sql)):
+        if m.group() == "(":
+            depth += 1
+        elif m.group() == ")":
+            depth -= 1
+        elif depth == 0:
+            return True
+    return False
 
 
 def execution_accuracy(

@@ -1,13 +1,11 @@
-"""SQL reference extraction and schema-aware validity classification.
+"""Schema-aware SQL analysis, answered by SQLite's own compiler.
 
-``extract_references`` is a lightweight scoped tokenizer walk: it resolves
-FROM/JOIN aliases, attributes bare columns to the scope's single table when
-unambiguous, and recurses into subqueries innermost-first. ``validate``
-classifies a statement against a schema into the error taxonomy
-{Valid, SyntaxError, WrongTableName, WrongColumnName, MissingQuotation},
-using SQLite's own compiler (EXPLAIN against an empty schema replica) as
-the syntax/name oracle and a lexical scan for unquoted special-character
-identifiers.
+Both questions that need a schema are answered by compiling the statement
+with ``EXPLAIN`` on an empty in-memory replica of the tables: ``validate``
+classifies it into {Valid, SyntaxError, WrongTableName, WrongColumnName,
+MissingQuotation}, and ``extract_references`` lists the tables and columns
+the compiled statement reads. A lexical scan that skips quoted text and
+comments finds schema identifiers with special characters left unquoted.
 """
 
 from __future__ import annotations
@@ -18,9 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .schema_catalog import DatabaseSchema, TableSchema, _quote_ident
-
-#: Sentinel table slot for columns that could not be attributed to a table.
-UNRESOLVED = "?"
 
 VALID = "Valid"
 SYNTAX_ERROR = "SyntaxError"
@@ -43,341 +38,90 @@ class ValidityReport:
 class SqlReferences:
     tables: set[str] = field(default_factory=set)
     columns: set[tuple[str, str]] = field(default_factory=set)
-    has_order_by: bool = False
 
 
-# --- tokenizer --------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|--[^\n]*|/\*.*?\*/)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<qident>"(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\])
-  | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|<>|!=|\|\||[=<>+\-*/%])
-  | (?P<punct>[(),.;])
-    """,
-    re.VERBOSE | re.DOTALL,
+#: One string literal, quoted identifier or comment. A block comment may run
+#: to the end of the text, as it may in SQLite.
+_QUOTED_OR_COMMENT = re.compile(
+    r"""'(?:[^']|'')*'|"(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\]|--[^\n]*|/\*.*?(?:\*/|\Z)""",
+    re.DOTALL,
 )
 
-KEYWORDS = {
-    "select", "from", "where", "group", "by", "order", "having", "limit",
-    "offset", "join", "inner", "left", "right", "full", "outer", "cross",
-    "natural", "on", "using", "as", "and", "or", "not", "in", "exists",
-    "between", "like", "glob", "distinct", "all", "union", "intersect",
-    "except", "case", "when", "then", "else", "end", "is", "null", "asc",
-    "desc", "cast", "collate", "escape", "with", "recursive", "values",
-    "true", "false",
-}
 
-_CLAUSE_STARTERS = {
-    "where", "group", "having", "order", "limit", "union", "intersect", "except",
-}
+def mask_quoted(sql: str) -> str:
+    """``sql`` with string literals, quoted identifiers and comments blanked
+    out, offsets preserved."""
+    return _QUOTED_OR_COMMENT.sub(lambda m: " " * len(m.group()), sql)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # word | qident | string | number | op | punct
-    text: str  # for qident: the unquoted inner text
-    pos: int
+# --- compiling on a schema replica ------------------------------------------
 
 
-def tokenize(sql: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        m = _TOKEN_RE.match(sql, i)
-        if m is None:
-            raise ParseError(f"unexpected character {sql[i]!r}", position=i)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            if kind == "qident":
-                if text[0] == '"':
-                    text = text[1:-1].replace('""', '"')
-                elif text[0] == "`":
-                    text = text[1:-1].replace("``", "`")
-                else:
-                    text = text[1:-1]
-            tokens.append(_Token(kind, text, i))
-        i = m.end()
-    # Catch the classic unterminated-quote case for a better message.
-    if sql.count("'") % 2 == 1:
-        raise ParseError("unterminated string literal", position=sql.rfind("'"))
-    return tokens
+def _build_replica(tables, extra_column: str | None = None) -> sqlite3.Connection:
+    """An empty in-memory copy of ``tables``; ``extra_column`` is added to
+    every table that lacks it."""
+    ddl = []
+    for t in tables:
+        names = [c.name for c in t.columns]
+        if extra_column is not None and not t.has_column(extra_column):
+            names.append(extra_column)
+        cols = ", ".join(_quote_ident(n) for n in names)
+        ddl.append(f"CREATE TABLE {_quote_ident(t.name)}({cols});")
+    conn = sqlite3.connect(":memory:")
+    conn.executescript("".join(ddl))
+    return conn
 
 
-# --- reference extraction ---------------------------------------------------
+def _compile(conn: sqlite3.Connection, sql: str) -> tuple[list[tuple], list[tuple[str, str]]]:
+    """Compile ``EXPLAIN sql`` on ``conn`` and close it. Returns the program
+    and the (table, column) of every SQLITE_READ the authorizer saw; the
+    column is empty for a table read without a column, as by ``count(*)``.
+    Raises ParseError with SQLite's message if the statement does not
+    compile."""
+    reads: list[tuple[str, str]] = []
+
+    def note(action, table, column, _db, _trigger):
+        if action == sqlite3.SQLITE_READ:
+            reads.append((table, column))
+        return sqlite3.SQLITE_OK
+
+    try:
+        conn.set_authorizer(note)
+        return conn.execute(f"EXPLAIN {sql}").fetchall(), reads
+    except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
+        # Python 3.10 raises Warning for a second statement and ValueError
+        # for a NUL character; text that cannot be encoded is a ValueError.
+        raise ParseError(str(exc)) from None
+    finally:
+        conn.close()
 
 
-def extract_references(sql: str) -> SqlReferences:
-    """Tables and columns referenced anywhere in the statement.
-
-    Aliases are resolved to base table names. Bare columns in a
-    single-table scope are attributed to that table; otherwise the table
-    slot is :data:`UNRESOLVED`.
-    """
-    if not sql or not sql.strip():
-        raise ParseError("empty SQL text")
-    tokens = tokenize(sql)
+def extract_references(sql: str, tables) -> SqlReferences:
+    """The tables and columns that ``sql`` reads, lower-cased, as SQLite
+    resolves them when it compiles the statement on an empty replica of
+    ``tables``. Raises ParseError with SQLite's message if it does not
+    compile there."""
+    conn = _build_replica(tables)
+    pages = dict(conn.execute("SELECT rootpage, name FROM sqlite_master"))
+    program, reads = _compile(conn, sql)
+    # The authorizer is not called for USING / NATURAL join columns, nor for
+    # a table reached only through them; the program's OpenRead and Column
+    # opcodes read those. The program alone misses reads that the optimizer
+    # drops, such as ``y`` in ``WHERE 1 OR y = 2``.
+    columns = {t.name: t.columns for t in tables}
+    opened: dict[int, str] = {}
+    for _addr, opcode, p1, p2, p3, *_ in program:
+        if opcode == "OpenRead" and p3 == 0 and p2 in pages:
+            opened[p1] = pages[p2]
+            reads.append((pages[p2], ""))
+        elif opcode == "Column" and p1 in opened:
+            reads.append((opened[p1], columns[opened[p1]][p2].name))
     refs = SqlReferences()
-    _walk_scope(tokens, [], refs, top_level=True)
-    # Invariant: every attributed column's table is recorded.
-    for table, _col in refs.columns:
-        if table != UNRESOLVED:
-            refs.tables.add(table)
+    for table, column in reads:
+        refs.tables.add(table.lower())
+        if column:
+            refs.columns.add((table.lower(), column.lower()))
     return refs
-
-
-def _split_depth0(tokens: list[_Token]) -> list[tuple[int, _Token]]:
-    """Index tokens with their paren depth (depth of the token itself)."""
-    out = []
-    depth = 0
-    for idx, tok in enumerate(tokens):
-        if tok.kind == "punct" and tok.text == ")":
-            depth -= 1
-        out.append((depth, tok))
-        if tok.kind == "punct" and tok.text == "(":
-            depth += 1
-    return out
-
-def _is_word(tok: _Token, word: str) -> bool:
-    return tok.kind == "word" and tok.text.lower() == word
-
-
-def _walk_scope(
-    tokens: list[_Token],
-    outer_aliases: list[dict[str, str | None]],
-    refs: SqlReferences,
-    top_level: bool = False,
-) -> None:
-    """Process one SELECT scope (tokens with subqueries still embedded)."""
-    depths = _split_depth0(tokens)
-
-    # Locate depth-0 subquery spans: '(' whose first inner token is SELECT.
-    sub_spans: list[tuple[int, int]] = []
-    i = 0
-    while i < len(tokens):
-        d, tok = depths[i]
-        if d == 0 and tok.kind == "punct" and tok.text == "(":
-            j = i + 1
-            if j < len(tokens) and _is_word(tokens[j], "select"):
-                depth = 1
-                k = j
-                while k < len(tokens) and depth > 0:
-                    if tokens[k].kind == "punct" and tokens[k].text == "(":
-                        depth += 1
-                    elif tokens[k].kind == "punct" and tokens[k].text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    k += 1
-                sub_spans.append((i, k))  # i = '(' index, k = ')' index
-                i = k
-        i += 1
-
-    def in_subquery(idx: int) -> bool:
-        return any(lo < idx < hi for lo, hi in sub_spans)
-
-    # Alias environment for this scope, built from FROM/JOIN sources.
-    aliases: dict[str, str | None] = {}
-    from_regions: list[tuple[int, int]] = []
-
-    i = 0
-    while i < len(tokens):
-        d, tok = depths[i]
-        if d == 0 and not in_subquery(i) and (_is_word(tok, "from") or _is_word(tok, "join")):
-            start = i + 1
-            j = start
-            while j < len(tokens):
-                dj, tj = depths[j]
-                if dj == 0 and not in_subquery(j) and tj.kind == "word" and (
-                    tj.text.lower() in _CLAUSE_STARTERS
-                    or tj.text.lower() in ("join", "inner", "left", "right",
-                                           "full", "cross", "natural", "on")
-                ):
-                    break
-                if dj == 0 and tj.kind == "punct" and tj.text == ";":
-                    break
-                j += 1
-            _parse_sources(tokens[start:j], aliases, sub_spans, start)
-            from_regions.append((start, j))
-            i = j
-            continue
-        i += 1
-
-    env = outer_aliases + [aliases]
-
-    # Recurse into subqueries with the stacked environment.
-    for lo, hi in sub_spans:
-        _walk_scope(tokens[lo + 1 : hi], env, refs)
-
-    # Record this scope's base tables.
-    for base in aliases.values():
-        if base is not None:
-            refs.tables.add(base.lower())
-
-    known_tables = {b.lower() for b in aliases.values() if b is not None}
-    single_table = next(iter(known_tables)) if len(known_tables) == 1 else None
-
-    def resolve(name: str) -> str | None:
-        low = name.lower()
-        for scope in reversed(env):
-            if low in scope:
-                return scope[low]
-        return None
-
-    # Column collection over this scope's own tokens.
-    i = 0
-    while i < len(tokens):
-        d, tok = depths[i]
-        if in_subquery(i):
-            i += 1
-            continue
-        if top_level and d == 0 and _is_word(tok, "order"):
-            if i + 1 < len(tokens) and _is_word(tokens[i + 1], "by"):
-                refs.has_order_by = True
-        if tok.kind in ("word", "qident") and not (
-            tok.kind == "word" and tok.text.lower() in KEYWORDS
-        ):
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            prv = tokens[i - 1] if i > 0 else None
-            in_from = any(lo <= i < hi for lo, hi in from_regions) and not _in_on_expr(
-                tokens, i, from_regions
-            )
-            if nxt is not None and nxt.kind == "punct" and nxt.text == ".":
-                # qualified reference: ident '.' (ident | *)
-                col_tok = tokens[i + 2] if i + 2 < len(tokens) else None
-                base = resolve(tok.text) or tok.text
-                if base is not None and col_tok is not None:
-                    if col_tok.kind in ("word", "qident"):
-                        refs.columns.add((base.lower(), col_tok.text.lower()))
-                        refs.tables.add(base.lower())
-                    # '.*' adds the table only
-                    elif col_tok.kind == "op" and col_tok.text == "*":
-                        refs.tables.add(base.lower())
-                i += 3
-                continue
-            if in_from:
-                i += 1
-                continue
-            if nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-                # function call
-                i += 1
-                continue
-            if prv is not None and prv.kind == "punct" and prv.text == ".":
-                i += 1
-                continue
-            if prv is not None and _is_word(prv, "as"):
-                # explicit alias definition
-                i += 1
-                continue
-            if prv is not None and prv.kind in ("word", "qident", "string", "number") and not (
-                prv.kind == "word" and prv.text.lower() in KEYWORDS
-            ):
-                # implicit alias: expr IDENT (e.g. "SELECT free text ...")
-                i += 1
-                continue
-            if prv is not None and prv.kind == "punct" and prv.text == ")":
-                # implicit alias after a parenthesised expression
-                i += 1
-                continue
-            if resolve(tok.text) is not None and tok.text.lower() in aliases:
-                # bare table/alias name used as a name (rare); skip
-                pass
-            target = resolve(tok.text)
-            if target is not None and tok.text.lower() not in {
-                c for (_t, c) in refs.columns
-            } and _looks_like_table_position(tokens, i):
-                i += 1
-                continue
-            refs.columns.add(((single_table or UNRESOLVED), tok.text.lower()))
-        i += 1
-
-
-def _looks_like_table_position(tokens: list[_Token], idx: int) -> bool:
-    prv = tokens[idx - 1] if idx > 0 else None
-    return prv is not None and (
-        _is_word(prv, "from") or _is_word(prv, "join")
-    )
-
-
-def _in_on_expr(tokens: list[_Token], idx: int, from_regions: list[tuple[int, int]]) -> bool:
-    """True when token idx sits inside an ON expression of a FROM region."""
-    for lo, hi in from_regions:
-        if lo <= idx < hi:
-            for j in range(idx - 1, lo - 1, -1):
-                t = tokens[j]
-                if _is_word(t, "on"):
-                    return True
-                if _is_word(t, "join") or (t.kind == "punct" and t.text == ","):
-                    return False
-    return False
-
-
-def _parse_sources(
-    tokens: list[_Token],
-    aliases: dict[str, str | None],
-    sub_spans: list[tuple[int, int]],
-    offset: int,
-) -> None:
-    """Parse a FROM segment (between FROM/JOIN and the next clause) into
-    alias -> base-table mappings. Subquery sources map their alias to None."""
-    i = 0
-    expect_source = True
-    while i < len(tokens):
-        tok = tokens[i]
-        abs_idx = offset + i
-        if tok.kind == "punct" and tok.text == ",":
-            expect_source = True
-            i += 1
-            continue
-        if tok.kind == "punct" and tok.text == "(":
-            # subquery source: skip to matching ')'
-            depth = 1
-            j = i + 1
-            while j < len(tokens) and depth > 0:
-                if tokens[j].kind == "punct" and tokens[j].text == "(":
-                    depth += 1
-                elif tokens[j].kind == "punct" and tokens[j].text == ")":
-                    depth -= 1
-                j += 1
-            # optional alias
-            alias = None
-            if j < len(tokens) and _is_word(tokens[j], "as"):
-                j += 1
-            if j < len(tokens) and tokens[j].kind in ("word", "qident") and not (
-                tokens[j].kind == "word" and tokens[j].text.lower() in KEYWORDS
-            ):
-                alias = tokens[j].text.lower()
-                j += 1
-            if alias:
-                aliases[alias] = None
-            i = j
-            expect_source = False
-            continue
-        if expect_source and tok.kind in ("word", "qident") and not (
-            tok.kind == "word" and tok.text.lower() in KEYWORDS
-        ):
-            base = tok.text
-            alias = None
-            j = i + 1
-            if j < len(tokens) and _is_word(tokens[j], "as"):
-                j += 1
-            if j < len(tokens) and tokens[j].kind in ("word", "qident") and not (
-                tokens[j].kind == "word" and tokens[j].text.lower() in KEYWORDS
-            ):
-                alias = tokens[j].text
-                j += 1
-            aliases[base.lower()] = base
-            if alias:
-                aliases[alias.lower()] = base
-            i = j
-            expect_source = False
-            continue
-        i += 1
 
 
 # --- validity classification ------------------------------------------------
@@ -397,59 +141,43 @@ def _special_identifiers(tables: list[TableSchema] | tuple[TableSchema, ...]) ->
     return names
 
 
-def _mask_quoted(sql: str) -> str:
-    """Blank out string literals and quoted identifiers, preserving offsets."""
-
-    def blank(m: re.Match) -> str:
-        return " " * len(m.group())
-
-    masked = re.sub(r"'(?:[^']|'')*'", blank, sql)
-    masked = re.sub(r'"(?:[^"]|"")*"', blank, masked)
-    masked = re.sub(r"`(?:[^`]|``)*`", blank, masked)
-    masked = re.sub(r"\[[^\]]*\]", blank, masked)
-    return masked
-
-
 def find_unquoted_special(sql: str, tables) -> str | None:
-    """First schema identifier with special characters that appears
-    unquoted in the SQL text, or None."""
-    masked = _mask_quoted(sql).lower()
+    """First schema identifier with special characters that appears in the
+    SQL text outside quotes and comments, or None."""
+    masked = mask_quoted(sql).lower()
     for name in _special_identifiers(tables):
         if name.lower() in masked:
             return name
     return None
 
 
-def _build_replica(tables) -> sqlite3.Connection:
-    conn = sqlite3.connect(":memory:")
-    for t in tables:
-        cols = ", ".join(_quote_ident(c.name) for c in t.columns)
-        conn.execute(f"CREATE TABLE {_quote_ident(t.name)}({cols})")
-    return conn
+def _missing_column_detail(sql: str, tables, name: str) -> str:
+    """``"<name> not in <table>"`` when, once every table lacking ``name``
+    gets it, the statement reads ``name`` from exactly one of those tables;
+    otherwise ``name`` alone."""
+    lacking = {t.name.lower(): t.name for t in tables if not t.has_column(name)}
+    try:
+        _program, reads = _compile(_build_replica(tables, extra_column=name), sql)
+    except ParseError:
+        return name
+    owners = {
+        lacking[table.lower()]
+        for table, column in reads
+        if column.lower() == name.lower() and table.lower() in lacking
+    }
+    return f"{name} not in {owners.pop()}" if len(owners) == 1 else name
 
 
 def validate_against_tables(sql: str, tables) -> ValidityReport:
-    """Classify ``sql`` against a bare list of table schemas."""
+    """Classify ``sql`` against a bare list of table schemas. It is Valid
+    exactly when ``EXPLAIN`` compiles it on an empty replica of them."""
     if not sql or not sql.strip():
         return ValidityReport(SYNTAX_ERROR, "empty SQL text")
     try:
-        refs = extract_references(sql)
-    except ParseError as exc:
-        return ValidityReport(SYNTAX_ERROR, str(exc))
-
-    table_index = {t.name.lower(): t for t in tables}
-
-    conn = _build_replica(tables)
-    try:
-        conn.execute(f"EXPLAIN {sql}")
-        engine_error = None
-    except sqlite3.Error as exc:
-        engine_error = str(exc)
-    finally:
-        conn.close()
-
-    if engine_error is None:
+        _compile(_build_replica(tables), sql)
         return ValidityReport(VALID)
+    except ParseError as exc:
+        engine_error = str(exc)
 
     low = engine_error.lower()
     if low.startswith("no such table:"):
@@ -465,21 +193,7 @@ def validate_against_tables(sql: str, tables) -> ValidityReport:
         quoted = find_unquoted_special(sql, tables)
         if quoted is not None:
             return ValidityReport(MISSING_QUOTATION, quoted)
-        # Name the table the column was attributed to, when we know it.
-        detail = name
-        for t_name, c_name in refs.columns:
-            if c_name == name.lower() and t_name != UNRESOLVED:
-                t = table_index.get(t_name)
-                if t is not None and not t.has_column(c_name):
-                    detail = f"{name} not in {t.name}"
-                    break
-        else:
-            if len(refs.tables) == 1:
-                only = next(iter(refs.tables))
-                t = table_index.get(only)
-                if t is not None and not t.has_column(name):
-                    detail = f"{name} not in {t.name}"
-        return ValidityReport(WRONG_COLUMN_NAME, detail)
+        return ValidityReport(WRONG_COLUMN_NAME, _missing_column_detail(sql, tables, name))
     return ValidityReport(SYNTAX_ERROR, engine_error)
 
 

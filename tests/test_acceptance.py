@@ -82,7 +82,7 @@ def brute_force_match(pred_rows, gold_rows, order_sensitive):
 
 
 def test_criterion_2_ex_oracle_equivalence(corpus, samples):
-    from sqlforge.sql_analysis import extract_references
+    from sqlforge.metrics import order_sensitive
 
     outcomes = {
         s.sample_id: execute(corpus.db_path(s.db_id), s.gold_sql) for s in samples
@@ -99,7 +99,7 @@ def test_criterion_2_ex_oracle_equivalence(corpus, samples):
                     break
                 gold = outcomes[gold_s.sample_id]
                 pred = outcomes[pred_s.sample_id]
-                order = extract_references(gold_s.gold_sql).has_order_by
+                order = order_sensitive(gold_s.gold_sql)
                 expected = brute_force_match(list(pred.rows), list(gold.rows), order)
                 actual = results_match(pred, gold, order)
                 assert actual == expected, (pred_s.sample_id, gold_s.sample_id, order)

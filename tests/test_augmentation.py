@@ -14,7 +14,7 @@ from sqlforge.augmentation import (
 )
 from sqlforge.errors import GoldReferencesUnknownColumn
 from sqlforge.metrics import Sample
-from sqlforge.sql_analysis import validate_against_tables
+from sqlforge.sql_analysis import extract_references, validate_against_tables
 
 
 def sample_for(samples, db_id, fragment=""):
@@ -123,6 +123,30 @@ class TestInnerDb:
                 aug = inner_db_augment(s, schemas[s.db_id], seed)
                 report = validate_against_tables(s.gold_sql, aug.schema_tables)
                 assert report.is_valid, (s.sample_id, seed, report)
+
+    @pytest.mark.parametrize(
+        "gold",
+        [
+            "SELECT concert_Name, Name FROM concert JOIN stadium USING (Stadium_ID)",
+            "SELECT concert_Name FROM concert JOIN stadium USING (Stadium_ID)",
+            "SELECT Name FROM singer NATURAL JOIN singer_in_concert",
+            "SELECT Name FROM singer WHERE EXISTS (SELECT 1 FROM singer_in_concert "
+            "WHERE singer_in_concert.Singer_ID = Singer_ID AND Age > 30)",
+            "WITH old AS (SELECT Name, Age FROM singer WHERE Age > 30) "
+            "SELECT Name FROM old ORDER BY Age",
+        ],
+    )
+    def test_gold_still_compiles_when_everything_unused_is_dropped(self, schemas, gold):
+        # The gold must also read the same columns: a NATURAL join that lost
+        # its shared column would still compile, as a cross join.
+        schema = schemas["concert_singer"]
+        s = Sample("g", "concert_singer", "q", gold, schema.tables)
+        reads = extract_references(gold, schema.tables)
+        for seed in range(10):
+            aug = inner_db_augment(s, schema, seed, p_table=0, p_col=0)
+            report = validate_against_tables(gold, aug.schema_tables)
+            assert report.is_valid, (seed, report)
+            assert extract_references(gold, aug.schema_tables) == reads, seed
 
     def test_deterministic(self, samples, schemas):
         s = sample_for(samples, "hr", "departments.dname")

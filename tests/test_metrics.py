@@ -61,6 +61,15 @@ class TestExecutionAccuracy:
         pred = "SELECT Name FROM singer ORDER BY Age ASC"
         assert not execution_accuracy(pred, s, corpus.db_path(s.db_id))
 
+    def test_order_by_after_a_comment_with_a_quote_is_order_sensitive(self, corpus, samples):
+        s = dataclasses.replace(
+            sample_by_gold(samples, "ORDER BY Age DESC"),
+            gold_sql="SELECT Name FROM singer -- it's\nORDER BY Age",
+        )
+        reverse = "SELECT Name FROM singer ORDER BY Age DESC"
+        assert execution_accuracy(s.gold_sql, s, corpus.db_path(s.db_id))
+        assert not execution_accuracy(reverse, s, corpus.db_path(s.db_id))
+
     def test_gold_failure_raises(self, corpus):
         s = Sample(
             sample_id="bad",
@@ -70,6 +79,33 @@ class TestExecutionAccuracy:
         )
         with pytest.raises(GoldExecutionFailed):
             execution_accuracy("SELECT 1", s, corpus.db_path("shop"))
+
+
+class TestOrderSensitive:
+    def test_order_by_top_level(self):
+        for sql in [
+            "SELECT a FROM t ORDER BY a",
+            "SELECT Name FROM singer -- it's\nORDER BY Age",
+            "SELECT a FROM t /* ( */ ORDER BY a",
+            "SELECT 'it''s' FROM t order\n  by a",
+            "SELECT x FROM (SELECT a AS x FROM t) ORDER BY x",
+            "SELECT a FROM t UNION SELECT b FROM u ORDER BY 1",
+        ]:
+            assert metrics.order_sensitive(sql), sql
+
+    def test_order_by_inside_subquery_is_not_top_level(self):
+        for sql in [
+            "SELECT a FROM t",
+            "SELECT x FROM (SELECT a AS x FROM t ORDER BY a) sub",
+            "WITH c AS (SELECT a FROM t ORDER BY a) SELECT a FROM c",
+            "SELECT a, row_number() OVER (ORDER BY a) FROM t",
+            "SELECT 'ORDER BY a' FROM t",
+            'SELECT "order by" FROM t',
+            "SELECT a FROM t -- ORDER BY a",
+            "SELECT a FROM t /* ORDER BY a */",
+            "SELECT border, byline FROM t",
+        ]:
+            assert not metrics.order_sensitive(sql), sql
 
 
 class TestTestSuiteAccuracy:

@@ -1,10 +1,14 @@
+import sqlite3
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlforge.errors import ParseError
+from sqlforge.schema_catalog import _quote_ident
 from sqlforge.sql_analysis import (
     MISSING_QUOTATION,
     SYNTAX_ERROR,
-    UNRESOLVED,
     VALID,
     WRONG_COLUMN_NAME,
     WRONG_TABLE_NAME,
@@ -14,11 +18,27 @@ from sqlforge.sql_analysis import (
 )
 
 
+def compiles_on_replica(sql, tables):
+    """The oracle: ``EXPLAIN sql`` compiles on an empty copy of ``tables``."""
+    conn = sqlite3.connect(":memory:")
+    try:
+        for t in tables:
+            cols = ", ".join(_quote_ident(c.name) for c in t.columns)
+            conn.execute(f"CREATE TABLE {_quote_ident(t.name)}({cols})")
+        conn.execute(f"EXPLAIN {sql}")
+        return True
+    except (sqlite3.Error, sqlite3.Warning):
+        return False
+    finally:
+        conn.close()
+
+
 class TestExtractReferences:
-    def test_join_with_qualified_columns(self):
+    def test_join_with_qualified_columns(self, schemas):
         refs = extract_references(
             "SELECT min(player.hs), tryout.ppos FROM tryout JOIN player "
-            "ON tryout.pid = player.pid GROUP BY tryout.ppos"
+            "ON tryout.pid = player.pid GROUP BY tryout.ppos",
+            schemas["soccer_tryout"].tables,
         )
         assert refs.tables == {"tryout", "player"}
         assert refs.columns == {
@@ -28,70 +48,156 @@ class TestExtractReferences:
             ("player", "pid"),
         }
 
-    def test_no_references(self):
-        refs = extract_references("SELECT 1")
+    def test_no_references(self, schemas):
+        refs = extract_references("SELECT 1", schemas["concert_singer"].tables)
         assert refs.tables == set()
         assert refs.columns == set()
 
-    def test_count_star(self):
-        refs = extract_references("SELECT count(*) FROM singer")
+    def test_count_star(self, schemas):
+        refs = extract_references("SELECT count(*) FROM singer", schemas["concert_singer"].tables)
         assert refs.tables == {"singer"}
         assert refs.columns == set()
 
-    def test_bare_columns_attribute_to_single_table(self):
-        refs = extract_references("SELECT name, age FROM singer WHERE age > 20")
+    def test_star_reads_every_column(self, schemas):
+        tables = schemas["soccer_tryout"].tables
+        every = {("college", "cname"), ("college", "enr"), ("college", "state")}
+        assert extract_references("SELECT * FROM college", tables).columns == every
+        assert extract_references("SELECT c.* FROM college AS c", tables).columns == every
+
+    def test_bare_columns_attribute_to_single_table(self, schemas):
+        refs = extract_references(
+            "SELECT name, age FROM singer WHERE age > 20", schemas["concert_singer"].tables
+        )
         assert refs.columns == {("singer", "name"), ("singer", "age")}
 
-    def test_bare_columns_unresolved_with_two_tables(self):
-        refs = extract_references("SELECT name FROM a JOIN b ON a.x = b.x")
-        assert (UNRESOLVED, "name") in refs.columns
-
-    def test_alias_resolution(self):
+    def test_bare_column_in_join_resolves_to_its_owner(self, schemas):
+        # Name is in singer only; Singer_ID is in both tables, so it must be
+        # qualified and each side is read from its own table.
         refs = extract_references(
-            "SELECT T1.name FROM singer AS T1 JOIN concert AS T2 "
-            "ON T1.singer_id = T2.singer_id"
+            "SELECT name FROM singer JOIN singer_in_concert "
+            "ON singer.singer_id = singer_in_concert.singer_id",
+            schemas["concert_singer"].tables,
         )
-        assert refs.tables == {"singer", "concert"}
-        assert ("singer", "name") in refs.columns
+        assert refs.columns == {
+            ("singer", "name"),
+            ("singer", "singer_id"),
+            ("singer_in_concert", "singer_id"),
+        }
 
-    def test_implicit_alias_without_as(self):
-        refs = extract_references("SELECT s.name FROM singer s")
+    def test_alias_resolution(self, schemas):
+        refs = extract_references(
+            "SELECT T1.name FROM singer AS T1 JOIN singer_in_concert AS T2 "
+            "ON T1.singer_id = T2.singer_id",
+            schemas["concert_singer"].tables,
+        )
+        assert refs.tables == {"singer", "singer_in_concert"}
+        assert refs.columns == {
+            ("singer", "name"),
+            ("singer", "singer_id"),
+            ("singer_in_concert", "singer_id"),
+        }
+
+    def test_implicit_alias_without_as(self, schemas):
+        refs = extract_references("SELECT s.name FROM singer s", schemas["concert_singer"].tables)
         assert refs.tables == {"singer"}
         assert refs.columns == {("singer", "name")}
 
-    def test_subquery_tables_collected(self):
+    def test_subquery_tables_collected(self, schemas):
         refs = extract_references(
             "SELECT name FROM singer WHERE singer_id IN "
-            "(SELECT singer_id FROM singer_in_concert)"
+            "(SELECT singer_id FROM singer_in_concert)",
+            schemas["concert_singer"].tables,
         )
         assert refs.tables == {"singer", "singer_in_concert"}
-        assert ("singer_in_concert", "singer_id") in refs.columns
+        assert refs.columns == {
+            ("singer", "name"),
+            ("singer", "singer_id"),
+            ("singer_in_concert", "singer_id"),
+        }
 
-    def test_order_by_top_level(self):
-        assert extract_references("SELECT a FROM t ORDER BY a").has_order_by
-        assert not extract_references("SELECT a FROM t").has_order_by
-
-    def test_order_by_inside_subquery_is_not_top_level(self):
+    def test_correlated_subquery_resolves_innermost_first(self, schemas):
         refs = extract_references(
-            "SELECT x FROM (SELECT a AS x FROM t ORDER BY a) sub"
+            "SELECT Name FROM singer WHERE EXISTS (SELECT 1 FROM singer_in_concert "
+            "WHERE singer_in_concert.Singer_ID = Singer_ID AND Age > 30)",
+            schemas["concert_singer"].tables,
         )
-        assert not refs.has_order_by
+        assert refs.tables == {"singer", "singer_in_concert"}
+        assert refs.columns == {
+            ("singer", "name"),
+            ("singer", "age"),
+            ("singer_in_concert", "singer_id"),
+        }
 
-    def test_empty_sql_raises(self):
+    def test_cte_name_is_not_a_table(self, schemas):
+        refs = extract_references(
+            "WITH old AS (SELECT Name, Age FROM singer WHERE Age > 30) "
+            "SELECT Name FROM old",
+            schemas["concert_singer"].tables,
+        )
+        assert refs.tables == {"singer"}
+        assert refs.columns == {("singer", "name"), ("singer", "age")}
+
+    def test_using_join_columns_read_from_both_tables(self, schemas):
+        tables = schemas["concert_singer"].tables
+        refs = extract_references(
+            "SELECT concert_Name, Name FROM concert JOIN stadium USING (Stadium_ID)", tables
+        )
+        assert refs.columns == {
+            ("concert", "concert_name"),
+            ("concert", "stadium_id"),
+            ("stadium", "name"),
+            ("stadium", "stadium_id"),
+        }
+        # A table reached only through USING is still read.
+        refs = extract_references(
+            "SELECT concert_Name FROM concert JOIN stadium USING (Stadium_ID)", tables
+        )
+        assert refs.tables == {"concert", "stadium"}
+        assert ("stadium", "stadium_id") in refs.columns
+
+    def test_natural_join_columns_read_from_both_tables(self, schemas):
+        refs = extract_references(
+            "SELECT Name FROM singer NATURAL JOIN singer_in_concert",
+            schemas["concert_singer"].tables,
+        )
+        assert refs.tables == {"singer", "singer_in_concert"}
+        assert refs.columns == {
+            ("singer", "name"),
+            ("singer", "singer_id"),
+            ("singer_in_concert", "singer_id"),
+        }
+
+    def test_reads_the_optimizer_drops_are_kept(self, schemas):
+        tables = schemas["soccer_tryout"].tables
+        refs = extract_references("SELECT pname FROM player WHERE 1 OR hs = 2", tables)
+        assert refs.columns == {("player", "pname"), ("player", "hs")}
+        refs = extract_references(
+            "SELECT pname FROM player WHERE EXISTS (SELECT state FROM college)", tables
+        )
+        assert refs.columns == {("player", "pname"), ("college", "state")}
+
+    def test_statement_that_does_not_compile_raises(self, schemas):
+        with pytest.raises(ParseError, match="no such column: bogus"):
+            extract_references("SELECT bogus FROM singer", schemas["concert_singer"].tables)
+
+    def test_empty_sql_raises(self, schemas):
         with pytest.raises(ParseError):
-            extract_references("   ")
+            extract_references("   ", schemas["shop"].tables)
 
-    def test_unterminated_string_raises(self):
+    def test_unterminated_string_raises(self, schemas):
         with pytest.raises(ParseError):
-            extract_references("SELECT 'unclosed FROM t")
+            extract_references("SELECT 'unclosed FROM t", schemas["shop"].tables)
 
-    def test_pure_and_idempotent(self):
-        sql = "SELECT a.x, b.y FROM alpha a JOIN beta b ON a.k = b.k ORDER BY a.x"
-        first = extract_references(sql)
-        second = extract_references(sql)
+    def test_pure_and_idempotent(self, schemas):
+        tables = schemas["soccer_tryout"].tables
+        sql = (
+            "SELECT a.pname, b.state FROM player a JOIN tryout t ON a.pid = t.pid "
+            "JOIN college b ON t.cname = b.cname ORDER BY a.pname"
+        )
+        first = extract_references(sql, tables)
+        second = extract_references(sql, tables)
         assert first.tables == second.tables
         assert first.columns == second.columns
-        assert first.has_order_by == second.has_order_by
 
 
 class TestValidate:
@@ -101,6 +207,26 @@ class TestValidate:
         )
         assert report.status == WRONG_COLUMN_NAME
         assert report.detail == "ppos not in player"
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT ppos FROM player",
+            "SELECT min(hs) FROM player GROUP BY ppos",
+            "SELECT player.ppos FROM player",
+            "SELECT p.ppos FROM player AS p JOIN college AS c ON p.hs = c.enr",
+        ],
+    )
+    def test_wrong_column_owner_found_by_the_compiler(self, schemas, sql):
+        report = validate(sql, schemas["soccer_tryout"])
+        assert (report.status, report.detail) == (WRONG_COLUMN_NAME, "ppos not in player")
+
+    def test_wrong_column_in_join_without_owner_is_bare(self, schemas):
+        report = validate(
+            "SELECT bogus FROM player JOIN college ON player.hs = college.enr",
+            schemas["soccer_tryout"],
+        )
+        assert (report.status, report.detail) == (WRONG_COLUMN_NAME, "bogus")
 
     def test_reference_chosen_query_is_valid(self, schemas):
         report = validate(
@@ -126,10 +252,28 @@ class TestValidate:
         assert report.status == SYNTAX_ERROR
         assert report.detail
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT Name FROM singer -- it's\nORDER BY Age",
+            "SELECT Name /* it's; */ FROM singer",
+            "SELECT Age & 1, ~Age, Age | 2, Age << 1, Age >> 1 FROM singer",
+            'SELECT "Name", [Age], `Country` FROM singer',
+        ],
+    )
+    def test_sqlite_accepted_syntax_is_valid(self, schemas, sql):
+        assert validate(sql, schemas["concert_singer"]).status == VALID
+
     def test_missing_quotation_for_space_column(self, schemas):
         report = validate("SELECT free text FROM stops", schemas["transit"])
         assert report.status == MISSING_QUOTATION
         assert report.detail == "free text"
+
+    def test_special_name_in_a_comment_is_not_missing_quotation(self, schemas):
+        report = validate(
+            'SELECT "free text", bogus FROM stops -- free text', schemas["transit"]
+        )
+        assert (report.status, report.detail) == (WRONG_COLUMN_NAME, "bogus not in stops")
 
     def test_quoted_space_column_is_valid(self, schemas):
         report = validate('SELECT "free text" FROM stops', schemas["transit"])
@@ -149,6 +293,53 @@ class TestValidate:
         assert validate_against_tables("SELECT name FROM customers", tables).is_valid
         report = validate_against_tables("SELECT total FROM orders", tables)
         assert report.status == WRONG_TABLE_NAME
+
+
+#: Pieces of generated statements over concert_singer's singer table.
+_NAMES = ["Name", "Age", '"Age"', "[Name]", "`Age`", "singer.Age", "s.Name", "bogus",
+          '"it\'s"', "Singer_ID"]
+_LITERALS = ["1", "'it''s'", "'a;b'", "NULL", "2.5"]
+_BINARY = ["&", "|", "<<", ">>", "+", "-", "*", "/", "=", "<>", "AND", "OR", "||"]
+_GAPS = [" ", " -- it's; x\n", " /* it's; */ ", "\n"]
+
+
+@st.composite
+def _expressions(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        atom = draw(st.sampled_from(_NAMES + _LITERALS))
+        return ("~" if draw(st.booleans()) else "") + atom
+    left = draw(_expressions(depth=depth - 1))
+    right = draw(_expressions(depth=depth - 1))
+    op = draw(st.sampled_from(_BINARY))
+    gap = draw(st.sampled_from(_GAPS))
+    return f"({left}{gap}{op} {right})"
+
+
+@st.composite
+def _statements(draw):
+    gaps = st.sampled_from(_GAPS)
+    sql = f"SELECT {draw(_expressions())}{draw(gaps)}FROM singer"
+    if draw(st.booleans()):
+        sql += " AS s"
+    if draw(st.booleans()):
+        sql += f"{draw(gaps)}WHERE {draw(_expressions())}"
+    if draw(st.booleans()):
+        sql += f"{draw(gaps)}ORDER BY {draw(_expressions())}"
+    if draw(st.booleans()):
+        # A stray token SQLite may or may not accept where it lands.
+        pieces = sql.split(" ")
+        at = draw(st.integers(0, len(pieces)))
+        pieces.insert(at, draw(st.sampled_from(["&", "~", ",", "(", "'", ";", "FROM"])))
+        sql = " ".join(pieces)
+    return sql
+
+
+class TestValidateMatchesCompiler:
+    @settings(max_examples=300, deadline=None)
+    @given(sql=_statements())
+    def test_valid_exactly_when_explain_compiles(self, schemas, sql):
+        schema = schemas["concert_singer"]
+        assert validate(sql, schema).is_valid == compiles_on_replica(sql, schema.tables)
 
 
 class TestValidateExecutionConsistency:
