@@ -2,8 +2,9 @@
 
 Cross-DB inserts 1-3 distractor tables drawn from *other* databases that
 share a PK/FK column name with the sample's database, teaching schema
-selection. Inner-DB randomly drops unused tables/columns from the sample's
-own database under a 6-table / 10-columns-per-table cap, teaching column
+selection; no two tables of a prompt share a name (case-insensitively).
+Inner-DB randomly drops unused tables/columns from the sample's own
+database under a 6-table / 10-columns-per-table cap, teaching column
 selection. Both are deterministic given a seed and never remove anything
 the gold SQL references.
 """
@@ -69,17 +70,13 @@ def _used_references(sample: Sample, schema: DatabaseSchema):
 
 
 #: The schemas of the last corpus passed to cross_db_candidates, and its
-#: candidate lists by db_id.
+#: candidates by db_id: the flat list and the same list grouped by name.
 _candidate_memo: tuple[tuple[DatabaseSchema, ...], dict] = ((), {})
 
 
-def cross_db_candidates(
-    db_id: str, corpus: list[DatabaseSchema]
-) -> tuple[tuple[str, TableSchema], ...]:
-    """Tables of other databases that share a PK/FK column name with
-    ``db_id``, as (db_id, table) in corpus order. Schemas are immutable, so
-    the lists are kept while calls pass the same schema objects: augmenting
-    a run's samples scans the corpus once per database."""
+def _candidates(db_id: str, corpus: list[DatabaseSchema]):
+    """``db_id``'s cross-db candidates, and the same candidates grouped by
+    lower-cased table name in order of first appearance."""
     global _candidate_memo
     memo_corpus, memo = _candidate_memo
     if len(memo_corpus) != len(corpus) or any(
@@ -92,23 +89,41 @@ def cross_db_candidates(
         if own is None:
             raise ValueError(f"corpus does not contain schema for db_id {db_id!r}")
         keys = own.key_column_names()
-        memo[db_id] = tuple(
+        own_names = {t.name.lower() for t in own.tables}
+        flat = tuple(
             (schema.db_id, table)
             for schema in corpus
             if schema.db_id != db_id
             for table in schema.tables
-            if any(c.name.lower() in keys for c in table.columns)
+            if table.name.lower() not in own_names
+            and any(c.name.lower() in keys for c in table.columns)
         )
+        by_name: dict[str, list] = {}
+        for candidate in flat:
+            by_name.setdefault(candidate[1].name.lower(), []).append(candidate)
+        memo[db_id] = flat, tuple(tuple(group) for group in by_name.values())
     return memo[db_id]
+
+
+def cross_db_candidates(
+    db_id: str, corpus: list[DatabaseSchema]
+) -> tuple[tuple[str, TableSchema], ...]:
+    """Tables of other databases that share a PK/FK column name with
+    ``db_id`` and whose name, compared case-insensitively, is not one of its
+    own tables', as (db_id, table) in corpus order. Schemas are immutable,
+    so the lists are kept while calls pass the same schema objects:
+    augmenting a run's samples scans the corpus once per database."""
+    return _candidates(db_id, corpus)[0]
 
 
 def cross_db_augment(
     sample: Sample, corpus: list[DatabaseSchema], seed: int
 ) -> AugmentedSample:
-    """Insert 1-3 tables from other databases sharing a PK/FK column name."""
-    candidates = cross_db_candidates(sample.db_id, corpus)
+    """Insert 1-3 tables from other databases sharing a PK/FK column name,
+    no two of one name: a name is drawn first, then one of its tables."""
+    groups = _candidates(sample.db_id, corpus)[1]
 
-    if not candidates:
+    if not groups:
         return AugmentedSample(
             base=sample,
             schema_tables=tuple(sample.schema_tables),
@@ -117,8 +132,8 @@ def cross_db_augment(
         )
 
     rng = random.Random(seed)
-    n = min(rng.randint(1, MAX_CROSS_DB_INSERTS), len(candidates))
-    picked = rng.sample(candidates, n)
+    n = min(rng.randint(1, MAX_CROSS_DB_INSERTS), len(groups))
+    picked = [rng.choice(group) for group in rng.sample(groups, n)]
     tables = list(sample.schema_tables)
     for db_id, table in picked:
         tables.insert(rng.randint(0, len(tables)), table)

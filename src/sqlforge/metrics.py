@@ -5,13 +5,20 @@ from __future__ import annotations
 import json
 import re
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import executor, sql_analysis
 from .errors import CorpusLayoutError, EmptyVariantSuiteError, GoldExecutionFailed
-from .executor import DEFAULT_TIMEOUT_SECS, ReadOnlyHandle, execute, results_match
+from .executor import (
+    DEFAULT_TIMEOUT_SECS,
+    ExecutionOutcome,
+    ReadOnlyHandle,
+    execute,
+    results_match,
+)
 from .schema_catalog import (
     DatabaseSchema,
     TableSchema,
@@ -67,15 +74,45 @@ def order_sensitive(gold_sql: str) -> bool:
     return False
 
 
+def _matches_on(
+    db: str | Path | ReadOnlyHandle,
+    pred_sql: str,
+    gold: ExecutionOutcome,
+    order: bool,
+    timeout: float,
+) -> tuple[bool, ExecutionOutcome]:
+    """EX on one database file: run ``pred_sql`` there and compare it with
+    the gold query's outcome on the same file."""
+    pred = execute(db, pred_sql, timeout)
+    return results_match(pred, gold, order), pred
+
+
+def _suite_matches(
+    variants: list[str | Path | ReadOnlyHandle],
+    pred_sql: str,
+    gold_on: Callable[[str | Path | ReadOnlyHandle], ExecutionOutcome],
+    order: bool,
+    timeout: float,
+) -> bool:
+    """EX on every variant in turn, with ``gold_on(variant)`` as the gold
+    outcome there; stops at the first variant that fails."""
+    for db in variants:
+        try:
+            if not _matches_on(db, pred_sql, gold_on(db), order, timeout)[0]:
+                return False
+        except GoldExecutionFailed as exc:
+            raise GoldExecutionFailed(f"variant {db}: {exc}") from exc
+    return True
+
+
 def execution_accuracy(
     pred_sql: str,
     sample: Sample,
     db_path: str | Path | ReadOnlyHandle,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> bool:
-    gold_outcome = execute(db_path, sample.gold_sql, timeout)
-    pred_outcome = execute(db_path, pred_sql, timeout)
-    return results_match(pred_outcome, gold_outcome, order_sensitive(sample.gold_sql))
+    gold = execute(db_path, sample.gold_sql, timeout)
+    return _matches_on(db_path, pred_sql, gold, order_sensitive(sample.gold_sql), timeout)[0]
 
 
 def test_suite_accuracy(
@@ -88,13 +125,13 @@ def test_suite_accuracy(
     short-circuits on failure."""
     if not variant_db_paths:
         raise EmptyVariantSuiteError(sample.sample_id)
-    for path in variant_db_paths:
-        try:
-            if not execution_accuracy(pred_sql, sample, path, timeout):
-                return False
-        except GoldExecutionFailed as exc:
-            raise GoldExecutionFailed(f"variant {path}: {exc}") from exc
-    return True
+    return _suite_matches(
+        variant_db_paths,
+        pred_sql,
+        lambda db: execute(db, sample.gold_sql, timeout),
+        order_sensitive(sample.gold_sql),
+        timeout,
+    )
 
 
 def variant_suite_paths(variant_root: str | Path, db_id: str) -> list[Path]:
@@ -119,14 +156,28 @@ class _DbHandles:
 
 
 @dataclass
+class _Gold:
+    """One gold query's outcome on each file of its database, for the
+    samples that still need it."""
+
+    #: One lock per file, held while the gold runs there.
+    locks: dict[Path, threading.Lock]
+    pending: int = 0
+    outcomes: dict[Path, ExecutionOutcome] = field(default_factory=dict)
+
+
+@dataclass
 class _EvalContext:
     corpus_root: Path
     variant_root: Path | None
     timeout: float
     schemas: dict[str, DatabaseSchema] = field(default_factory=dict)
     suites: dict[str, list[Path]] = field(default_factory=dict)
+    #: Gold outcomes by (db_id, gold_sql), shared by all threads.
+    golds: dict[tuple[str, str], _Gold] = field(default_factory=dict)
     #: Each thread's handles, by thread id; a thread only touches its own.
     _open: dict[int, _DbHandles] = field(default_factory=dict, init=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def schema(self, db_id: str) -> DatabaseSchema:
         if db_id not in self.schemas:
@@ -160,6 +211,34 @@ class _EvalContext:
             )
         return current
 
+    def expect(self, sample: Sample) -> None:
+        """Note, before any thread starts, one more sample that needs its
+        gold query's outcomes."""
+        key = (sample.db_id, sample.gold_sql)
+        if key not in self.golds:
+            files = [corpus_db_path(self.corpus_root, sample.db_id), *self.suite(sample.db_id)]
+            self.golds[key] = _Gold(locks={path: threading.Lock() for path in files})
+        self.golds[key].pending += 1
+
+    def gold_outcome(self, sample: Sample, db: ReadOnlyHandle) -> ExecutionOutcome:
+        """The gold query's outcome on ``db``'s file. It runs once per file:
+        a thread that needs an outcome another is computing waits for it."""
+        gold = self.golds[(sample.db_id, sample.gold_sql)]
+        with gold.locks[db.path]:
+            if db.path not in gold.outcomes:
+                gold.outcomes[db.path] = execute(db, sample.gold_sql, self.timeout)
+            return gold.outcomes[db.path]
+
+    def finished(self, sample: Sample) -> None:
+        """Drop the gold's outcomes once the last sample needing them is
+        done, whether it passed, failed or was skipped."""
+        key = (sample.db_id, sample.gold_sql)
+        with self._lock:
+            gold = self.golds[key]
+            gold.pending -= 1
+            if not gold.pending:
+                del self.golds[key]
+
     def close(self) -> None:
         for handles in self._open.values():
             handles.close()
@@ -177,14 +256,15 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
             outcome_kind=executor.EXEC_ERROR,
         )
     db = ctx.handles(sample.db_id)
-    gold_outcome = execute(db.base, sample.gold_sql, ctx.timeout)
-    pred_outcome = execute(db.base, pred_sql, ctx.timeout)
     order = order_sensitive(sample.gold_sql)
-    ex = results_match(pred_outcome, gold_outcome, order)
 
+    def gold_on(handle: ReadOnlyHandle) -> ExecutionOutcome:
+        return ctx.gold_outcome(sample, handle)
+
+    ex, pred_outcome = _matches_on(db.base, pred_sql, gold_on(db.base), order, ctx.timeout)
     ts: bool | None = None
     if db.suite:
-        ts = test_suite_accuracy(pred_sql, sample, db.suite, ctx.timeout)
+        ts = _suite_matches(db.suite, pred_sql, gold_on, order, ctx.timeout)
 
     failure = None
     if not ex:
@@ -227,11 +307,12 @@ def evaluate_corpus(
         timeout=timeout,
         schemas=schemas if schemas is not None else {},
     )
-    # Warm the schema and suite caches serially; worker threads then only
-    # read them.
+    # Warm the schema and suite caches serially, so worker threads only
+    # read them, and count the samples that need each gold.
     for s in samples:
         ctx.schema(s.db_id)
         ctx.suite(s.db_id)
+        ctx.expect(s)
     by_db = sorted(enumerate(samples), key=lambda item: item[1].db_id)
     # A failing sample's error, by input index. Only the first in input
     # order is raised, so samples after it need not run.
@@ -240,15 +321,17 @@ def evaluate_corpus(
 
     def evaluate(item: tuple[int, Sample]) -> EvalVerdict | None:
         index, s = item
-        with lock:
-            if any(i < index for i in failures):
-                return None
         try:
+            with lock:
+                if any(i < index for i in failures):
+                    return None
             return _evaluate_one(ctx, s, predictions.get(s.sample_id))
         except Exception as exc:
             with lock:
                 failures[index] = exc
             return None
+        finally:
+            ctx.finished(s)
 
     try:
         if parallelism <= 1:

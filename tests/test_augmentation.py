@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sqlforge.augmentation import (
@@ -83,6 +85,34 @@ class TestCrossDb:
         )
         with pytest.raises(ValueError):
             cross_db_candidates("shop", without[:0])
+
+    def test_table_names_stay_distinct_when_databases_share_names(self, samples, schemas):
+        # Every database copied under three db_ids, as a corpus with repeated
+        # table names across databases; the copies differ in name case, so
+        # the check must compare names case-insensitively.
+        copies = [
+            dataclasses.replace(
+                sch,
+                db_id=f"{sch.db_id}_{k}",
+                tables=tuple(
+                    dataclasses.replace(t, name=t.name.upper() if k else t.name)
+                    for t in sch.tables
+                ),
+            )
+            for k in range(3)
+            for sch in schemas.values()
+        ]
+        inserted = 0
+        for s in samples:
+            copy = dataclasses.replace(s, db_id=f"{s.db_id}_1")
+            for seed in range(4):
+                aug = cross_db_augment(copy, copies, seed)
+                names = [t.name.lower() for t in aug.schema_tables]
+                assert len(names) == len(set(names)), (s.sample_id, seed, names)
+                report = validate_against_tables(s.gold_sql, aug.schema_tables)
+                assert report.is_valid, (s.sample_id, seed, report)
+                inserted += len(aug.provenance.inserted_tables)
+        assert inserted
 
     def test_gold_preservation(self, samples, schemas):
         corpus_schemas = list(schemas.values())

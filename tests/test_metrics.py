@@ -1,6 +1,8 @@
 import dataclasses
+import random
 import shutil
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,155 @@ class TestIsolationAndDeterminism:
             sys.setswitchinterval(interval)
         assert reports == [reference] * 3
         assert not attach.exists()
+
+
+#: Predictions built from a gold query, none equal in text to any gold:
+#: an equivalent rewrite, an empty result and a syntax error.
+REWRITES = ["SELECT * FROM ({gold})", "SELECT * FROM ({gold}) LIMIT 0", "SELECT broken FROM"]
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """(file, SQL) of every query eval runs, in the order run."""
+    calls = []
+    execute = metrics.execute
+
+    def spy(db, sql, timeout):
+        calls.append((str(db), sql))
+        return execute(db, sql, timeout)
+
+    monkeypatch.setattr(metrics, "execute", spy)
+    return calls
+
+
+@pytest.fixture
+def held_at_close(monkeypatch):
+    """The gold outcomes an eval run still held when it closed its handles."""
+    held = []
+    close = metrics._EvalContext.close
+
+    def recording_close(ctx):
+        held.append(dict(ctx.golds))
+        close(ctx)
+
+    monkeypatch.setattr(metrics._EvalContext, "close", recording_close)
+    return held
+
+
+class TestGoldOutcomeCache:
+    """Eval runs each gold query once per database file per run, and keeps
+    its outcome only while a sample still needs it."""
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_each_gold_runs_once_per_file(
+        self, corpus, samples, executed, held_at_close, parallelism
+    ):
+        base = [s for s in samples if s.db_id in ("shop", "concert_singer", "school")]
+        cases, preds = [], {}
+        for s in base:
+            for k, rewrite in enumerate(REWRITES):
+                cases.append(dataclasses.replace(s, sample_id=f"{s.sample_id}-{k}"))
+                preds[cases[-1].sample_id] = rewrite.format(gold=s.gold_sql)
+            cases.append(dataclasses.replace(s, sample_id=f"{s.sample_id}-missing"))
+        golds = {s.gold_sql for s in cases}
+        assert not golds & set(preds.values())
+
+        # Each prediction runs on the base file, then on each variant up to
+        # the first where it does not match the gold; the gold runs on each
+        # file where a prediction is compared with it.
+        expected_preds, expected_golds = Counter(), set()
+        for s in cases:
+            if s.sample_id not in preds:
+                continue
+            pred = preds[s.sample_id]
+            suite = variant_suite_paths(corpus.variant_root, s.db_id)
+            for path in [corpus.db_path(s.db_id), *suite]:
+                expected_preds[(str(path), pred)] += 1
+                expected_golds.add((str(path), s.gold_sql))
+                if path in suite and not execution_accuracy(pred, s, path):
+                    break
+
+        order = list(cases)
+        random.Random(parallelism).shuffle(order)
+        executed.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            evaluate_corpus(preds, order, corpus.root,
+                            variant_root=corpus.variant_root, parallelism=parallelism)
+        finally:
+            sys.setswitchinterval(interval)
+
+        gold_runs = Counter(call for call in executed if call[1] in golds)
+        pred_runs = Counter(call for call in executed if call[1] not in golds)
+        assert pred_runs == expected_preds
+        assert set(gold_runs) == expected_golds
+        assert set(gold_runs.values()) == {1}
+        assert held_at_close == [{}]
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_shared_failing_gold_raises_first_failure_in_input_order(
+        self, corpus, samples, opened, held_at_close, parallelism
+    ):
+        shared = "SELECT nope_shared FROM customers"
+        first = Sample(sample_id="bad-a", db_id="shop", question="q", gold_sql=shared)
+        again = dataclasses.replace(first, sample_id="bad-b")
+        # "concert_singer" sorts before "shop", so this one is visited first.
+        later = Sample(sample_id="bad-c", db_id="concert_singer", question="q",
+                       gold_sql="SELECT nope_later FROM singer")
+        subset = [s for s in samples if s.db_id in ("shop", "concert_singer")]
+        preds = {s.sample_id: s.gold_sql for s in subset}
+        preds.update({"bad-a": "SELECT 1", "bad-b": "SELECT 1", "bad-c": "SELECT 1"})
+        with pytest.raises(GoldExecutionFailed) as uncached:
+            execution_accuracy("SELECT 1", first, corpus.db_path("shop"))
+
+        with pytest.raises(GoldExecutionFailed) as raised:
+            evaluate_corpus(preds, [*subset[:3], first, *subset[3:], again, later],
+                            corpus.root, variant_root=corpus.variant_root,
+                            parallelism=parallelism)
+        assert str(raised.value) == str(uncached.value)
+        assert "nope_shared" in str(raised.value)
+        assert opened
+        assert not opened.still_open()
+        assert held_at_close == [{}]
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_report_equals_uncached_reference(self, corpus, samples, data):
+        base = [s for s in samples if s.db_id in ("shop", "concert_singer")]
+        kinds = ["gold", *REWRITES, "missing"]
+        cases, preds = [], {}
+        for s in base:
+            for k in range(data.draw(st.integers(1, 3), label=s.sample_id)):
+                cases.append(dataclasses.replace(s, sample_id=f"{s.sample_id}-{k}"))
+                kind = data.draw(st.sampled_from(kinds))
+                if kind != "missing":
+                    preds[cases[-1].sample_id] = (
+                        s.gold_sql if kind == "gold" else kind.format(gold=s.gold_sql))
+        lucky = next(s for s in cases if s.gold_sql == "SELECT count(*) FROM orders")
+        preds[lucky.sample_id] = "SELECT count(*) FROM customers"
+        order = data.draw(st.permutations(cases))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "execute",
+                       lambda db, sql, timeout: executor.execute(db.path, sql, timeout))
+            mp.setattr(metrics._EvalContext, "gold_outcome",
+                       lambda ctx, s, db: executor.execute(db.path, s.gold_sql, ctx.timeout))
+            reference = report_to_dict(evaluate_corpus(
+                preds, order, corpus.root, variant_root=corpus.variant_root))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports = [
+                report_to_dict(evaluate_corpus(
+                    preds, order, corpus.root, variant_root=corpus.variant_root,
+                    parallelism=parallelism))
+                for parallelism in (1, 2, 4)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [reference] * 3
 
 
 class TestSerialization:
