@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
@@ -27,6 +28,9 @@ from .schema_catalog import (
 )
 
 MISSING_PREDICTION_DETAIL = "missing prediction"
+
+#: A database to run on: a path, or an open handle to reuse.
+_Db = str | Path | ReadOnlyHandle
 
 
 @dataclass(frozen=True)
@@ -74,31 +78,18 @@ def order_sensitive(gold_sql: str) -> bool:
     return False
 
 
-def _matches_on(
-    db: str | Path | ReadOnlyHandle,
-    pred_sql: str,
-    gold: ExecutionOutcome,
-    order: bool,
-    timeout: float,
-) -> tuple[bool, ExecutionOutcome]:
-    """EX on one database file: run ``pred_sql`` there and compare it with
-    the gold query's outcome on the same file."""
-    pred = execute(db, pred_sql, timeout)
-    return results_match(pred, gold, order), pred
-
-
 def _suite_matches(
-    variants: list[str | Path | ReadOnlyHandle],
-    pred_sql: str,
-    gold_on: Callable[[str | Path | ReadOnlyHandle], ExecutionOutcome],
+    variants: list[_Db],
+    pred_on: Callable[[_Db], ExecutionOutcome],
+    gold_on: Callable[[_Db], ExecutionOutcome],
     order: bool,
-    timeout: float,
 ) -> bool:
-    """EX on every variant in turn, with ``gold_on(variant)`` as the gold
-    outcome there; stops at the first variant that fails."""
+    """EX on every variant in turn, comparing ``pred_on(variant)`` with
+    ``gold_on(variant)``; stops at the first variant that fails."""
     for db in variants:
         try:
-            if not _matches_on(db, pred_sql, gold_on(db), order, timeout)[0]:
+            gold = gold_on(db)
+            if not results_match(pred_on(db), gold, order):
                 return False
         except GoldExecutionFailed as exc:
             raise GoldExecutionFailed(f"variant {db}: {exc}") from exc
@@ -112,7 +103,9 @@ def execution_accuracy(
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> bool:
     gold = execute(db_path, sample.gold_sql, timeout)
-    return _matches_on(db_path, pred_sql, gold, order_sensitive(sample.gold_sql), timeout)[0]
+    return results_match(
+        execute(db_path, pred_sql, timeout), gold, order_sensitive(sample.gold_sql)
+    )
 
 
 def test_suite_accuracy(
@@ -127,10 +120,9 @@ def test_suite_accuracy(
         raise EmptyVariantSuiteError(sample.sample_id)
     return _suite_matches(
         variant_db_paths,
-        pred_sql,
+        lambda db: execute(db, pred_sql, timeout),
         lambda db: execute(db, sample.gold_sql, timeout),
         order_sensitive(sample.gold_sql),
-        timeout,
     )
 
 
@@ -141,29 +133,61 @@ def variant_suite_paths(variant_root: str | Path, db_id: str) -> list[Path]:
     return sorted(suite_dir.glob("*.sqlite"))
 
 
-class _DbHandles:
-    """One thread's open read-only handles for the database it is working
-    on: the base file and each TS variant."""
+def _digest(path: Path) -> bytes:
+    """SHA-256 of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.digest()
 
-    def __init__(self, db_id: str, base: Path, suite: list[Path]):
+
+def _first_copies(files: list[Path]) -> dict[Path, Path]:
+    """Map each file to the first of ``files`` with the same bytes. Only
+    files whose size another file shares are read."""
+    by_size: dict[int, list[Path]] = {}
+    for path in files:
+        by_size.setdefault(path.stat().st_size, []).append(path)
+    first: dict[Path, Path] = {}
+    for same_size in by_size.values():
+        seen: dict[bytes, Path] = {}
+        for path in same_size:
+            content = _digest(path) if len(same_size) > 1 else b""
+            first[path] = seen.setdefault(content, path)
+    return first
+
+
+class _DbHandles:
+    """One thread's read-only handles to the files of the database it is
+    working on, each opened on its first query."""
+
+    def __init__(self, db_id: str, files: list[Path]):
         self.db_id = db_id
-        self.base = ReadOnlyHandle(base)
-        self.suite = [ReadOnlyHandle(p) for p in suite]
+        self.on = {path: ReadOnlyHandle(path) for path in files}
 
     def close(self) -> None:
-        for handle in [self.base, *self.suite]:
+        for handle in self.on.values():
             handle.close()
 
 
 @dataclass
-class _Gold:
-    """One gold query's outcome on each file of its database, for the
-    samples that still need it."""
+class _Statement:
+    """One statement's outcome on each distinct file content of its
+    database, for the samples that still need it."""
 
-    #: One lock per file, held while the gold runs there.
+    #: One lock per file, held while the statement runs there.
     locks: dict[Path, threading.Lock]
     pending: int = 0
+    #: Outcomes by the first file with each content.
     outcomes: dict[Path, ExecutionOutcome] = field(default_factory=dict)
+
+
+def _statement_keys(sample: Sample, pred_sql: str | None) -> list[tuple[str, str]]:
+    """The outcome-cache keys a sample reads: its gold and its prediction."""
+    keys = [(sample.db_id, sample.gold_sql)]
+    if pred_sql is not None:
+        keys.append((sample.db_id, pred_sql))
+    return keys
 
 
 @dataclass
@@ -172,12 +196,18 @@ class _EvalContext:
     variant_root: Path | None
     timeout: float
     schemas: dict[str, DatabaseSchema] = field(default_factory=dict)
-    suites: dict[str, list[Path]] = field(default_factory=dict)
-    #: Gold outcomes by (db_id, gold_sql), shared by all threads.
-    golds: dict[tuple[str, str], _Gold] = field(default_factory=dict)
+    #: Each database's files: the base file, then its variants in order.
+    files: dict[str, list[Path]] = field(default_factory=dict)
+    #: Each database's files mapped to their first copy, once compared.
+    copies: dict[str, dict[Path, Path]] = field(default_factory=dict)
+    #: Gold and prediction outcomes by (db_id, sql), shared by all threads.
+    statements: dict[tuple[str, str], _Statement] = field(default_factory=dict)
     #: Each thread's handles, by thread id; a thread only touches its own.
     _open: dict[int, _DbHandles] = field(default_factory=dict, init=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    _copies_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     def schema(self, db_id: str) -> DatabaseSchema:
         if db_id not in self.schemas:
@@ -187,14 +217,15 @@ class _EvalContext:
             self.schemas[db_id] = introspect_database(path, db_id)
         return self.schemas[db_id]
 
-    def suite(self, db_id: str) -> list[Path]:
-        if db_id not in self.suites:
-            self.suites[db_id] = (
+    def db_files(self, db_id: str) -> list[Path]:
+        if db_id not in self.files:
+            suite = (
                 variant_suite_paths(self.variant_root, db_id)
                 if self.variant_root is not None
                 else []
             )
-        return self.suites[db_id]
+            self.files[db_id] = [corpus_db_path(self.corpus_root, db_id), *suite]
+        return self.files[db_id]
 
     def handles(self, db_id: str) -> _DbHandles:
         """The calling thread's handles for ``db_id``; the handles it held
@@ -204,40 +235,53 @@ class _EvalContext:
         if current is None or current.db_id != db_id:
             if current is not None:
                 current.close()
-            current = self._open[key] = _DbHandles(
-                db_id,
-                corpus_db_path(self.corpus_root, db_id),
-                self.suite(db_id),
-            )
+            current = self._open[key] = _DbHandles(db_id, self.db_files(db_id))
         return current
 
-    def expect(self, sample: Sample) -> None:
-        """Note, before any thread starts, one more sample that needs its
-        gold query's outcomes."""
-        key = (sample.db_id, sample.gold_sql)
-        if key not in self.golds:
-            files = [corpus_db_path(self.corpus_root, sample.db_id), *self.suite(sample.db_id)]
-            self.golds[key] = _Gold(locks={path: threading.Lock() for path in files})
-        self.golds[key].pending += 1
+    def first_copy(self, db_id: str, path: Path) -> Path:
+        """The first of ``db_id``'s files (base, then variants in order)
+        with the same bytes as ``path``. The base file is its own first
+        copy; the files are compared once, when a variant is first needed,
+        so nothing is read before the first query runs."""
+        files = self.db_files(db_id)
+        if path == files[0]:
+            return path
+        with self._copies_lock:
+            if db_id not in self.copies:
+                self.copies[db_id] = _first_copies(files)
+            return self.copies[db_id][path]
 
-    def gold_outcome(self, sample: Sample, db: ReadOnlyHandle) -> ExecutionOutcome:
-        """The gold query's outcome on ``db``'s file. It runs once per file:
-        a thread that needs an outcome another is computing waits for it."""
-        gold = self.golds[(sample.db_id, sample.gold_sql)]
-        with gold.locks[db.path]:
-            if db.path not in gold.outcomes:
-                gold.outcomes[db.path] = execute(db, sample.gold_sql, self.timeout)
-            return gold.outcomes[db.path]
+    def expect(self, sample: Sample, pred_sql: str | None) -> None:
+        """Note, before any thread starts, one more sample that needs the
+        outcomes of its gold query and of its prediction."""
+        for key in _statement_keys(sample, pred_sql):
+            if key not in self.statements:
+                files = self.db_files(sample.db_id)
+                self.statements[key] = _Statement(locks={p: threading.Lock() for p in files})
+            self.statements[key].pending += 1
 
-    def finished(self, sample: Sample) -> None:
-        """Drop the gold's outcomes once the last sample needing them is
-        done, whether it passed, failed or was skipped."""
-        key = (sample.db_id, sample.gold_sql)
+    def outcome(self, db: _DbHandles, sql: str, path: Path) -> ExecutionOutcome:
+        """``sql``'s outcome on the bytes of ``path``, one of ``db``'s
+        files. It runs once per distinct content, on the first file with
+        those bytes: a thread that needs an outcome another is computing
+        waits for it."""
+        source = self.first_copy(db.db_id, path)
+        statement = self.statements[(db.db_id, sql)]
+        with statement.locks[source]:
+            if source not in statement.outcomes:
+                statement.outcomes[source] = execute(db.on[source], sql, self.timeout)
+            return statement.outcomes[source]
+
+    def finished(self, sample: Sample, pred_sql: str | None) -> None:
+        """Drop the outcomes of the sample's gold and prediction once the
+        last sample needing them is done, whether it passed, failed or was
+        skipped."""
         with self._lock:
-            gold = self.golds[key]
-            gold.pending -= 1
-            if not gold.pending:
-                del self.golds[key]
+            for key in _statement_keys(sample, pred_sql):
+                statement = self.statements[key]
+                statement.pending -= 1
+                if not statement.pending:
+                    del self.statements[key]
 
     def close(self) -> None:
         for handles in self._open.values():
@@ -246,11 +290,12 @@ class _EvalContext:
 
 
 def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> EvalVerdict:
+    base, *suite = ctx.db_files(sample.db_id)
     if pred_sql is None:
         return EvalVerdict(
             sample_id=sample.sample_id,
             ex_match=False,
-            ts_match=False if ctx.suite(sample.db_id) else None,
+            ts_match=False if suite else None,
             pred_sql="",
             failure_class=sql_analysis.SYNTAX_ERROR,
             outcome_kind=executor.EXEC_ERROR,
@@ -258,13 +303,18 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
     db = ctx.handles(sample.db_id)
     order = order_sensitive(sample.gold_sql)
 
-    def gold_on(handle: ReadOnlyHandle) -> ExecutionOutcome:
-        return ctx.gold_outcome(sample, handle)
+    def gold_on(path: Path) -> ExecutionOutcome:
+        return ctx.outcome(db, sample.gold_sql, path)
 
-    ex, pred_outcome = _matches_on(db.base, pred_sql, gold_on(db.base), order, ctx.timeout)
+    def pred_on(path: Path) -> ExecutionOutcome:
+        return ctx.outcome(db, pred_sql, path)
+
+    gold = gold_on(base)
+    pred_outcome = pred_on(base)
+    ex = results_match(pred_outcome, gold, order)
     ts: bool | None = None
-    if db.suite:
-        ts = _suite_matches(db.suite, pred_sql, gold_on, order, ctx.timeout)
+    if suite:
+        ts = _suite_matches(suite, pred_on, gold_on, order)
 
     failure = None
     if not ex:
@@ -307,12 +357,11 @@ def evaluate_corpus(
         timeout=timeout,
         schemas=schemas if schemas is not None else {},
     )
-    # Warm the schema and suite caches serially, so worker threads only
-    # read them, and count the samples that need each gold.
+    # Warm the schema and file caches serially, so worker threads only
+    # read them, and count the samples that need each statement's outcomes.
     for s in samples:
         ctx.schema(s.db_id)
-        ctx.suite(s.db_id)
-        ctx.expect(s)
+        ctx.expect(s, predictions.get(s.sample_id))
     by_db = sorted(enumerate(samples), key=lambda item: item[1].db_id)
     # A failing sample's error, by input index. Only the first in input
     # order is raised, so samples after it need not run.
@@ -321,17 +370,18 @@ def evaluate_corpus(
 
     def evaluate(item: tuple[int, Sample]) -> EvalVerdict | None:
         index, s = item
+        pred_sql = predictions.get(s.sample_id)
         try:
             with lock:
                 if any(i < index for i in failures):
                     return None
-            return _evaluate_one(ctx, s, predictions.get(s.sample_id))
+            return _evaluate_one(ctx, s, pred_sql)
         except Exception as exc:
             with lock:
                 failures[index] = exc
             return None
         finally:
-            ctx.finished(s)
+            ctx.finished(s, pred_sql)
 
     try:
         if parallelism <= 1:

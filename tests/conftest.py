@@ -63,7 +63,12 @@ def model_server():
 
 
 class ConnectionLog(list):
-    """The SQLite connections opened while a test runs."""
+    """The SQLite connections opened while a test runs, and the database
+    argument each was opened with."""
+
+    def __init__(self):
+        super().__init__()
+        self.databases: list[str] = []
 
     def still_open(self) -> list[sqlite3.Connection]:
         return [c for c in self if _is_open(c)]
@@ -88,6 +93,7 @@ def opened(monkeypatch) -> ConnectionLog:
     def recording_connect(*args, **kwargs):
         conn = connect(*args, **kwargs)
         log.append(conn)
+        log.databases.append(str(args[0] if args else kwargs["database"]))
         return conn
 
     monkeypatch.setattr(sqlite3, "connect", recording_connect)

@@ -98,6 +98,39 @@ class TestEval:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
+    def test_reruns_write_identical_files_and_nothing_else(
+        self, corpus, sample_records, tmp_path, capsys
+    ):
+        """Two eval passes into one output directory, as a benchmark run
+        makes them, at --jobs 1 then 2: each pass leaves the same bytes, in
+        the report file only, and the corpus gains no file."""
+        preds = tmp_path / "preds.jsonl"
+        with open(preds, "w") as fh:
+            for k, rec in enumerate(sample_records[:-1]):
+                sql = ["{gold}", "SELECT * FROM ({gold}) LIMIT 0", "SELECT broken FROM"][k % 3]
+                fh.write(json.dumps({"sample_id": rec["sample_id"],
+                                     "sql": sql.format(gold=rec["gold_sql"])}) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        corpus_files = sorted(corpus.root.rglob("*"))
+        passes = []
+        for jobs in ("1", "2"):
+            assert run([
+                "eval",
+                "--samples", str(corpus.samples_path),
+                "--preds", str(preds),
+                "--corpus", str(corpus.root),
+                "--variants", str(corpus.variant_root),
+                "--jobs", jobs,
+                "--out", str(out_dir / "eval.json"),
+            ]) == 0
+            passes.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in sorted(out_dir.iterdir())})
+        capsys.readouterr()
+        assert list(passes[0]) == ["eval.json"]
+        assert passes[0] == passes[1]
+        assert sorted(corpus.root.rglob("*")) == corpus_files
+
     def test_corpus_files_unchanged(self, corpus, sample_records, tmp_path, capsys):
         before = corpus_digest(corpus)
         preds = tmp_path / "preds.jsonl"

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import shutil
+import sqlite3
 import sys
 from collections import Counter
 
@@ -241,6 +242,22 @@ class TestHandleReuse:
             evaluate_corpus(preds, [second, *subset, first], corpus.root,
                             parallelism=parallelism)
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_no_connection_to_a_byte_copy_variant(self, corpus, samples, opened, parallelism):
+        subset = [s for s in samples if s.db_id in ("shop", "school")]
+        preds = {s.sample_id: s.gold_sql for s in subset}
+        preds[subset[0].sample_id] = "SELECT broken FROM"
+        evaluate_corpus(preds, subset, corpus.root, variant_root=corpus.variant_root,
+                        parallelism=parallelism)
+        for db_id in ("shop", "school"):
+            copy = corpus.variant_root / db_id / "0.sqlite"
+            other = corpus.variant_root / db_id / "1.sqlite"
+            assert copy.read_bytes() == corpus.db_path(db_id).read_bytes()
+            assert not [d for d in opened.databases if str(copy) in d]
+            assert [d for d in opened.databases if str(other) in d]
+            assert [d for d in opened.databases if str(corpus.db_path(db_id)) in d]
+        assert not opened.still_open()
+
     def test_corrupt_variant_raises(self, corpus, samples, tmp_path, opened):
         suite = tmp_path / "variants" / "shop"
         suite.mkdir(parents=True)
@@ -344,68 +361,154 @@ def executed(monkeypatch):
 
 @pytest.fixture
 def held_at_close(monkeypatch):
-    """The gold outcomes an eval run still held when it closed its handles."""
+    """The statement outcomes an eval run still held when it closed its
+    handles."""
     held = []
     close = metrics._EvalContext.close
 
     def recording_close(ctx):
-        held.append(dict(ctx.golds))
+        held.append(dict(ctx.statements))
         close(ctx)
 
     monkeypatch.setattr(metrics._EvalContext, "close", recording_close)
     return held
 
 
+def first_copies(corpus, db_id):
+    """Each file of ``db_id`` (base, then variants in order) mapped to the
+    first of them with the same bytes."""
+    files = [corpus.db_path(db_id), *variant_suite_paths(corpus.variant_root, db_id)]
+    content = {path: path.read_bytes() for path in files}
+    return {path: next(f for f in files if content[f] == content[path]) for path in files}
+
+
+def run_shuffled(preds, cases, corpus, parallelism, variant_root=None):
+    """Eval ``cases`` in a seeded random order, with a short switch
+    interval so threads interleave."""
+    order = list(cases)
+    random.Random(parallelism).shuffle(order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        return evaluate_corpus(preds, order, corpus.root,
+                               variant_root=variant_root or corpus.variant_root,
+                               parallelism=parallelism)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestGoldOutcomeCache:
-    """Eval runs each gold query once per database file per run, and keeps
-    its outcome only while a sample still needs it."""
+    """Eval runs each gold query and each prediction once per distinct
+    file content of its database per run, and keeps the outcome only while
+    a sample still needs it."""
 
     @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_each_gold_runs_once_per_file(
+    def test_each_statement_runs_once_per_distinct_content(
         self, corpus, samples, executed, held_at_close, parallelism
     ):
         base = [s for s in samples if s.db_id in ("shop", "concert_singer", "school")]
         cases, preds = [], {}
         for s in base:
-            for k, rewrite in enumerate(REWRITES):
+            # Two samples per prediction text, so predictions are shared too.
+            for k, rewrite in enumerate(REWRITES * 2):
                 cases.append(dataclasses.replace(s, sample_id=f"{s.sample_id}-{k}"))
                 preds[cases[-1].sample_id] = rewrite.format(gold=s.gold_sql)
             cases.append(dataclasses.replace(s, sample_id=f"{s.sample_id}-missing"))
         golds = {s.gold_sql for s in cases}
         assert not golds & set(preds.values())
 
-        # Each prediction runs on the base file, then on each variant up to
-        # the first where it does not match the gold; the gold runs on each
-        # file where a prediction is compared with it.
+        # Each prediction is compared on the base file, then on each variant
+        # up to the first where it does not match the gold; both statements
+        # run on the first file with that file's bytes.
+        firsts = {s.db_id: first_copies(corpus, s.db_id) for s in base}
+        copies = {str(path) for first in firsts.values()
+                  for path in first if first[path] != path}
         expected_preds, expected_golds = Counter(), set()
         for s in cases:
             if s.sample_id not in preds:
                 continue
+            first = firsts[s.db_id]
             pred = preds[s.sample_id]
-            suite = variant_suite_paths(corpus.variant_root, s.db_id)
-            for path in [corpus.db_path(s.db_id), *suite]:
-                expected_preds[(str(path), pred)] += 1
-                expected_golds.add((str(path), s.gold_sql))
-                if path in suite and not execution_accuracy(pred, s, path):
+            for k, path in enumerate(first):
+                expected_preds[(str(first[path]), pred)] = 1
+                expected_golds.add((str(first[path]), s.gold_sql))
+                if k and not execution_accuracy(pred, s, path):
                     break
+        assert copies
 
-        order = list(cases)
-        random.Random(parallelism).shuffle(order)
         executed.clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            evaluate_corpus(preds, order, corpus.root,
-                            variant_root=corpus.variant_root, parallelism=parallelism)
-        finally:
-            sys.setswitchinterval(interval)
+        run_shuffled(preds, cases, corpus, parallelism)
 
-        gold_runs = Counter(call for call in executed if call[1] in golds)
-        pred_runs = Counter(call for call in executed if call[1] not in golds)
-        assert pred_runs == expected_preds
-        assert set(gold_runs) == expected_golds
-        assert set(gold_runs.values()) == {1}
+        runs = Counter(executed)
+        assert set(runs.values()) == {1}
+        assert not {path for path, _ in runs} & copies
+        assert {call for call in runs if call[1] in golds} == expected_golds
+        assert Counter(call for call in executed if call[1] not in golds) == expected_preds
         assert held_at_close == [{}]
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_prediction_equal_to_its_gold_runs_once_per_distinct_content(
+        self, corpus, samples, executed, parallelism
+    ):
+        base = [s for s in samples if s.db_id in ("shop", "concert_singer")]
+        cases = [dataclasses.replace(s, sample_id=f"{s.sample_id}-{k}")
+                 for s in base for k in range(2)]
+        preds = {s.sample_id: s.gold_sql for s in cases}
+        expected = Counter()
+        for s in cases:
+            for path in set(first_copies(corpus, s.db_id).values()):
+                expected[(str(path), s.gold_sql)] = 1
+
+        executed.clear()
+        report = run_shuffled(preds, cases, corpus, parallelism)
+
+        assert Counter(executed) == expected
+        assert all(v.ex_match and v.ts_match for v in report.verdicts)
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_same_size_variant_with_other_bytes_still_runs(
+        self, corpus, samples, tmp_path, executed, parallelism
+    ):
+        # Variant 0 copies the base file; variant 1 is the base file with one
+        # one-byte integer changed in place (19 -> 20), so all three files
+        # have one size.
+        suite = tmp_path / "variants" / "school"
+        suite.mkdir(parents=True)
+        base_path = corpus.db_path("school")
+        shutil.copyfile(base_path, suite / "0.sqlite")
+        shutil.copyfile(base_path, suite / "1.sqlite")
+        conn = sqlite3.connect(suite / "1.sqlite")
+        with conn:
+            conn.execute("UPDATE students SET age = 20 WHERE age = 19")
+        conn.close()
+        sizes = {path.stat().st_size for path in (base_path, *suite.iterdir())}
+        assert len(sizes) == 1
+        assert (suite / "1.sqlite").read_bytes() != base_path.read_bytes()
+
+        gold = sample_by_gold(samples, "age > 20")
+        lucky = dataclasses.replace(gold, sample_id="lucky")
+        preds = {gold.sample_id: gold.gold_sql,
+                 "lucky": "SELECT sname FROM students WHERE age > 19"}
+        variants = [suite / "0.sqlite", suite / "1.sqlite"]
+        assert execution_accuracy(preds["lucky"], lucky, base_path)
+        assert not suite_accuracy(preds["lucky"], lucky, variants)
+
+        executed.clear()
+        report = run_shuffled(preds, [gold, lucky], corpus, parallelism,
+                              variant_root=tmp_path / "variants")
+
+        verdicts = {v.sample_id: (v.ex_match, v.ts_match) for v in report.verdicts}
+        assert verdicts == {gold.sample_id: (True, True), "lucky": (True, False)}
+        ran_on = Counter(path for path, _ in executed)
+        assert ran_on == {str(base_path): 2, str(suite / "1.sqlite"): 2}
+
+    def test_prediction_equal_to_a_random_gold_reads_its_outcome(self, corpus, samples):
+        s = dataclasses.replace(samples[0], gold_sql="SELECT random()")
+        # Run apart, the two statements almost surely disagree.
+        assert not execution_accuracy(s.gold_sql, s, corpus.db_path(s.db_id))
+        report = evaluate_corpus({s.sample_id: s.gold_sql}, [s], corpus.root,
+                                 variant_root=corpus.variant_root)
+        assert [(v.ex_match, v.ts_match) for v in report.verdicts] == [(True, True)]
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_shared_failing_gold_raises_first_failure_in_input_order(
@@ -453,8 +556,8 @@ class TestGoldOutcomeCache:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "execute",
                        lambda db, sql, timeout: executor.execute(db.path, sql, timeout))
-            mp.setattr(metrics._EvalContext, "gold_outcome",
-                       lambda ctx, s, db: executor.execute(db.path, s.gold_sql, ctx.timeout))
+            mp.setattr(metrics._EvalContext, "outcome",
+                       lambda ctx, db, sql, path: executor.execute(path, sql, ctx.timeout))
             reference = report_to_dict(evaluate_corpus(
                 preds, order, corpus.root, variant_root=corpus.variant_root))
 
