@@ -3,6 +3,10 @@
 Execution results are normalized row tuples: NULL, int, float, str, or a
 content digest for blobs. Integral floats normalize to int so that e.g.
 AVG results compare equal to integer literals across queries.
+
+Timeouts are wall-clock deadlines enforced by one watchdog thread per
+process, which interrupts (``sqlite3_interrupt``) a statement whose deadline
+has passed; SQLite runs a statement without calling back into Python.
 """
 
 from __future__ import annotations
@@ -10,9 +14,11 @@ from __future__ import annotations
 import hashlib
 import math
 import sqlite3
+import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import GoldExecutionFailed, NotADatabaseError
@@ -24,9 +30,6 @@ TIMEOUT = "timeout"
 DEFAULT_TIMEOUT_SECS = 30.0
 FLOAT_REL_TOL = 1e-6
 
-#: VM instructions between deadline checks in the progress handler.
-_PROGRESS_STEP = 1000
-
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
@@ -34,10 +37,18 @@ class ExecutionOutcome:
     rows: tuple[tuple, ...] | None = None
     error_message: str | None = None
     elapsed: float = 0.0
+    _row_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_rows(self) -> bool:
         return self.kind == ROWS
+
+    def row_counts(self) -> dict:
+        """Each distinct row with its count, computed on first use. Two
+        threads may both compute it; they store equal values."""
+        if self._row_counts is None:
+            object.__setattr__(self, "_row_counts", Counter(self.rows))
+        return self._row_counts
 
     @staticmethod
     def of_rows(rows, elapsed: float = 0.0) -> "ExecutionOutcome":
@@ -68,6 +79,99 @@ def normalize_cell(value):
     return value
 
 
+#: The cell types :func:`normalize_cell` changes among those SQLite returns
+#: (int, float, str, bytes, None).
+_CHANGED_BY_NORMALIZING = frozenset({float, bytes})
+
+
+def _normalized(raw: list[tuple]) -> tuple[tuple, ...]:
+    """``raw`` with every cell normalized. Rows without a float or blob
+    cell, checked by one pass in C, are kept as fetched."""
+    if _CHANGED_BY_NORMALIZING.isdisjoint(map(type, chain.from_iterable(raw))):
+        return tuple(raw)
+    return tuple(tuple(normalize_cell(c) for c in row) for row in raw)
+
+
+class _Watchdog:
+    """A daemon thread, started on first use, that interrupts the statement
+    of every armed handle whose deadline has passed.
+
+    It sleeps until the earliest deadline it knows of. Arming a later
+    deadline, and disarming, do not wake it, so a run of quick queries
+    wakes it about once per timeout period, not once per query. Each arming
+    is one generation of its handle, and an interrupt is issued only under
+    the lock and only to the generation still armed, so a late interrupt
+    never reaches the handle's next statement."""
+
+    #: After an interrupt, the watchdog interrupts a still-armed statement
+    #: again this much later: SQLite clears an interrupt that lands before
+    #: the statement starts stepping.
+    REFIRE_SECS = 0.05
+
+    def __init__(self) -> None:
+        # arm and disarm take the bare lock: Condition.__enter__ is Python.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: Armed handles: deadline, generation and connection.
+        self._armed: dict[ReadOnlyHandle, tuple[float, int, sqlite3.Connection]] = {}
+        self._wakes_at = math.inf
+        self._thread: threading.Thread | None = None
+
+    def arm(self, handle: ReadOnlyHandle, conn: sqlite3.Connection, deadline: float) -> None:
+        """Interrupt ``conn``, ``handle``'s connection, at ``deadline``
+        unless disarmed first. This is the handle's next generation."""
+        with self._lock:
+            generation = handle._generation = handle._generation + 1
+            self._armed[handle] = (deadline, generation, conn)
+            if deadline < self._wakes_at:
+                self._wakes_at = deadline
+                if self._thread is None:
+                    self._thread = threading.Thread(
+                        target=self._watch, name="sqlforge-deadline-watchdog", daemon=True
+                    )
+                    self._thread.start()
+                else:
+                    self._cond.notify()
+
+    def disarm(self, handle: ReadOnlyHandle) -> bool:
+        """Stop watching ``handle``; whether its statement was interrupted."""
+        with self._lock:
+            _, generation, _ = self._armed.pop(handle)
+            return handle._interrupted == generation
+
+    def _fire(self, handle: ReadOnlyHandle, generation: int) -> None:
+        """Interrupt ``handle``'s statement if ``generation`` is still
+        armed. Called with the lock held."""
+        armed = self._armed.get(handle)
+        if armed is None or armed[1] != generation:
+            return
+        handle._interrupted = generation
+        try:
+            armed[2].interrupt()
+        except sqlite3.ProgrammingError:  # closed from another thread
+            pass
+        self._armed[handle] = (time.monotonic() + self.REFIRE_SECS, generation, armed[2])
+
+    def _fire_due(self) -> float:
+        """Interrupt every statement past its deadline; the earliest
+        deadline left. Called with the lock held."""
+        now = time.monotonic()
+        for handle, (deadline, generation, _) in list(self._armed.items()):
+            if deadline <= now:
+                self._fire(handle, generation)
+        return min((deadline for deadline, _, _ in self._armed.values()), default=math.inf)
+
+    def _watch(self) -> None:
+        with self._cond:
+            while True:
+                self._wakes_at = self._fire_due()
+                timeout = self._wakes_at - time.monotonic()
+                self._cond.wait(None if timeout == math.inf else max(timeout, 0.0))
+
+
+_WATCHDOG = _Watchdog()
+
+
 #: The authorizer actions a query needs. A handle denies every other action
 #: -- ATTACH, PRAGMA, temp-schema DDL, writes -- when the statement is
 #: prepared, so no statement can change what later statements on the same
@@ -94,6 +198,10 @@ class ReadOnlyHandle:
         self.path = Path(db_path)
         self._conn: sqlite3.Connection | None = None
         self._releasing = False
+        #: Statements armed with the watchdog so far, and the last one it
+        #: interrupted.
+        self._generation = 0
+        self._interrupted = 0
 
     def __str__(self) -> str:
         return str(self.path)
@@ -131,22 +239,15 @@ class ReadOnlyHandle:
         if timeout <= 0:
             raise ValueError("timeout must be positive")
         start = time.monotonic()
-        deadline = start + timeout
-        timed_out = False
-
-        def on_progress():
-            nonlocal timed_out
-            if time.monotonic() > deadline:
-                timed_out = True
-                return 1
-            return 0
-
-        conn.set_progress_handler(on_progress, _PROGRESS_STEP)
+        _WATCHDOG.arm(self, conn, start + timeout)
         try:
-            raw = conn.execute(sql).fetchall()
+            try:
+                raw = conn.execute(sql).fetchall()
+            finally:
+                interrupted = _WATCHDOG.disarm(self)
         except sqlite3.DatabaseError as exc:
             elapsed = time.monotonic() - start
-            if timed_out:
+            if interrupted and isinstance(exc, sqlite3.OperationalError):
                 return ExecutionOutcome.of_timeout(elapsed)
             message = str(exc)
             if "file is not a database" in message:
@@ -155,8 +256,7 @@ class ReadOnlyHandle:
         finally:
             self._free_page_cache(conn)
         elapsed = time.monotonic() - start
-        rows = tuple(tuple(normalize_cell(c) for c in row) for row in raw)
-        return ExecutionOutcome.of_rows(rows, elapsed)
+        return ExecutionOutcome(ROWS, rows=_normalized(raw), elapsed=elapsed)
 
     def _authorize(self, action, arg1, *_names) -> int:
         if action in READ_ACTIONS:
@@ -227,7 +327,6 @@ def results_match(
     gold: ExecutionOutcome,
     order_sensitive: bool,
     rel_tol: float = FLOAT_REL_TOL,
-    set_semantics: bool = False,
 ) -> bool:
     """EX comparison: row lists elementwise when order matters, multisets
     otherwise. A non-Rows gold is a corpus defect and raises."""
@@ -239,17 +338,15 @@ def results_match(
         return False
     pred_rows = pred.rows
     gold_rows = gold.rows
-    if set_semantics:
-        pred_rows = tuple(dict.fromkeys(pred_rows))
-        gold_rows = tuple(dict.fromkeys(gold_rows))
     if order_sensitive:
         return _rows_equal_list(pred_rows, gold_rows, rel_tol)
     # Multiset mode: exact hashable fast path, then tolerant matching when
-    # floats are involved.
-    if Counter(pred_rows) == Counter(gold_rows):
-        return True
+    # floats are involved. Every count is positive, so dict equality (in C)
+    # is Counter equality.
     if len(pred_rows) != len(gold_rows):
         return False
+    if dict.__eq__(pred.row_counts(), gold.row_counts()):
+        return True
     if not (_has_float(pred_rows) or _has_float(gold_rows)):
         return False
     remaining = list(gold_rows)

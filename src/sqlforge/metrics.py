@@ -78,18 +78,11 @@ def order_sensitive(gold_sql: str) -> bool:
     return False
 
 
-def _suite_matches(
-    variants: list[_Db],
-    pred_on: Callable[[_Db], ExecutionOutcome],
-    gold_on: Callable[[_Db], ExecutionOutcome],
-    order: bool,
-) -> bool:
-    """EX on every variant in turn, comparing ``pred_on(variant)`` with
-    ``gold_on(variant)``; stops at the first variant that fails."""
+def _suite_matches(variants: list[_Db], matches_on: Callable[[_Db], bool]) -> bool:
+    """EX on every variant in turn; stops at the first variant that fails."""
     for db in variants:
         try:
-            gold = gold_on(db)
-            if not results_match(pred_on(db), gold, order):
+            if not matches_on(db):
                 return False
         except GoldExecutionFailed as exc:
             raise GoldExecutionFailed(f"variant {db}: {exc}") from exc
@@ -118,12 +111,13 @@ def test_suite_accuracy(
     short-circuits on failure."""
     if not variant_db_paths:
         raise EmptyVariantSuiteError(sample.sample_id)
-    return _suite_matches(
-        variant_db_paths,
-        lambda db: execute(db, pred_sql, timeout),
-        lambda db: execute(db, sample.gold_sql, timeout),
-        order_sensitive(sample.gold_sql),
-    )
+    order = order_sensitive(sample.gold_sql)
+
+    def matches_on(db: _Db) -> bool:
+        gold = execute(db, sample.gold_sql, timeout)
+        return results_match(execute(db, pred_sql, timeout), gold, order)
+
+    return _suite_matches(variant_db_paths, matches_on)
 
 
 def variant_suite_paths(variant_root: str | Path, db_id: str) -> list[Path]:
@@ -302,19 +296,23 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
         )
     db = ctx.handles(sample.db_id)
     order = order_sensitive(sample.gold_sql)
-
-    def gold_on(path: Path) -> ExecutionOutcome:
-        return ctx.outcome(db, sample.gold_sql, path)
-
-    def pred_on(path: Path) -> ExecutionOutcome:
-        return ctx.outcome(db, pred_sql, path)
-
-    gold = gold_on(base)
-    pred_outcome = pred_on(base)
+    gold = ctx.outcome(db, sample.gold_sql, base)
+    pred_outcome = ctx.outcome(db, pred_sql, base)
     ex = results_match(pred_outcome, gold, order)
+    # Verdicts by first copy: a file with the bytes of one already compared
+    # (the base file included) takes that file's verdict.
+    verdicts = {base: ex}
+
+    def matches_on(path: Path) -> bool:
+        first = ctx.first_copy(sample.db_id, path)
+        if first not in verdicts:
+            gold = ctx.outcome(db, sample.gold_sql, first)
+            verdicts[first] = results_match(ctx.outcome(db, pred_sql, first), gold, order)
+        return verdicts[first]
+
     ts: bool | None = None
     if suite:
-        ts = _suite_matches(suite, pred_on, gold_on, order)
+        ts = _suite_matches(suite, matches_on)
 
     failure = None
     if not ex:

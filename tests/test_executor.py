@@ -1,11 +1,15 @@
 import hashlib
+import math
 import random
 import sqlite3
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlforge import executor
 from sqlforge.errors import GoldExecutionFailed, NotADatabaseError
 from sqlforge.executor import (
     EXEC_ERROR,
@@ -164,6 +168,96 @@ class TestReadOnlyHandle:
         handle.close()
 
 
+def counting(n):
+    """A query that counts to ``n`` through a recursive CTE: CPU-bound
+    inside SQLite, one row out."""
+    return (
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+        f"WHERE x < {n}) SELECT count(*) FROM c"
+    )
+
+
+class TestDeadlineWatchdog:
+    """One watchdog thread interrupts statements past their deadline; no
+    Python code runs while SQLite executes a statement."""
+
+    def test_query_under_its_timeout_returns_rows_beside_a_busy_thread(self, corpus):
+        # About 0.15 s alone on a 2-core x86-64 box; far from the timeout.
+        query = counting(300_000)
+        stop = threading.Event()
+
+        def spin():
+            n = 0
+            while not stop.is_set():
+                n += 1
+
+        busy = threading.Thread(target=spin)
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            busy.start()
+            try:
+                outcomes = [execute(handle, query, timeout=2.0) for _ in range(5)]
+            finally:
+                stop.set()
+                busy.join(timeout=10)
+        assert not busy.is_alive()
+        assert [(o.kind, o.rows) for o in outcomes] == [(ROWS, ((300_000,),))] * 5
+
+    def test_next_statement_runs_after_an_interrupt(self, corpus):
+        # About 10 s alone, so a lost interrupt shows as rows, not a hang.
+        slow = counting(20_000_000)
+        count = "SELECT count(*) FROM customers"
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            # A deadline that passes before the statement starts stepping,
+            # whose first interrupt SQLite clears, still times out.
+            for timeout in (1e-6, 0.05):
+                assert execute(handle, slow, timeout=timeout).kind == TIMEOUT
+                assert execute(handle, count).rows == ((4,),)
+            # An interrupt for a generation no longer armed does nothing.
+            with executor._WATCHDOG._lock:
+                executor._WATCHDOG._fire(handle, handle._generation)
+            assert execute(handle, count).rows == ((4,),)
+            # An interrupt that reaches the connection after its statement
+            # ended is cleared when the next statement starts.
+            handle._conn.interrupt()
+            assert execute(handle, count).rows == ((4,),)
+
+    def test_stale_generation_never_interrupts_the_armed_statement(self, corpus):
+        query = counting(100_000)
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            execute(handle, "SELECT 1")
+            stale = handle._generation
+            stop = threading.Event()
+
+            def fire_stale():
+                while not stop.wait(0.001):
+                    with executor._WATCHDOG._lock:
+                        executor._WATCHDOG._fire(handle, stale)
+
+            firing = threading.Thread(target=fire_stale)
+            firing.start()
+            try:
+                outcomes = [execute(handle, query, timeout=5.0) for _ in range(3)]
+            finally:
+                stop.set()
+                firing.join(timeout=10)
+        assert not firing.is_alive()
+        assert [o.rows for o in outcomes] == [((100_000,),)] * 3
+
+    def test_quick_queries_do_not_wake_the_watchdog_each(self, corpus, monkeypatch):
+        wakes = []
+        fire_due = executor._WATCHDOG._fire_due
+
+        def counted():
+            wakes.append(1)
+            return fire_due()
+
+        monkeypatch.setattr(executor._WATCHDOG, "_fire_due", counted)
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            for _ in range(200):
+                assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
+        assert len(wakes) <= 2
+
+
 class TestNormalizeCell:
     def test_integral_float_to_int(self):
         assert normalize_cell(2.0) == 2
@@ -226,14 +320,6 @@ class TestResultsMatch:
         with pytest.raises(GoldExecutionFailed):
             results_match(rows_outcome([(1,)]), ExecutionOutcome.of_error("bad"), False)
 
-    def test_set_semantics_escape_hatch(self):
-        assert not results_match(
-            rows_outcome([(1,), (1,)]), rows_outcome([(1,)]), False
-        )
-        assert results_match(
-            rows_outcome([(1,), (1,)]), rows_outcome([(1,)]), False, set_semantics=True
-        )
-
     def test_reflexive_and_symmetric(self):
         a = rows_outcome([(1, "x"), (2, "y"), (2.5, None)])
         b = rows_outcome([(2.5, None), (1, "x"), (2, "y")])
@@ -252,3 +338,93 @@ class TestResultsMatch:
         shuffled = list(rows)
         random.Random(seed).shuffle(shuffled)
         assert results_match(rows_outcome(shuffled), rows_outcome(rows), False)
+
+
+def sql_literal(value):
+    if value is None:
+        return "NULL"
+    if isinstance(value, bytes):
+        return f"X'{value.hex()}'"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, float) and math.isnan(value):
+        return "(1e999 - 1e999)"
+    if isinstance(value, float) and math.isinf(value):
+        return "1e999" if value > 0 else "-1e999"
+    return repr(value)
+
+
+#: Cell values whose SQL literals SQLite turns into every type it returns:
+#: integers beyond 64 bits come back as floats, NaN as NULL.
+CELLS = st.one_of(
+    st.none(),
+    st.integers(-(2**64), 2**64),
+    st.integers(-5, 5).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 2.5, 1e300]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=4),
+    st.binary(max_size=4),
+)
+
+
+class TestRowsAsFetched:
+    @settings(max_examples=150, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_rows_equal_cell_by_cell_normalization(self, corpus, width, data):
+        rows = data.draw(st.lists(st.tuples(*[CELLS] * width), min_size=1, max_size=6))
+        sql = "VALUES " + ", ".join(
+            "(" + ", ".join(sql_literal(c) for c in row) + ")" for row in rows
+        )
+        conn = sqlite3.connect(":memory:")
+        try:
+            raw = conn.execute(sql).fetchall()
+        finally:
+            conn.close()
+        expected = tuple(tuple(normalize_cell(c) for c in r) for r in raw)
+        outcome = execute(corpus.db_path("shop"), sql)
+        # repr tells 1 from 1.0 and 0.0 from -0.0, and a tuple from a list.
+        assert repr(outcome.rows) == repr(expected)
+
+
+#: One NaN object: Counter finds a key by identity before equality.
+NAN = float("nan")
+#: Cells no two of which are within the float tolerance unless they are
+#: equal, so the tolerant fallback agrees with exact counting.
+DISTINCT_CELLS = st.sampled_from(
+    [0, 1, -1, 2**70, 0.0, -0.0, 1.0, 0.5, 2.5, math.inf, NAN, "a", "b", "", None]
+)
+
+
+class TestMultisetVerdict:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gold_rows=st.lists(st.tuples(DISTINCT_CELLS, DISTINCT_CELLS), max_size=8),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["dup", "drop", "set", "copy"]), st.integers(0, 7),
+                      st.tuples(DISTINCT_CELLS, DISTINCT_CELLS)),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_counter_equality(self, gold_rows, edits, seed):
+        shuffled = list(gold_rows)
+        random.Random(seed).shuffle(shuffled)
+        edited = list(shuffled)
+        for op, index, row in edits:
+            if op == "dup" and edited:
+                edited.append(edited[index % len(edited)])
+            elif op == "drop" and edited:
+                del edited[index % len(edited)]
+            elif op == "set" and edited:
+                edited[index % len(edited)] = row
+            elif op == "copy" and edited:
+                # Same length, one row's count up and another's down.
+                edited[index % len(edited)] = edited[0]
+        # One gold outcome for every comparison, as eval shares it.
+        gold = rows_outcome(gold_rows)
+        for pred_rows in (gold_rows, shuffled, edited, edited):
+            pred = rows_outcome(pred_rows)
+            expected = Counter(pred_rows) == Counter(gold_rows)
+            assert results_match(pred, gold, False) == expected
+            assert results_match(gold, pred, False) == expected

@@ -502,6 +502,49 @@ class TestGoldOutcomeCache:
         ran_on = Counter(path for path, _ in executed)
         assert ran_on == {str(base_path): 2, str(suite / "1.sqlite"): 2}
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_each_distinct_content_is_compared_once(
+        self, corpus, samples, monkeypatch, parallelism
+    ):
+        base = [s for s in samples if s.db_id in ("shop", "concert_singer", "school")]
+        cases, preds = [], {}
+        for s in base:
+            for k, pred in enumerate(["{gold}", *REWRITES]):
+                cases.append(dataclasses.replace(s, sample_id=f"{s.sample_id}-{k}"))
+                preds[cases[-1].sample_id] = pred.format(gold=s.gold_sql)
+        lucky = next(s for s in cases if s.gold_sql == "SELECT count(*) FROM orders")
+        preds[lucky.sample_id] = "SELECT count(*) FROM customers"
+
+        # EX compares on the base file, then TS walks the variants up to the
+        # first that fails; a file compares only when no earlier file had
+        # its bytes.
+        expected = 0
+        for s in cases:
+            first = first_copies(corpus, s.db_id)
+            base_path, copy, *_ = first
+            assert first[copy] == base_path
+            verdicts = {}
+            for path in first:
+                if first[path] not in verdicts:
+                    expected += 1
+                    verdicts[first[path]] = execution_accuracy(
+                        preds[s.sample_id], s, first[path])
+                if path != base_path and not verdicts[first[path]]:
+                    break
+
+        calls = []
+        match = metrics.results_match
+
+        def spy(pred, gold, order):
+            calls.append(1)
+            return match(pred, gold, order)
+
+        monkeypatch.setattr(metrics, "results_match", spy)
+        report = run_shuffled(preds, cases, corpus, parallelism)
+        assert len(calls) == expected
+        verdicts = {v.sample_id: (v.ex_match, v.ts_match) for v in report.verdicts}
+        assert verdicts[lucky.sample_id] == (True, False)
+
     def test_prediction_equal_to_a_random_gold_reads_its_outcome(self, corpus, samples):
         s = dataclasses.replace(samples[0], gold_sql="SELECT random()")
         # Run apart, the two statements almost surely disagree.
