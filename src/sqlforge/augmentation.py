@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import GoldReferencesUnknownColumn, ParseError
 from .metrics import Sample
 from .schema_catalog import DatabaseSchema, TableSchema, render_prompt
-from .sql_analysis import extract_references
+from .sql_analysis import SchemaReplica, extract_references
 
 MAX_TABLES = 6
 MAX_COLUMNS_PER_TABLE = 10
@@ -56,11 +56,14 @@ def derive_seed(global_seed: int, sample_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _used_references(sample: Sample, schema: DatabaseSchema):
+def _used_references(sample: Sample, schema: DatabaseSchema, replica: SchemaReplica | None):
     """The tables the gold SQL reads, and the columns it reads of each, as
-    SQLite resolves them on the sample's schema."""
+    SQLite resolves them on the sample's schema (on ``replica`` if given)."""
     try:
-        refs = extract_references(sample.gold_sql, schema.tables)
+        if replica is None:
+            refs = extract_references(sample.gold_sql, schema.tables)
+        else:
+            refs = replica.references(sample.gold_sql)
     except ParseError as exc:
         raise GoldReferencesUnknownColumn(f"{sample.sample_id}: {exc}") from None
     used_columns: dict[str, set[str]] = {t: set() for t in refs.tables}
@@ -155,12 +158,15 @@ def inner_db_augment(
     seed: int,
     p_table: float = DEFAULT_P_TABLE,
     p_col: float = DEFAULT_P_COL,
+    replica: SchemaReplica | None = None,
 ) -> AugmentedSample:
     """Randomly drop unused tables/columns from the sample's own schema,
     enforcing the 6-table / 10-column caps. Used tables and columns are
     never removed; when the gold SQL alone exceeds a cap, only the
-    referenced set is kept in full."""
-    used_tables, used_columns = _used_references(sample, schema)
+    referenced set is kept in full. ``replica``, a SchemaReplica of
+    ``schema.tables`` that the caller keeps across samples, compiles the
+    gold SQL; without one, a replica is made for this call."""
+    used_tables, used_columns = _used_references(sample, schema, replica)
     rng = random.Random(seed)
 
     kept_tables: list[TableSchema] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ from .schema_catalog import (
     introspect_database,
     schema_to_json,
 )
+from .sql_analysis import SchemaReplica
 
 log = logging.getLogger("sqlforge")
 
@@ -151,21 +153,50 @@ def _cmd_introspect(args) -> int:
     return 0
 
 
+def _inner_db_by_database(samples, schemas: dict[str, DatabaseSchema], args) -> list:
+    """Inner-db augment each sample, visiting them grouped by db_id so that
+    one schema replica per database compiles every gold query; the results
+    are in sample order. If samples fail, the error of the first failing
+    sample in sample order is raised, as when they ran in that order."""
+    augmented = [None] * len(samples)
+    first_failure: tuple[int, Exception] | None = None
+    by_db = sorted(range(len(samples)), key=lambda i: samples[i].db_id)
+    for db_id, indices in itertools.groupby(by_db, key=lambda i: samples[i].db_id):
+        with SchemaReplica(schemas[db_id].tables) as replica:
+            for i in indices:
+                if first_failure is not None and first_failure[0] < i:
+                    continue
+                s = samples[i]
+                try:
+                    augmented[i] = augmentation.inner_db_augment(
+                        s,
+                        schemas[db_id],
+                        augmentation.derive_seed(args.seed, s.sample_id),
+                        p_table=args.p_table,
+                        p_col=args.p_col,
+                        replica=replica,
+                    )
+                except Exception as exc:
+                    first_failure = (i, exc)
+    if first_failure is not None:
+        raise first_failure[1]
+    return augmented
+
+
 def _cmd_augment(args) -> int:
     records = metrics.load_samples(args.samples)
     schemas: dict[str, DatabaseSchema] = {}
     samples = metrics.samples_from_records(records, args.corpus, schemas)
-    corpus_schemas = list(schemas.values())
-    augmented = []
-    for s in samples:
-        seed = augmentation.derive_seed(args.seed, s.sample_id)
-        if args.mode == "cross-db":
-            aug = augmentation.cross_db_augment(s, corpus_schemas, seed)
-        else:
-            aug = augmentation.inner_db_augment(
-                s, schemas[s.db_id], seed, p_table=args.p_table, p_col=args.p_col
+    if args.mode == "cross-db":
+        corpus_schemas = list(schemas.values())
+        augmented = [
+            augmentation.cross_db_augment(
+                s, corpus_schemas, augmentation.derive_seed(args.seed, s.sample_id)
             )
-        augmented.append(aug)
+            for s in samples
+        ]
+    else:
+        augmented = _inner_db_by_database(samples, schemas, args)
     augmentation.write_augmented(args.out, augmented)
     log.info("wrote %d augmented samples to %s", len(augmented), args.out)
     return 0

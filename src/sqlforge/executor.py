@@ -51,10 +51,6 @@ class ExecutionOutcome:
         return self._row_counts
 
     @staticmethod
-    def of_rows(rows, elapsed: float = 0.0) -> "ExecutionOutcome":
-        return ExecutionOutcome(ROWS, rows=tuple(tuple(r) for r in rows), elapsed=elapsed)
-
-    @staticmethod
     def of_error(message: str, elapsed: float = 0.0) -> "ExecutionOutcome":
         return ExecutionOutcome(EXEC_ERROR, error_message=message, elapsed=elapsed)
 

@@ -153,15 +153,18 @@ def _first_copies(files: list[Path]) -> dict[Path, Path]:
 
 class _DbHandles:
     """One thread's read-only handles to the files of the database it is
-    working on, each opened on its first query."""
+    working on, each opened on its first query, and its schema replica,
+    built on its first validate."""
 
-    def __init__(self, db_id: str, files: list[Path]):
+    def __init__(self, db_id: str, files: list[Path], tables: tuple[TableSchema, ...]):
         self.db_id = db_id
         self.on = {path: ReadOnlyHandle(path) for path in files}
+        self.replica = sql_analysis.SchemaReplica(tables)
 
     def close(self) -> None:
         for handle in self.on.values():
             handle.close()
+        self.replica.close()
 
 
 @dataclass
@@ -229,7 +232,9 @@ class _EvalContext:
         if current is None or current.db_id != db_id:
             if current is not None:
                 current.close()
-            current = self._open[key] = _DbHandles(db_id, self.db_files(db_id))
+            current = self._open[key] = _DbHandles(
+                db_id, self.db_files(db_id), self.schema(db_id).tables
+            )
         return current
 
     def first_copy(self, db_id: str, path: Path) -> Path:
@@ -316,7 +321,7 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
 
     failure = None
     if not ex:
-        failure = sql_analysis.validate(pred_sql, ctx.schema(sample.db_id)).status
+        failure = db.replica.validate(pred_sql).status
     return EvalVerdict(
         sample_id=sample.sample_id,
         ex_match=ex,
@@ -342,8 +347,8 @@ def evaluate_corpus(
     the rest.
 
     Samples are visited grouped by db_id, so each worker thread keeps its
-    database's read-only handles open across samples; all of them are
-    closed before this returns or raises. If samples fail (e.g.
+    database's read-only handles and schema replica open across samples;
+    all of them are closed before this returns or raises. If samples fail (e.g.
     GoldExecutionFailed), the error of the first one in input order is
     raised."""
     unknown = set(predictions) - {s.sample_id for s in samples}

@@ -17,7 +17,7 @@ from .executor import DEFAULT_TIMEOUT_SECS, ExecutionOutcome, execute
 from .metrics import Sample
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import DatabaseSchema, TableSchema, render_prompt
-from .sql_analysis import SYNTAX_ERROR, ValidityReport, validate_against_tables
+from .sql_analysis import SYNTAX_ERROR, SchemaReplica, ValidityReport, validate_against_tables
 
 GENERATOR = "generator"
 DEBUGGER = "debugger"
@@ -44,16 +44,20 @@ class RefineResult:
 
 def invalid_check(
     sql: str,
-    schema_tables: list[TableSchema] | tuple[TableSchema, ...] | DatabaseSchema,
+    schema_tables: list[TableSchema] | tuple[TableSchema, ...] | DatabaseSchema | SchemaReplica,
     db_path: str | Path,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> tuple[ValidityReport, ExecutionOutcome | None]:
-    """Static validation first; statically valid SQL is then executed and
+    """Static validation first, on ``schema_tables`` or on a replica of
+    them that the caller keeps; statically valid SQL is then executed and
     downgraded to invalid on an engine error or timeout. An empty result
     set is valid."""
     if isinstance(schema_tables, DatabaseSchema):
         schema_tables = schema_tables.tables
-    report = validate_against_tables(sql, schema_tables)
+    if isinstance(schema_tables, SchemaReplica):
+        report = schema_tables.validate(sql)
+    else:
+        report = validate_against_tables(sql, schema_tables)
     if not report.is_valid:
         return report, None
     outcome = execute(db_path, sql, timeout)
@@ -103,32 +107,35 @@ def parse_question(
 
     attempts: list[RefineAttempt] = []
     sql = ""
-    for iteration in range(max_iters):
-        if iteration == 0:
-            prompt = render_prompt(tables, question)
-            role = GENERATOR
-            client = generator
-        else:
-            prev = attempts[-1]
-            prompt = build_debug_prompt(question, tables, prev.sql, prev.validity)
-            role = DEBUGGER
-            client = debugger
-        response = client.generate(
-            GenerationRequest(prompt=prompt, temperature=temperature, n=1)
-        )
-        sql = extract_sql(response.completions[0])
-        validity, outcome = invalid_check(sql, tables, db_path, timeout)
-        attempts.append(
-            RefineAttempt(
-                iteration=iteration,
-                sql=sql,
-                validity=validity,
-                outcome=outcome,
-                role=role,
+    # One replica validates every attempt; it is closed before this returns
+    # or raises.
+    with SchemaReplica(tables) as replica:
+        for iteration in range(max_iters):
+            if iteration == 0:
+                prompt = render_prompt(tables, question)
+                role = GENERATOR
+                client = generator
+            else:
+                prev = attempts[-1]
+                prompt = build_debug_prompt(question, tables, prev.sql, prev.validity)
+                role = DEBUGGER
+                client = debugger
+            response = client.generate(
+                GenerationRequest(prompt=prompt, temperature=temperature, n=1)
             )
-        )
-        if validity.is_valid and outcome is not None and outcome.is_rows:
-            break
+            sql = extract_sql(response.completions[0])
+            validity, outcome = invalid_check(sql, replica, db_path, timeout)
+            attempts.append(
+                RefineAttempt(
+                    iteration=iteration,
+                    sql=sql,
+                    validity=validity,
+                    outcome=outcome,
+                    role=role,
+                )
+            )
+            if validity.is_valid and outcome is not None and outcome.is_rows:
+                break
 
     last = attempts[-1]
     succeeded = last.validity.is_valid and last.outcome is not None and last.outcome.is_rows

@@ -1,11 +1,15 @@
 """Schema-aware SQL analysis, answered by SQLite's own compiler.
 
 Both questions that need a schema are answered by compiling the statement
-with ``EXPLAIN`` on an empty in-memory replica of the tables: ``validate``
-classifies it into {Valid, SyntaxError, WrongTableName, WrongColumnName,
-MissingQuotation}, and ``extract_references`` lists the tables and columns
-the compiled statement reads. A lexical scan that skips quoted text and
-comments finds schema identifiers with special characters left unquoted.
+with ``EXPLAIN`` on an empty in-memory replica of the tables, a
+``SchemaReplica`` that callers keep for as long as they stay on one
+schema: ``validate`` classifies it into {Valid, SyntaxError,
+WrongTableName, WrongColumnName, MissingQuotation}, and ``references``
+lists the tables and columns the compiled statement reads. The
+module-level ``validate``, ``validate_against_tables`` and
+``extract_references`` do the same on a replica made for one call. A
+lexical scan that skips quoted text and comments finds schema identifiers
+with special characters left unquoted.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import sqlite3
 from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .executor import READ_ACTIONS
 from .schema_catalog import DatabaseSchema, TableSchema, _quote_ident
 
 VALID = "Valid"
@@ -59,7 +64,8 @@ def mask_quoted(sql: str) -> str:
 
 def _build_replica(tables, extra_column: str | None = None) -> sqlite3.Connection:
     """An empty in-memory copy of ``tables``; ``extra_column`` is added to
-    every table that lacks it."""
+    every table that lacks it. The connection may be closed from another
+    thread than the one that used it."""
     ddl = []
     for t in tables:
         names = [c.name for c in t.columns]
@@ -67,61 +73,135 @@ def _build_replica(tables, extra_column: str | None = None) -> sqlite3.Connectio
             names.append(extra_column)
         cols = ", ".join(_quote_ident(n) for n in names)
         ddl.append(f"CREATE TABLE {_quote_ident(t.name)}({cols});")
-    conn = sqlite3.connect(":memory:")
+    conn = sqlite3.connect(":memory:", check_same_thread=False)
     conn.executescript("".join(ddl))
     return conn
 
 
-def _compile(conn: sqlite3.Connection, sql: str) -> tuple[list[tuple], list[tuple[str, str]]]:
-    """Compile ``EXPLAIN sql`` on ``conn`` and close it. Returns the program
-    and the (table, column) of every SQLITE_READ the authorizer saw; the
-    column is empty for a table read without a column, as by ``count(*)``.
-    Raises ParseError with SQLite's message if the statement does not
-    compile."""
-    reads: list[tuple[str, str]] = []
+class SchemaReplica:
+    """An empty in-memory copy of ``tables`` that compiles any number of
+    statements, one at a time, and answers :meth:`validate` and
+    :meth:`references` for each. ``extra_column`` is added to every table
+    that lacks it.
 
-    def note(action, table, column, _db, _trigger):
-        if action == sqlite3.SQLITE_READ:
-            reads.append((table, column))
-        return sqlite3.SQLITE_OK
+    The connection is opened on the first compile and kept until
+    :meth:`close`. Every verdict equals that of a fresh replica:
 
-    try:
-        conn.set_authorizer(note)
-        return conn.execute(f"EXPLAIN {sql}").fetchall(), reads
-    except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
-        # Python 3.10 raises Warning for a second statement and ValueError
-        # for a NUL character; text that cannot be encoded is a ValueError.
-        raise ParseError(str(exc)) from None
-    finally:
-        conn.close()
+    - Each compile installs a new authorizer. That makes SQLite re-prepare
+      a statement it has cached, so a repeated statement's reads are seen.
+    - A compile whose authorizer saw any action but a read (``EXPLAIN
+      PRAGMA query_only=1`` sets its flag while it compiles) closes the
+      connection; the next compile opens a fresh one.
+    """
+
+    def __init__(self, tables, extra_column: str | None = None):
+        self.tables = tuple(tables)
+        self._extra_column = extra_column
+        self._conn: sqlite3.Connection | None = None
+        #: Table names by root page, for the program's OpenRead opcodes.
+        self._pages: dict[int, str] = {}
+
+    def __enter__(self) -> "SchemaReplica":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _compile(self, sql: str) -> tuple[list[tuple], list[tuple[str, str]]]:
+        """Compile ``EXPLAIN sql``. Returns the program and the (table,
+        column) of every SQLITE_READ the authorizer saw; the column is
+        empty for a table read without a column, as by ``count(*)``.
+        Raises ParseError with SQLite's message if the statement does not
+        compile."""
+        if self._conn is None:
+            self._conn = _build_replica(self.tables, self._extra_column)
+            self._pages = dict(self._conn.execute("SELECT rootpage, name FROM sqlite_master"))
+        reads: list[tuple[str, str]] = []
+        changed = False
+
+        def note(action, table, column, _db, _trigger):
+            nonlocal changed
+            if action == sqlite3.SQLITE_READ:
+                reads.append((table, column))
+            elif action not in READ_ACTIONS:
+                changed = True
+            return sqlite3.SQLITE_OK
+
+        try:
+            self._conn.set_authorizer(note)
+            return self._conn.execute(f"EXPLAIN {sql}").fetchall(), reads
+        except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
+            # Python 3.10 raises Warning for a second statement and ValueError
+            # for a NUL character; text that cannot be encoded is a ValueError.
+            raise ParseError(str(exc)) from None
+        finally:
+            if changed:
+                self.close()
+
+    def references(self, sql: str) -> SqlReferences:
+        """The tables and columns that ``sql`` reads, lower-cased, as SQLite
+        resolves them when it compiles the statement. Raises ParseError with
+        SQLite's message if it does not compile."""
+        program, reads = self._compile(sql)
+        # The authorizer is not called for USING / NATURAL join columns, nor
+        # for a table reached only through them; the program's OpenRead and
+        # Column opcodes read those. The program alone misses reads that the
+        # optimizer drops, such as ``y`` in ``WHERE 1 OR y = 2``.
+        columns = {t.name: t.columns for t in self.tables}
+        opened: dict[int, str] = {}
+        for _addr, opcode, p1, p2, p3, *_ in program:
+            if opcode == "OpenRead" and p3 == 0 and p2 in self._pages:
+                opened[p1] = self._pages[p2]
+                reads.append((self._pages[p2], ""))
+            elif opcode == "Column" and p1 in opened:
+                reads.append((opened[p1], columns[opened[p1]][p2].name))
+        refs = SqlReferences()
+        for table, column in reads:
+            refs.tables.add(table.lower())
+            if column:
+                refs.columns.add((table.lower(), column.lower()))
+        return refs
+
+    def validate(self, sql: str) -> ValidityReport:
+        """Classify ``sql``. It is Valid exactly when ``EXPLAIN`` compiles
+        it."""
+        if not sql or not sql.strip():
+            return ValidityReport(SYNTAX_ERROR, "empty SQL text")
+        try:
+            self._compile(sql)
+            return ValidityReport(VALID)
+        except ParseError as exc:
+            engine_error = str(exc)
+
+        tables = self.tables
+        low = engine_error.lower()
+        if low.startswith("no such table:"):
+            name = engine_error.split(":", 1)[1].strip()
+            quoted = find_unquoted_special(sql, tables)
+            if quoted is not None and name.lower() in quoted.lower():
+                return ValidityReport(MISSING_QUOTATION, quoted)
+            return ValidityReport(WRONG_TABLE_NAME, name)
+        if low.startswith("no such column:") or low.startswith("ambiguous column"):
+            name = engine_error.split(":", 1)[1].strip()
+            if "." in name:
+                name = name.split(".")[-1]
+            quoted = find_unquoted_special(sql, tables)
+            if quoted is not None:
+                return ValidityReport(MISSING_QUOTATION, quoted)
+            return ValidityReport(WRONG_COLUMN_NAME, _missing_column_detail(sql, tables, name))
+        return ValidityReport(SYNTAX_ERROR, engine_error)
 
 
 def extract_references(sql: str, tables) -> SqlReferences:
-    """The tables and columns that ``sql`` reads, lower-cased, as SQLite
-    resolves them when it compiles the statement on an empty replica of
-    ``tables``. Raises ParseError with SQLite's message if it does not
-    compile there."""
-    conn = _build_replica(tables)
-    pages = dict(conn.execute("SELECT rootpage, name FROM sqlite_master"))
-    program, reads = _compile(conn, sql)
-    # The authorizer is not called for USING / NATURAL join columns, nor for
-    # a table reached only through them; the program's OpenRead and Column
-    # opcodes read those. The program alone misses reads that the optimizer
-    # drops, such as ``y`` in ``WHERE 1 OR y = 2``.
-    columns = {t.name: t.columns for t in tables}
-    opened: dict[int, str] = {}
-    for _addr, opcode, p1, p2, p3, *_ in program:
-        if opcode == "OpenRead" and p3 == 0 and p2 in pages:
-            opened[p1] = pages[p2]
-            reads.append((pages[p2], ""))
-        elif opcode == "Column" and p1 in opened:
-            reads.append((opened[p1], columns[opened[p1]][p2].name))
-    refs = SqlReferences()
-    for table, column in reads:
-        refs.tables.add(table.lower())
-        if column:
-            refs.columns.add((table.lower(), column.lower()))
-    return refs
+    """:meth:`SchemaReplica.references` on a replica of ``tables`` made for
+    this one call."""
+    with SchemaReplica(tables) as replica:
+        return replica.references(sql)
 
 
 # --- validity classification ------------------------------------------------
@@ -157,7 +237,8 @@ def _missing_column_detail(sql: str, tables, name: str) -> str:
     otherwise ``name`` alone."""
     lacking = {t.name.lower(): t.name for t in tables if not t.has_column(name)}
     try:
-        _program, reads = _compile(_build_replica(tables, extra_column=name), sql)
+        with SchemaReplica(tables, extra_column=name) as widened:
+            _program, reads = widened._compile(sql)
     except ParseError:
         return name
     owners = {
@@ -169,32 +250,10 @@ def _missing_column_detail(sql: str, tables, name: str) -> str:
 
 
 def validate_against_tables(sql: str, tables) -> ValidityReport:
-    """Classify ``sql`` against a bare list of table schemas. It is Valid
-    exactly when ``EXPLAIN`` compiles it on an empty replica of them."""
-    if not sql or not sql.strip():
-        return ValidityReport(SYNTAX_ERROR, "empty SQL text")
-    try:
-        _compile(_build_replica(tables), sql)
-        return ValidityReport(VALID)
-    except ParseError as exc:
-        engine_error = str(exc)
-
-    low = engine_error.lower()
-    if low.startswith("no such table:"):
-        name = engine_error.split(":", 1)[1].strip()
-        quoted = find_unquoted_special(sql, tables)
-        if quoted is not None and name.lower() in quoted.lower():
-            return ValidityReport(MISSING_QUOTATION, quoted)
-        return ValidityReport(WRONG_TABLE_NAME, name)
-    if low.startswith("no such column:") or low.startswith("ambiguous column"):
-        name = engine_error.split(":", 1)[1].strip()
-        if "." in name:
-            name = name.split(".")[-1]
-        quoted = find_unquoted_special(sql, tables)
-        if quoted is not None:
-            return ValidityReport(MISSING_QUOTATION, quoted)
-        return ValidityReport(WRONG_COLUMN_NAME, _missing_column_detail(sql, tables, name))
-    return ValidityReport(SYNTAX_ERROR, engine_error)
+    """:meth:`SchemaReplica.validate` on a replica of ``tables`` made for
+    this one call."""
+    with SchemaReplica(tables) as replica:
+        return replica.validate(sql)
 
 
 def validate(sql: str, schema: DatabaseSchema) -> ValidityReport:

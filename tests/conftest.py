@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlforge import metrics
+from sqlforge import metrics, sql_analysis
 from sqlforge.schema_catalog import DatabaseSchema, corpus_db_path, introspect_database
 
 from corpus_builder import build_corpus, make_sample_records
@@ -97,4 +97,34 @@ def opened(monkeypatch) -> ConnectionLog:
         return conn
 
     monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    return log
+
+
+class ReplicaLog(list):
+    """The schema replicas' connections built while a test runs, and how
+    many of them were still open as each was built. The one-call replicas
+    that name a missing column's table are not counted."""
+
+    def __init__(self):
+        super().__init__()
+        self.open_at_build: list[int] = []
+
+    def still_open(self) -> list[sqlite3.Connection]:
+        return [c for c in self if _is_open(c)]
+
+
+@pytest.fixture
+def replicas(monkeypatch) -> ReplicaLog:
+    """Records the schema replicas built during the test."""
+    log = ReplicaLog()
+    build = sql_analysis._build_replica
+
+    def recording_build(tables, extra_column=None):
+        conn = build(tables, extra_column)
+        if extra_column is None:
+            log.open_at_build.append(len(log.still_open()))
+            log.append(conn)
+        return conn
+
+    monkeypatch.setattr(sql_analysis, "_build_replica", recording_build)
     return log

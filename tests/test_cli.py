@@ -160,6 +160,38 @@ class TestAugment:
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 50
 
+    def test_inner_db_builds_one_replica_per_database(
+        self, corpus, sample_records, tmp_path, opened, replicas
+    ):
+        assert run([
+            "augment", "--mode", "inner-db",
+            "--samples", str(corpus.samples_path),
+            "--corpus", str(corpus.root),
+            "--out", str(tmp_path / "out.jsonl"),
+        ]) == 0
+        assert len(replicas) == len({r["db_id"] for r in sample_records})
+        assert max(replicas.open_at_build) == 0
+        assert not opened.still_open()
+
+    def test_inner_db_reports_first_failure_in_sample_order(
+        self, corpus, sample_records, tmp_path, capsys, opened
+    ):
+        # "concert_singer" sorts before "shop", so the visit order is reversed.
+        first = {"sample_id": "bad-1", "db_id": "shop", "question": "q",
+                 "gold_sql": "SELECT nope_one FROM customers"}
+        second = {"sample_id": "bad-2", "db_id": "concert_singer", "question": "q",
+                  "gold_sql": "SELECT nope_two FROM singer"}
+        for records, raised in (([first, *sample_records, second], "nope_one"),
+                                ([second, *sample_records, first], "nope_two")):
+            samples = tmp_path / "samples.jsonl"
+            samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+            assert run([
+                "augment", "--mode", "inner-db", "--samples", str(samples),
+                "--corpus", str(corpus.root), "--out", str(tmp_path / "out.jsonl"),
+            ]) == 1
+            assert raised in capsys.readouterr().err
+        assert not opened.still_open()
+
     def test_different_seeds_differ(self, corpus, tmp_path):
         outs = []
         for seed in ("1", "2"):
@@ -319,6 +351,16 @@ class TestConcurrentSamples:
         for name in traces:
             assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
         assert any(DEBUG_MARKER in p for p in model_server.prompts)  # debugger used
+
+    def test_refine_holds_one_replica_per_sample_in_flight(
+        self, corpus, model_server, tmp_path, opened, replicas
+    ):
+        assert self.refine(corpus, model_server.url, tmp_path / "out.jsonl",
+                           tmp_path / "trace") == 0
+        assert 1 < model_server.peak_in_flight
+        assert len(replicas) == 50
+        assert max(replicas.open_at_build) < self.WIDTH
+        assert not opened.still_open()
 
     def test_first_failure_stops_the_run(self, corpus, sample_records, model_server,
                                          tmp_path, capsys):

@@ -277,7 +277,7 @@ class TestNormalizeCell:
 
 
 def rows_outcome(rows):
-    return ExecutionOutcome.of_rows(rows)
+    return ExecutionOutcome(ROWS, rows=tuple(tuple(r) for r in rows))
 
 
 class TestResultsMatch:

@@ -73,6 +73,31 @@ class TestExecutionAccuracy:
         assert execution_accuracy(s.gold_sql, s, corpus.db_path(s.db_id))
         assert not execution_accuracy(reverse, s, corpus.db_path(s.db_id))
 
+    def test_columns_must_match_in_order(self, corpus, samples):
+        s = dataclasses.replace(samples[0], db_id="concert_singer",
+                                gold_sql="SELECT Name, Age FROM singer")
+        db = corpus.db_path(s.db_id)
+        assert execution_accuracy("SELECT Name, Age FROM singer", s, db)
+        assert not execution_accuracy("SELECT Age, Name FROM singer", s, db)
+
+    def test_order_by_inside_a_subquery_compares_as_multiset(self, corpus, samples):
+        s = dataclasses.replace(
+            samples[0], db_id="concert_singer",
+            gold_sql="SELECT Name FROM (SELECT Name FROM singer ORDER BY Age DESC)",
+        )
+        db = corpus.db_path(s.db_id)
+        assert execution_accuracy("SELECT Name FROM singer ORDER BY Age ASC", s, db)
+        top_level = dataclasses.replace(s, gold_sql="SELECT Name FROM singer ORDER BY Age DESC")
+        assert not execution_accuracy("SELECT Name FROM singer ORDER BY Age ASC", top_level, db)
+
+    def test_floats_match_within_relative_tolerance(self, corpus, samples):
+        s = dataclasses.replace(samples[0], db_id="concert_singer",
+                                gold_sql="SELECT Name, Age / 3.0 FROM singer")
+        db = corpus.db_path(s.db_id)
+        assert executor.FLOAT_REL_TOL == 1e-6
+        assert execution_accuracy("SELECT Name, Age / 3.0 * (1 + 1e-7) FROM singer", s, db)
+        assert not execution_accuracy("SELECT Name, Age / 3.0 * (1 + 1e-5) FROM singer", s, db)
+
     def test_gold_failure_raises(self, corpus):
         s = Sample(
             sample_id="bad",
@@ -268,6 +293,36 @@ class TestHandleReuse:
         with pytest.raises(NotADatabaseError):
             evaluate_corpus(preds, subset, corpus.root,
                             variant_root=tmp_path / "variants", parallelism=2)
+        assert not opened.still_open()
+
+
+class TestSchemaReplicaLifetime:
+    """Each eval worker thread builds one schema replica per database on its
+    first validate, and closes it with its handles."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("gold_fails", [False, True])
+    def test_no_replica_left_open(self, corpus, samples, opened, replicas, parallelism,
+                                  gold_fails):
+        subset = [s for s in samples if s.db_id in ("shop", "school", "hr")]
+        # Every prediction fails EX, so every sample reaches validate.
+        preds = {s.sample_id: "SELECT broken FROM" for s in subset}
+        if gold_fails:
+            bad = Sample(sample_id="zz-bad", db_id="shop", question="q",
+                         gold_sql="SELECT nope FROM customers")
+            preds[bad.sample_id] = "SELECT 1"
+            with pytest.raises(GoldExecutionFailed):
+                evaluate_corpus(preds, [*subset, bad], corpus.root,
+                                variant_root=corpus.variant_root, parallelism=parallelism)
+        else:
+            report = evaluate_corpus(preds, subset, corpus.root,
+                                     variant_root=corpus.variant_root,
+                                     parallelism=parallelism)
+            assert report.error_histogram == {"SyntaxError": len(subset)}
+            if parallelism == 1:
+                assert len(replicas) == 3
+        assert replicas
+        assert max(replicas.open_at_build) < parallelism
         assert not opened.still_open()
 
 

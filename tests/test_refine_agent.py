@@ -1,5 +1,6 @@
 import pytest
 
+from sqlforge.errors import MockExhausted
 from sqlforge.model_client import MockModelClient
 from sqlforge.refine_agent import (
     DEBUGGER,
@@ -155,6 +156,36 @@ class TestParseQuestion:
         )
         assert result.succeeded
         assert execute(corpus.db_path(s.db_id), result.final_sql).is_rows
+
+
+class TestReplicaLifetime:
+    """refine_sample validates every attempt on one schema replica, closed
+    before it returns or raises."""
+
+    def test_one_replica_validates_every_attempt(self, corpus, samples, schemas, opened,
+                                                 replicas):
+        s = samples[0]
+        broken = "SELECT count(*) FROM never_exists"
+        generator = MockModelClient([{"responses": [broken], "cycle": True}])
+        debugger = MockModelClient([{"responses": [broken], "cycle": True}])
+        result = refine_sample(
+            s, schemas[s.db_id], generator, debugger, corpus.db_path(s.db_id), max_iters=3
+        )
+        assert [a.validity.status for a in result.attempts] == [WRONG_TABLE_NAME] * 3
+        assert len(replicas) == 1
+        assert not opened.still_open()
+
+    def test_replica_closed_when_a_model_call_fails(self, corpus, samples, schemas, opened,
+                                                    replicas):
+        s = samples[0]
+        generator = MockModelClient([{"responses": ["SELECT count(*) FROM never_exists"]}])
+        debugger = MockModelClient([])
+        with pytest.raises(MockExhausted):
+            refine_sample(
+                s, schemas[s.db_id], generator, debugger, corpus.db_path(s.db_id)
+            )
+        assert len(replicas) == 1
+        assert not opened.still_open()
 
 
 class TestTrace:

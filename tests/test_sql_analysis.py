@@ -12,6 +12,7 @@ from sqlforge.sql_analysis import (
     VALID,
     WRONG_COLUMN_NAME,
     WRONG_TABLE_NAME,
+    SchemaReplica,
     extract_references,
     validate,
     validate_against_tables,
@@ -340,6 +341,89 @@ class TestValidateMatchesCompiler:
     def test_valid_exactly_when_explain_compiles(self, schemas, sql):
         schema = schemas["concert_singer"]
         assert validate(sql, schema).is_valid == compiles_on_replica(sql, schema.tables)
+
+
+def fresh_compile(sql, tables):
+    """The oracle for a reused replica: ``EXPLAIN sql`` compiled on a new
+    in-memory copy of ``tables``, closed afterwards. Returns the program
+    and the authorizer's SQLITE_READ calls; raises ParseError with SQLite's
+    message if the statement does not compile."""
+    reads = []
+
+    def note(action, table, column, _db, _trigger):
+        if action == sqlite3.SQLITE_READ:
+            reads.append((table, column))
+        return sqlite3.SQLITE_OK
+
+    conn = sqlite3.connect(":memory:")
+    try:
+        for t in tables:
+            cols = ", ".join(_quote_ident(c.name) for c in t.columns)
+            conn.execute(f"CREATE TABLE {_quote_ident(t.name)}({cols})")
+        conn.set_authorizer(note)
+        return conn.execute(f"EXPLAIN {sql}").fetchall(), reads
+    except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
+        raise ParseError(str(exc)) from None
+    finally:
+        conn.close()
+
+
+def parse_error_or(fn, *args):
+    """``fn(*args)``, or the message of the ParseError it raises."""
+    try:
+        return fn(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+#: Statements that may change a connection while they compile, or that
+#: read what such a change would alter, and text that does not compile.
+_CONNECTION_STATE = [
+    "PRAGMA writable_schema=1",
+    "PRAGMA reverse_unordered_selects=1",
+    "PRAGMA automatic_index=0",
+    "PRAGMA query_only=1",
+    "PRAGMA foreign_keys=1",
+    "PRAGMA full_column_names=1",
+    "PRAGMA query_only=1; SELECT 1",
+    "ATTACH DATABASE ':memory:' AS z",
+    "SELECT Name FROM z.singer",
+    "CREATE TEMP TABLE singer(Name)",
+    "CREATE TEMP VIEW v AS SELECT Name FROM singer",
+    "SELECT * FROM v",
+    "DELETE FROM sqlite_master",
+    "SELECT Name FROM singer ORDER BY Age",
+    "SELECT count(*) FROM singer JOIN singer_in_concert USING (Singer_ID)",
+    "SELECT s.Name FROM singer s JOIN singer_in_concert c ON s.Singer_ID = c.Singer_ID",
+    "SELECT Name FROM singer WHERE 1 OR Age = 2",
+    "SELECT bogus FROM singer",
+    "SELECT 1; SELECT 2",
+    "SELECT Name FROM singer\x00",
+    "SELECT 'unclosed FROM singer",
+    "",
+]
+
+
+class TestReusedReplica:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_verdict_equals_a_fresh_replicas(self, schemas, data):
+        tables = schemas["concert_singer"].tables
+        texts = data.draw(st.lists(
+            st.one_of(st.sampled_from(_CONNECTION_STATE), _statements()),
+            min_size=1, max_size=8,
+        ))
+        # Each text is compiled again after all of them.
+        texts += data.draw(st.permutations(texts))
+        with SchemaReplica(tables) as replica:
+            for sql in texts:
+                assert parse_error_or(replica._compile, sql) == parse_error_or(
+                    fresh_compile, sql, tables
+                ), sql
+                assert replica.validate(sql) == validate_against_tables(sql, tables), sql
+                assert parse_error_or(replica.references, sql) == parse_error_or(
+                    extract_references, sql, tables
+                ), sql
 
 
 class TestValidateExecutionConsistency:
