@@ -28,7 +28,6 @@ log = logging.getLogger("sqlforge")
 
 # Config key -> (argument attribute, type).
 _CONFIG_KEYS = {
-    "corpus_root": ("corpus", str),
     "variant_root": ("variants", str),
     "exec_timeout_secs": ("exec_timeout_secs", float),
     "n_candidates": ("n_candidates", int),
@@ -36,8 +35,6 @@ _CONFIG_KEYS = {
     "max_iters": ("max_iters", int),
     "jobs": ("jobs", int),
     "seed": ("seed", int),
-    "generator": ("generator", str),
-    "debugger": ("debugger", str),
 }
 
 
@@ -47,8 +44,11 @@ def _default_jobs() -> int:
 
 def load_config(path: str | Path) -> dict[str, dict[str, str]]:
     """The values of each section of an INI file, keyed by section name."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections: dict[str, dict[str, str]] = {}

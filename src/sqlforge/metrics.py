@@ -207,12 +207,7 @@ class _EvalContext:
     )
 
     def schema(self, db_id: str) -> DatabaseSchema:
-        if db_id not in self.schemas:
-            path = corpus_db_path(self.corpus_root, db_id)
-            if not path.exists():
-                raise CorpusLayoutError(f"expected database file at {path}")
-            self.schemas[db_id] = introspect_database(path, db_id)
-        return self.schemas[db_id]
+        return _schema(self.schemas, self.corpus_root, db_id)
 
     def db_files(self, db_id: str) -> list[Path]:
         if db_id not in self.files:
@@ -442,21 +437,30 @@ def samples_from_records(
     samples = []
     for rec in records:
         db_id = rec["db_id"]
-        if db_id not in schemas:
-            path = corpus_db_path(corpus_root, db_id)
-            if not path.exists():
-                raise CorpusLayoutError(f"expected database file at {path}")
-            schemas[db_id] = introspect_database(path, db_id)
+        schema = _schema(schemas, corpus_root, db_id)
         samples.append(
             Sample(
                 sample_id=str(rec["sample_id"]),
                 db_id=db_id,
                 question=rec["question"],
                 gold_sql=rec["gold_sql"],
-                schema_tables=schemas[db_id].tables,
+                schema_tables=schema.tables,
             )
         )
     return samples
+
+
+def _schema(
+    schemas: dict[str, DatabaseSchema], corpus_root: str | Path, db_id: str
+) -> DatabaseSchema:
+    """``db_id``'s schema from ``schemas``, introspected into it from the
+    corpus on first use."""
+    if db_id not in schemas:
+        path = corpus_db_path(corpus_root, db_id)
+        if not path.exists():
+            raise CorpusLayoutError(f"expected database file at {path}")
+        schemas[db_id] = introspect_database(path, db_id)
+    return schemas[db_id]
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:

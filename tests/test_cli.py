@@ -98,6 +98,18 @@ class TestEval:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
+    def test_nan_timeout_is_an_error(self, corpus, sample_records, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        write_gold_preds(corpus, sample_records, preds)
+        assert run([
+            "eval",
+            "--samples", str(corpus.samples_path),
+            "--preds", str(preds),
+            "--corpus", str(corpus.root),
+            "--exec-timeout-secs", "nan",
+        ]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_reruns_write_identical_files_and_nothing_else(
         self, corpus, sample_records, tmp_path, capsys
     ):
@@ -441,6 +453,30 @@ class TestConfig:
         assert run(["--config", str(cfg)] + argv) == 0
         capsys.readouterr()
         assert timeouts == [DEFAULT_TIMEOUT_SECS, 7.0]
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        cfg = tmp_path / "sqlforge.ini"
+        cfg.write_text("[eval]\nvariant_root = /data/100%/v\n")
+        assert load_config(cfg) == {"eval": {"variant_root": "/data/100%/v"}}
+
+    def test_file_without_section_header_is_pipeline_error(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("jobs = 2\n")
+        assert run([
+            "--config", str(cfg), "introspect",
+            "--corpus", str(corpus.root), "--db-id", "concert_singer",
+        ]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("introspect", "corpus_root"), ("refine", "generator"), ("refine", "debugger")],
+    )
+    def test_key_for_a_required_flag_rejected(self, tmp_path, section, key):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = /nonexistent\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(cfg)
 
     def test_unknown_key_in_another_section_rejected(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

@@ -75,6 +75,18 @@ class TestExecute:
         assert outcome.kind == TIMEOUT
         assert outcome.elapsed < 0.2 + 2.0  # scheduling slack
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+    def test_timeout_not_positive_and_finite_rejected_before_opening(
+        self, corpus, opened, timeout
+    ):
+        path = corpus.db_path("shop")
+        with pytest.raises(ValueError):
+            execute(path, "SELECT 1", timeout=timeout)
+        with ReadOnlyHandle(path) as handle:
+            with pytest.raises(ValueError):
+                execute(handle, "SELECT 1", timeout=timeout)
+        assert opened == []
+
     def test_integral_real_normalization_from_avg(self, tmp_path):
         path = tmp_path / "avg.sqlite"
         conn = sqlite3.connect(path)
@@ -97,7 +109,13 @@ class TestAuthorizer:
         assert not target.exists()
 
     @pytest.mark.parametrize(
-        "sql", ["CREATE TEMP TABLE orders(x)", "PRAGMA case_sensitive_like=1"]
+        "sql",
+        [
+            "CREATE TEMP TABLE orders(x)",
+            "PRAGMA case_sensitive_like=1",
+            "PRAGMA cache_size = -100000",
+            "PRAGMA shrink_memory",
+        ],
     )
     def test_connection_state_change_is_error(self, corpus, sql):
         assert execute(corpus.db_path("shop"), sql).kind == EXEC_ERROR
@@ -109,6 +127,14 @@ class TestAuthorizer:
             "SELECT max(i), upper(name) FROM n, customers WHERE customer_id = 1",
         )
         assert outcome.rows == ((3, "ANA"),)
+
+    def test_exactly_the_read_actions_are_authorized(self, corpus):
+        handle = ReadOnlyHandle(corpus.db_path("shop"))
+        answers = {
+            action: handle._authorize(action, None, None, None, None) for action in range(34)
+        }
+        assert {a for a, answer in answers.items() if answer == sqlite3.SQLITE_OK} == READ_ACTIONS
+        assert set(answers.values()) == {sqlite3.SQLITE_OK, sqlite3.SQLITE_DENY}
 
 
 class TestReadOnlyHandle:
@@ -127,37 +153,22 @@ class TestReadOnlyHandle:
             assert execute(handle, "CREATE TEMP TABLE orders(x)").kind == EXEC_ERROR
             assert execute(handle, "PRAGMA case_sensitive_like=1").kind == EXEC_ERROR
             assert execute(handle, "SELECT count(*) FROM orders").rows == ((4,),)
-            # The handle frees its page cache with this pragma after each query.
             assert execute(handle, "PRAGMA shrink_memory").kind == EXEC_ERROR
             assert execute(
                 handle, "SELECT count(*) FROM customers WHERE city LIKE 'rome'"
             ).rows == ((2,),)
 
-    def test_page_cache_release_is_authorized(self, corpus, monkeypatch):
-        answers = []
-        authorize = ReadOnlyHandle._authorize
+    def test_page_cache_bounded_at_open(self, corpus, monkeypatch):
+        def allow_all(self, *args):
+            return sqlite3.SQLITE_OK
 
-        def recording(self, action, arg1, *names):
-            answer = authorize(self, action, arg1, *names)
-            if action == sqlite3.SQLITE_PRAGMA:
-                answers.append((arg1, answer))
-            return answer
-
-        monkeypatch.setattr(ReadOnlyHandle, "_authorize", recording)
+        monkeypatch.setattr(ReadOnlyHandle, "_authorize", allow_all)
+        bound = ((-1024,),)
         with ReadOnlyHandle(corpus.db_path("shop")) as handle:
-            execute(handle, "SELECT count(*) FROM customers")
-            execute(handle, "SELECT nope FROM customers")
-        assert answers == [("shrink_memory", sqlite3.SQLITE_OK)] * 2
-
-    def test_denied_release_keeps_the_query_outcome(self, corpus, monkeypatch):
-        def reads_only(self, action, *names):
-            return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
-
-        monkeypatch.setattr(ReadOnlyHandle, "_authorize", reads_only)
-        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
-            assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
-            assert execute(handle, "SELECT nope FROM customers").kind == EXEC_ERROR
-        assert execute(corpus.db_path("shop"), "SELECT 1").rows == ((1,),)
+            for _ in range(3):
+                assert execute(handle, "SELECT count(*) FROM orders").rows == ((4,),)
+                assert execute(handle, "PRAGMA cache_size").rows == bound
+        assert execute(corpus.db_path("shop"), "PRAGMA cache_size").rows == bound
 
     def test_closed_handle_reopens(self, corpus):
         handle = ReadOnlyHandle(corpus.db_path("shop"))
