@@ -16,6 +16,7 @@ from .schema_catalog import (
 from .sql_analysis import SqlReferences, ValidityReport, extract_references, validate
 from .executor import ExecutionOutcome, execute, results_match
 from .metrics import (
+    Corpus,
     Sample,
     EvalVerdict,
     EvalReport,
@@ -43,6 +44,7 @@ __all__ = [
     "ExecutionOutcome",
     "execute",
     "results_match",
+    "Corpus",
     "Sample",
     "EvalVerdict",
     "EvalReport",

@@ -72,61 +72,37 @@ def _used_references(sample: Sample, schema: DatabaseSchema, replica: SchemaRepl
     return refs.tables, used_columns
 
 
-#: The schemas of the last corpus passed to cross_db_candidates, and its
-#: candidates by db_id: the flat list and the same list grouped by name.
-_candidate_memo: tuple[tuple[DatabaseSchema, ...], dict] = ((), {})
-
-
-def _candidates(db_id: str, corpus: list[DatabaseSchema]):
-    """``db_id``'s cross-db candidates, and the same candidates grouped by
-    lower-cased table name in order of first appearance."""
-    global _candidate_memo
-    memo_corpus, memo = _candidate_memo
-    if len(memo_corpus) != len(corpus) or any(
-        a is not b for a, b in zip(memo_corpus, corpus)
-    ):
-        memo_corpus, memo = tuple(corpus), {}
-        _candidate_memo = (memo_corpus, memo)
-    if db_id not in memo:
-        own = next((s for s in corpus if s.db_id == db_id), None)
-        if own is None:
-            raise ValueError(f"corpus does not contain schema for db_id {db_id!r}")
-        keys = own.key_column_names()
-        own_names = {t.name.lower() for t in own.tables}
-        flat = tuple(
-            (schema.db_id, table)
-            for schema in corpus
-            if schema.db_id != db_id
-            for table in schema.tables
-            if table.name.lower() not in own_names
-            and any(c.name.lower() in keys for c in table.columns)
-        )
-        by_name: dict[str, list] = {}
-        for candidate in flat:
-            by_name.setdefault(candidate[1].name.lower(), []).append(candidate)
-        memo[db_id] = flat, tuple(tuple(group) for group in by_name.values())
-    return memo[db_id]
-
-
 def cross_db_candidates(
-    db_id: str, corpus: list[DatabaseSchema]
-) -> tuple[tuple[str, TableSchema], ...]:
+    db_id: str, schemas: list[DatabaseSchema]
+) -> tuple[tuple[tuple[str, TableSchema], ...], ...]:
     """Tables of other databases that share a PK/FK column name with
     ``db_id`` and whose name, compared case-insensitively, is not one of its
-    own tables', as (db_id, table) in corpus order. Schemas are immutable,
-    so the lists are kept while calls pass the same schema objects:
-    augmenting a run's samples scans the corpus once per database."""
-    return _candidates(db_id, corpus)[0]
+    own tables', as (db_id, table), grouped by lower-cased table name: the
+    groups in order of first appearance, each group in ``schemas`` order.
+    ``schemas`` must hold ``db_id``'s own schema."""
+    own = next((s for s in schemas if s.db_id == db_id), None)
+    if own is None:
+        raise ValueError(f"corpus does not contain schema for db_id {db_id!r}")
+    keys = own.key_column_names()
+    own_names = {t.name.lower() for t in own.tables}
+    by_name: dict[str, list[tuple[str, TableSchema]]] = {}
+    for schema in schemas:
+        if schema.db_id == db_id:
+            continue
+        for table in schema.tables:
+            name = table.name.lower()
+            if name not in own_names and any(c.name.lower() in keys for c in table.columns):
+                by_name.setdefault(name, []).append((schema.db_id, table))
+    return tuple(tuple(group) for group in by_name.values())
 
 
 def cross_db_augment(
-    sample: Sample, corpus: list[DatabaseSchema], seed: int
+    sample: Sample, candidates: tuple[tuple[tuple[str, TableSchema], ...], ...], seed: int
 ) -> AugmentedSample:
     """Insert 1-3 tables from other databases sharing a PK/FK column name,
-    no two of one name: a name is drawn first, then one of its tables."""
-    groups = _candidates(sample.db_id, corpus)[1]
-
-    if not groups:
+    no two of one name: a name is drawn first, then one of its tables.
+    ``candidates`` are :func:`cross_db_candidates` of the sample's db_id."""
+    if not candidates:
         return AugmentedSample(
             base=sample,
             schema_tables=tuple(sample.schema_tables),
@@ -135,8 +111,8 @@ def cross_db_augment(
         )
 
     rng = random.Random(seed)
-    n = min(rng.randint(1, MAX_CROSS_DB_INSERTS), len(groups))
-    picked = [rng.choice(group) for group in rng.sample(groups, n)]
+    n = min(rng.randint(1, MAX_CROSS_DB_INSERTS), len(candidates))
+    picked = [rng.choice(group) for group in rng.sample(candidates, n)]
     tables = list(sample.schema_tables)
     for db_id, table in picked:
         tables.insert(rng.randint(0, len(tables)), table)

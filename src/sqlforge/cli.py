@@ -16,13 +16,7 @@ from . import augmentation, metrics, preference_miner, refine_agent
 from .errors import SqlforgeError, ConfigError
 from .executor import DEFAULT_TIMEOUT_SECS
 from .model_client import ModelEndpoint
-from .schema_catalog import (
-    DatabaseSchema,
-    corpus_db_path,
-    introspect_database,
-    schema_to_json,
-)
-from .sql_analysis import SchemaReplica
+from .schema_catalog import corpus_db_path, introspect_database, schema_to_json
 
 log = logging.getLogger("sqlforge")
 
@@ -61,23 +55,26 @@ def load_config(path: str | Path) -> dict[str, dict[str, str]]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviated flags: _apply_config finds the flags given by their
+    # full spelling in argv.
     parser = argparse.ArgumentParser(
         prog="sqlforge",
         description="Execution-grounded text-to-SQL toolkit",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("introspect", help="dump a database schema as JSON")
+    p = sub.add_parser("introspect", allow_abbrev=False, help="dump a database schema as JSON")
     p.add_argument("--corpus", required=True, help="corpus root directory")
     p.add_argument("--db-id", required=True)
     p.add_argument("--sample-values", type=int, default=0,
                    help="number of sample values to fetch per column")
     p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("augment", help="build augmented SFT samples")
+    p = sub.add_parser("augment", allow_abbrev=False, help="build augmented SFT samples")
     p.add_argument("--mode", required=True, choices=["cross-db", "inner-db"])
     p.add_argument("--samples", required=True)
     p.add_argument("--corpus", required=True)
@@ -86,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-col", type=float, default=augmentation.DEFAULT_P_COL)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("mine", help="mine DPO preference pairs")
+    p = sub.add_parser("mine", allow_abbrev=False, help="mine DPO preference pairs")
     p.add_argument("--samples", required=True)
     p.add_argument("--corpus", required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -99,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exec-timeout-secs", type=float, default=DEFAULT_TIMEOUT_SECS)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("refine", help="run the generate/check/debug loop")
+    p = sub.add_parser("refine", allow_abbrev=False, help="run the generate/check/debug loop")
     p.add_argument("--samples", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--generator", required=True,
@@ -111,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="directory for per-sample attempt traces")
     p.add_argument("--out", required=True, help="predictions JSONL output")
 
-    p = sub.add_parser("eval", help="score predictions with EX/TS")
+    p = sub.add_parser("eval", allow_abbrev=False, help="score predictions with EX/TS")
     p.add_argument("--samples", required=True)
     p.add_argument("--preds", required=True)
     p.add_argument("--corpus", required=True)
@@ -153,7 +150,7 @@ def _cmd_introspect(args) -> int:
     return 0
 
 
-def _inner_db_by_database(samples, schemas: dict[str, DatabaseSchema], args) -> list:
+def _inner_db_by_database(samples, corpus: metrics.Corpus, args) -> list:
     """Inner-db augment each sample, visiting them grouped by db_id so that
     one schema replica per database compiles every gold query; the results
     are in sample order. If samples fail, the error of the first failing
@@ -162,22 +159,22 @@ def _inner_db_by_database(samples, schemas: dict[str, DatabaseSchema], args) -> 
     first_failure: tuple[int, Exception] | None = None
     by_db = sorted(range(len(samples)), key=lambda i: samples[i].db_id)
     for db_id, indices in itertools.groupby(by_db, key=lambda i: samples[i].db_id):
-        with SchemaReplica(schemas[db_id].tables) as replica:
-            for i in indices:
-                if first_failure is not None and first_failure[0] < i:
-                    continue
-                s = samples[i]
-                try:
-                    augmented[i] = augmentation.inner_db_augment(
-                        s,
-                        schemas[db_id],
-                        augmentation.derive_seed(args.seed, s.sample_id),
-                        p_table=args.p_table,
-                        p_col=args.p_col,
-                        replica=replica,
-                    )
-                except Exception as exc:
-                    first_failure = (i, exc)
+        replica = corpus.handles(db_id).replica
+        for i in indices:
+            if first_failure is not None and first_failure[0] < i:
+                continue
+            s = samples[i]
+            try:
+                augmented[i] = augmentation.inner_db_augment(
+                    s,
+                    corpus.schema(db_id),
+                    augmentation.derive_seed(args.seed, s.sample_id),
+                    p_table=args.p_table,
+                    p_col=args.p_col,
+                    replica=replica,
+                )
+            except Exception as exc:
+                first_failure = (i, exc)
     if first_failure is not None:
         raise first_failure[1]
     return augmented
@@ -185,18 +182,20 @@ def _inner_db_by_database(samples, schemas: dict[str, DatabaseSchema], args) -> 
 
 def _cmd_augment(args) -> int:
     records = metrics.load_samples(args.samples)
-    schemas: dict[str, DatabaseSchema] = {}
-    samples = metrics.samples_from_records(records, args.corpus, schemas)
-    if args.mode == "cross-db":
-        corpus_schemas = list(schemas.values())
-        augmented = [
-            augmentation.cross_db_augment(
-                s, corpus_schemas, augmentation.derive_seed(args.seed, s.sample_id)
-            )
-            for s in samples
-        ]
-    else:
-        augmented = _inner_db_by_database(samples, schemas, args)
+    with metrics.Corpus(args.corpus) as corpus:
+        samples = metrics.samples_from_records(records, corpus)
+        if args.mode == "cross-db":
+            schemas = list(corpus.schemas.values())
+            candidates = {}
+            augmented = []
+            for s in samples:
+                # Each database's candidates are found at its first sample.
+                if s.db_id not in candidates:
+                    candidates[s.db_id] = augmentation.cross_db_candidates(s.db_id, schemas)
+                seed = augmentation.derive_seed(args.seed, s.sample_id)
+                augmented.append(augmentation.cross_db_augment(s, candidates[s.db_id], seed))
+        else:
+            augmented = _inner_db_by_database(samples, corpus, args)
     augmentation.write_augmented(args.out, augmented)
     log.info("wrote %d augmented samples to %s", len(augmented), args.out)
     return 0
@@ -224,25 +223,26 @@ def _in_sample_order(fn, samples, width: int):
 
 def _cmd_mine(args) -> int:
     records = metrics.load_samples(args.samples)
-    samples = metrics.samples_from_records(records, args.corpus)
-    client = _make_client(args.endpoint if args.endpoint else f"mock:{args.mock}")
+    with metrics.Corpus(args.corpus) as corpus:
+        samples = metrics.samples_from_records(records, corpus)
+        client = _make_client(args.endpoint if args.endpoint else f"mock:{args.mock}")
 
-    def mine(s):
-        return preference_miner.mine_pairs(
-            s,
-            client,
-            corpus_db_path(args.corpus, s.db_id),
-            n=args.n_candidates,
-            temperature=args.temperature,
-            timeout=args.exec_timeout_secs,
-        )
+        def mine(s):
+            return preference_miner.mine_pairs(
+                s,
+                client,
+                corpus.handles(s.db_id).base,
+                n=args.n_candidates,
+                temperature=args.temperature,
+                timeout=args.exec_timeout_secs,
+            )
 
-    pairs = []
-    skipped = 0
-    for sample_pairs in _in_sample_order(mine, samples, client.max_in_flight):
-        if not sample_pairs:
-            skipped += 1
-        pairs.extend(sample_pairs)
+        pairs = []
+        skipped = 0
+        for sample_pairs in _in_sample_order(mine, samples, client.max_in_flight):
+            if not sample_pairs:
+                skipped += 1
+            pairs.extend(sample_pairs)
     preference_miner.write_pairs(args.out, pairs)
     log.info("wrote %d pairs (%d samples yielded none)", len(pairs), skipped)
     return 0
@@ -250,56 +250,51 @@ def _cmd_mine(args) -> int:
 
 def _cmd_refine(args) -> int:
     records = metrics.load_samples(args.samples)
-    samples = metrics.samples_from_records(records, args.corpus)
-    if args.trace:
-        for s in samples:
-            refine_agent.trace_path(args.trace, s.sample_id)
-    generator = _make_client(args.generator)
-    debugger = _make_client(args.debugger)
+    with metrics.Corpus(args.corpus) as corpus:
+        samples = metrics.samples_from_records(records, corpus)
+        if args.trace:
+            for s in samples:
+                refine_agent.trace_path(args.trace, s.sample_id)
+        generator = _make_client(args.generator)
+        debugger = _make_client(args.debugger)
 
-    def refine(s):
-        db_path = corpus_db_path(args.corpus, s.db_id)
-        # Every sample carries its tables, so the schema is not read again.
-        db = DatabaseSchema(s.db_id, str(db_path), s.schema_tables)
-        return refine_agent.refine_sample(
-            s,
-            db,
-            generator,
-            debugger,
-            db_path,
-            max_iters=args.max_iters,
-            timeout=args.exec_timeout_secs,
-        )
-
-    width = min(generator.max_in_flight, debugger.max_in_flight)
-    with open(args.out, "w", encoding="utf-8") as out:
-        for s, result in zip(samples, _in_sample_order(refine, samples, width)):
-            out.write(
-                json.dumps(
-                    {"sample_id": s.sample_id, "sql": result.final_sql},
-                    sort_keys=True,
-                )
-                + "\n"
+        def refine(s):
+            return refine_agent.refine_sample(
+                s,
+                generator,
+                debugger,
+                corpus.handles(s.db_id).base,
+                max_iters=args.max_iters,
+                timeout=args.exec_timeout_secs,
             )
-            if args.trace:
-                refine_agent.write_trace(args.trace, s.sample_id, result)
+
+        width = min(generator.max_in_flight, debugger.max_in_flight)
+        with open(args.out, "w", encoding="utf-8") as out:
+            for s, result in zip(samples, _in_sample_order(refine, samples, width)):
+                out.write(
+                    json.dumps(
+                        {"sample_id": s.sample_id, "sql": result.final_sql},
+                        sort_keys=True,
+                    )
+                    + "\n"
+                )
+                if args.trace:
+                    refine_agent.write_trace(args.trace, s.sample_id, result)
     return 0
 
 
 def _cmd_eval(args) -> int:
     records = metrics.load_samples(args.samples)
-    schemas: dict[str, DatabaseSchema] = {}
-    samples = metrics.samples_from_records(records, args.corpus, schemas)
-    predictions = metrics.load_predictions(args.preds)
-    report = metrics.evaluate_corpus(
-        predictions,
-        samples,
-        args.corpus,
-        variant_root=args.variants,
-        parallelism=args.jobs,
-        timeout=args.exec_timeout_secs,
-        schemas=schemas,
-    )
+    with metrics.Corpus(args.corpus, args.variants) as corpus:
+        samples = metrics.samples_from_records(records, corpus)
+        predictions = metrics.load_predictions(args.preds)
+        report = metrics.evaluate_corpus(
+            predictions,
+            samples,
+            corpus,
+            parallelism=args.jobs,
+            timeout=args.exec_timeout_secs,
+        )
     if args.out:
         Path(args.out).write_text(
             json.dumps(metrics.report_to_dict(report), indent=2, sort_keys=True) + "\n"

@@ -6,13 +6,16 @@ AVG results compare equal to integer literals across queries.
 
 Timeouts are wall-clock deadlines enforced by one watchdog thread per
 process, which interrupts (``sqlite3_interrupt``) a statement whose deadline
-has passed; SQLite runs a statement without calling back into Python.
+has passed; SQLite runs a statement without calling back into Python. A
+forked child starts its own watchdog on its first query. Handles copied
+from the parent must not be reused in the child: open new ones there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import sqlite3
 import threading
 import time
@@ -173,6 +176,9 @@ class _Watchdog:
 
 
 _WATCHDOG = _Watchdog()
+# A forked child has no copy of the watchdog thread, and may inherit the lock
+# held: it starts from a fresh watchdog, whose first arm starts its thread.
+os.register_at_fork(after_in_child=_WATCHDOG.__init__)
 
 
 #: The authorizer actions a query needs. A handle denies every other action

@@ -159,12 +159,95 @@ class _DbHandles:
     def __init__(self, db_id: str, files: list[Path], tables: tuple[TableSchema, ...]):
         self.db_id = db_id
         self.on = {path: ReadOnlyHandle(path) for path in files}
+        #: The base file's handle.
+        self.base = self.on[files[0]]
         self.replica = sql_analysis.SchemaReplica(tables)
 
     def close(self) -> None:
         for handle in self.on.values():
             handle.close()
         self.replica.close()
+
+
+class Corpus:
+    """One Spider-layout corpus, ``<root>/database/<db_id>/<db_id>.sqlite``,
+    and, with ``variant_root``, each database's test-suite variants,
+    ``<variant_root>/<db_id>/*.sqlite`` in name order.
+
+    It introspects each database once, lists each database's files once,
+    compares their bytes once, and keeps each thread's read-only handles
+    and schema replica for the database that thread is on. :meth:`close`
+    closes every thread's handles and replicas; the corpus stays usable
+    afterwards. Use it as a context manager, or call :meth:`close`."""
+
+    def __init__(self, root: str | Path, variant_root: str | Path | None = None):
+        self.root = Path(root)
+        self.variant_root = Path(variant_root) if variant_root is not None else None
+        #: Schemas by db_id, in order of first use.
+        self.schemas: dict[str, DatabaseSchema] = {}
+        self._files: dict[str, list[Path]] = {}
+        #: Each database's files mapped to their first copy, once compared.
+        self._copies: dict[str, dict[Path, Path]] = {}
+        self._copies_lock = threading.Lock()
+        #: Each thread's handles, by thread id; a thread only touches its own.
+        self._open: dict[int, _DbHandles] = {}
+
+    def __enter__(self) -> "Corpus":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def schema(self, db_id: str) -> DatabaseSchema:
+        """``db_id``'s schema, introspected on first use."""
+        if db_id not in self.schemas:
+            path = corpus_db_path(self.root, db_id)
+            if not path.exists():
+                raise CorpusLayoutError(f"expected database file at {path}")
+            self.schemas[db_id] = introspect_database(path, db_id)
+        return self.schemas[db_id]
+
+    def files(self, db_id: str) -> list[Path]:
+        """``db_id``'s files: the base file, then its variants in order."""
+        if db_id not in self._files:
+            suite = (
+                variant_suite_paths(self.variant_root, db_id)
+                if self.variant_root is not None
+                else []
+            )
+            self._files[db_id] = [corpus_db_path(self.root, db_id), *suite]
+        return self._files[db_id]
+
+    def handles(self, db_id: str) -> _DbHandles:
+        """The calling thread's handles for ``db_id``; the handles it held
+        for another database are closed."""
+        key = threading.get_ident()
+        current = self._open.get(key)
+        if current is None or current.db_id != db_id:
+            if current is not None:
+                current.close()
+            current = self._open[key] = _DbHandles(
+                db_id, self.files(db_id), self.schema(db_id).tables
+            )
+        return current
+
+    def first_copy(self, db_id: str, path: Path) -> Path:
+        """The first of ``db_id``'s files (base, then variants in order)
+        with the same bytes as ``path``. The base file is its own first
+        copy; the files are compared once, when a variant is first needed,
+        so nothing is read before the first query runs."""
+        files = self.files(db_id)
+        if path == files[0]:
+            return path
+        with self._copies_lock:
+            if db_id not in self._copies:
+                self._copies[db_id] = _first_copies(files)
+            return self._copies[db_id][path]
+
+    def close(self) -> None:
+        for handles in self._open.values():
+            handles.close()
+        self._open.clear()
 
 
 @dataclass
@@ -189,68 +272,20 @@ def _statement_keys(sample: Sample, pred_sql: str | None) -> list[tuple[str, str
 
 @dataclass
 class _EvalContext:
-    corpus_root: Path
-    variant_root: Path | None
+    """One eval run's outcome cache, on ``corpus``'s files."""
+
+    corpus: Corpus
     timeout: float
-    schemas: dict[str, DatabaseSchema] = field(default_factory=dict)
-    #: Each database's files: the base file, then its variants in order.
-    files: dict[str, list[Path]] = field(default_factory=dict)
-    #: Each database's files mapped to their first copy, once compared.
-    copies: dict[str, dict[Path, Path]] = field(default_factory=dict)
     #: Gold and prediction outcomes by (db_id, sql), shared by all threads.
     statements: dict[tuple[str, str], _Statement] = field(default_factory=dict)
-    #: Each thread's handles, by thread id; a thread only touches its own.
-    _open: dict[int, _DbHandles] = field(default_factory=dict, init=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
-    _copies_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
-    )
-
-    def schema(self, db_id: str) -> DatabaseSchema:
-        return _schema(self.schemas, self.corpus_root, db_id)
-
-    def db_files(self, db_id: str) -> list[Path]:
-        if db_id not in self.files:
-            suite = (
-                variant_suite_paths(self.variant_root, db_id)
-                if self.variant_root is not None
-                else []
-            )
-            self.files[db_id] = [corpus_db_path(self.corpus_root, db_id), *suite]
-        return self.files[db_id]
-
-    def handles(self, db_id: str) -> _DbHandles:
-        """The calling thread's handles for ``db_id``; the handles it held
-        for another database are closed."""
-        key = threading.get_ident()
-        current = self._open.get(key)
-        if current is None or current.db_id != db_id:
-            if current is not None:
-                current.close()
-            current = self._open[key] = _DbHandles(
-                db_id, self.db_files(db_id), self.schema(db_id).tables
-            )
-        return current
-
-    def first_copy(self, db_id: str, path: Path) -> Path:
-        """The first of ``db_id``'s files (base, then variants in order)
-        with the same bytes as ``path``. The base file is its own first
-        copy; the files are compared once, when a variant is first needed,
-        so nothing is read before the first query runs."""
-        files = self.db_files(db_id)
-        if path == files[0]:
-            return path
-        with self._copies_lock:
-            if db_id not in self.copies:
-                self.copies[db_id] = _first_copies(files)
-            return self.copies[db_id][path]
 
     def expect(self, sample: Sample, pred_sql: str | None) -> None:
         """Note, before any thread starts, one more sample that needs the
         outcomes of its gold query and of its prediction."""
         for key in _statement_keys(sample, pred_sql):
             if key not in self.statements:
-                files = self.db_files(sample.db_id)
+                files = self.corpus.files(sample.db_id)
                 self.statements[key] = _Statement(locks={p: threading.Lock() for p in files})
             self.statements[key].pending += 1
 
@@ -259,7 +294,7 @@ class _EvalContext:
         files. It runs once per distinct content, on the first file with
         those bytes: a thread that needs an outcome another is computing
         waits for it."""
-        source = self.first_copy(db.db_id, path)
+        source = self.corpus.first_copy(db.db_id, path)
         statement = self.statements[(db.db_id, sql)]
         with statement.locks[source]:
             if source not in statement.outcomes:
@@ -277,14 +312,10 @@ class _EvalContext:
                 if not statement.pending:
                     del self.statements[key]
 
-    def close(self) -> None:
-        for handles in self._open.values():
-            handles.close()
-        self._open.clear()
-
 
 def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> EvalVerdict:
-    base, *suite = ctx.db_files(sample.db_id)
+    corpus = ctx.corpus
+    base, *suite = corpus.files(sample.db_id)
     if pred_sql is None:
         return EvalVerdict(
             sample_id=sample.sample_id,
@@ -294,7 +325,7 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
             failure_class=sql_analysis.SYNTAX_ERROR,
             outcome_kind=executor.EXEC_ERROR,
         )
-    db = ctx.handles(sample.db_id)
+    db = corpus.handles(sample.db_id)
     order = order_sensitive(sample.gold_sql)
     gold = ctx.outcome(db, sample.gold_sql, base)
     pred_outcome = ctx.outcome(db, pred_sql, base)
@@ -304,7 +335,7 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
     verdicts = {base: ex}
 
     def matches_on(path: Path) -> bool:
-        first = ctx.first_copy(sample.db_id, path)
+        first = corpus.first_copy(sample.db_id, path)
         if first not in verdicts:
             gold = ctx.outcome(db, sample.gold_sql, first)
             verdicts[first] = results_match(ctx.outcome(db, pred_sql, first), gold, order)
@@ -330,35 +361,27 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
 def evaluate_corpus(
     predictions: dict[str, str],
     samples: list[Sample],
-    corpus_root: str | Path,
-    variant_root: str | Path | None = None,
+    corpus: Corpus,
     parallelism: int = 1,
     timeout: float = DEFAULT_TIMEOUT_SECS,
-    schemas: dict[str, DatabaseSchema] | None = None,
 ) -> EvalReport:
-    """Score every sample; missing predictions count as failures. The
-    report is deterministic regardless of ``parallelism``. ``schemas``, if
-    given, holds schemas already introspected by db_id and is filled in for
-    the rest.
+    """Score every sample on ``corpus``, with TS on its variants if it has
+    a variant root; missing predictions count as failures. The report is
+    deterministic regardless of ``parallelism``.
 
     Samples are visited grouped by db_id, so each worker thread keeps its
     database's read-only handles and schema replica open across samples;
-    all of them are closed before this returns or raises. If samples fail (e.g.
-    GoldExecutionFailed), the error of the first one in input order is
-    raised."""
+    all of ``corpus``'s handles are closed before this returns or raises.
+    If samples fail (e.g. GoldExecutionFailed), the error of the first one
+    in input order is raised."""
     unknown = set(predictions) - {s.sample_id for s in samples}
     if unknown:
         raise CorpusLayoutError(f"predictions for unknown sample ids: {sorted(unknown)}")
-    ctx = _EvalContext(
-        corpus_root=Path(corpus_root),
-        variant_root=Path(variant_root) if variant_root is not None else None,
-        timeout=timeout,
-        schemas=schemas if schemas is not None else {},
-    )
+    ctx = _EvalContext(corpus=corpus, timeout=timeout)
     # Warm the schema and file caches serially, so worker threads only
     # read them, and count the samples that need each statement's outcomes.
     for s in samples:
-        ctx.schema(s.db_id)
+        corpus.schema(s.db_id)
         ctx.expect(s, predictions.get(s.sample_id))
     by_db = sorted(enumerate(samples), key=lambda item: item[1].db_id)
     # A failing sample's error, by input index. Only the first in input
@@ -388,7 +411,7 @@ def evaluate_corpus(
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 results = list(pool.map(evaluate, by_db))
     finally:
-        ctx.close()
+        corpus.close()
     if failures:
         raise failures[min(failures)]
     verdicts = sorted(results, key=lambda v: v.sample_id)
@@ -424,43 +447,22 @@ def load_samples(path: str | Path) -> list[dict]:
     return records
 
 
-def samples_from_records(
-    records: list[dict],
-    corpus_root: str | Path,
-    schemas: dict[str, DatabaseSchema] | None = None,
-) -> list[Sample]:
-    """Attach each record's full database schema as its prompt schema.
-    Each database is introspected once, into ``schemas`` when given, so
-    the caller can reuse the schemas."""
-    if schemas is None:
-        schemas = {}
+def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
+    """Attach each record's full database schema, from ``corpus``, as its
+    prompt schema."""
     samples = []
     for rec in records:
         db_id = rec["db_id"]
-        schema = _schema(schemas, corpus_root, db_id)
         samples.append(
             Sample(
                 sample_id=str(rec["sample_id"]),
                 db_id=db_id,
                 question=rec["question"],
                 gold_sql=rec["gold_sql"],
-                schema_tables=schema.tables,
+                schema_tables=corpus.schema(db_id).tables,
             )
         )
     return samples
-
-
-def _schema(
-    schemas: dict[str, DatabaseSchema], corpus_root: str | Path, db_id: str
-) -> DatabaseSchema:
-    """``db_id``'s schema from ``schemas``, introspected into it from the
-    corpus on first use."""
-    if db_id not in schemas:
-        path = corpus_db_path(corpus_root, db_id)
-        if not path.exists():
-            raise CorpusLayoutError(f"expected database file at {path}")
-        schemas[db_id] = introspect_database(path, db_id)
-    return schemas[db_id]
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import GoldExecutionFailed
-from .executor import DEFAULT_TIMEOUT_SECS, EXEC_ERROR, TIMEOUT, execute, results_match
+from .executor import DEFAULT_TIMEOUT_SECS, EXEC_ERROR, TIMEOUT, ReadOnlyHandle
+from .executor import execute, results_match
 from .metrics import Sample, order_sensitive
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
@@ -44,13 +45,14 @@ def normalize_whitespace(sql: str) -> str:
 def mine_pairs(
     sample: Sample,
     client,
-    db_path: str | Path,
+    db: str | Path | ReadOnlyHandle,
     n: int = DEFAULT_N_CANDIDATES,
     temperature: float = DEFAULT_TEMPERATURE,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> list[PreferencePair]:
-    """Generate, execute, and partition candidates for one sample."""
-    gold_outcome = execute(db_path, sample.gold_sql, timeout)
+    """Generate, execute on ``db`` (a path or an open handle), and
+    partition candidates for one sample."""
+    gold_outcome = execute(db, sample.gold_sql, timeout)
     if not gold_outcome.is_rows:
         raise GoldExecutionFailed(
             f"{sample.sample_id}: gold execution was {gold_outcome.kind}"
@@ -70,7 +72,7 @@ def mine_pairs(
         norm = normalize_whitespace(candidate)
         if not norm or norm == gold_norm or norm in seen:
             continue
-        outcome = execute(db_path, candidate, timeout)
+        outcome = execute(db, candidate, timeout)
         if results_match(outcome, gold_outcome, ordered):
             continue  # execution-equivalent candidates are correct, not rejected
         if outcome.kind == EXEC_ERROR:

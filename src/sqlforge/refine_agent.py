@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .executor import DEFAULT_TIMEOUT_SECS, ExecutionOutcome, execute
+from .executor import DEFAULT_TIMEOUT_SECS, ExecutionOutcome, ReadOnlyHandle, execute
 from .metrics import Sample
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import DatabaseSchema, TableSchema, render_prompt
@@ -45,13 +45,13 @@ class RefineResult:
 def invalid_check(
     sql: str,
     schema_tables: list[TableSchema] | tuple[TableSchema, ...] | DatabaseSchema | SchemaReplica,
-    db_path: str | Path,
+    db: str | Path | ReadOnlyHandle,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> tuple[ValidityReport, ExecutionOutcome | None]:
     """Static validation first, on ``schema_tables`` or on a replica of
-    them that the caller keeps; statically valid SQL is then executed and
-    downgraded to invalid on an engine error or timeout. An empty result
-    set is valid."""
+    them that the caller keeps; statically valid SQL is then executed on
+    ``db``, a path or an open handle, and downgraded to invalid on an
+    engine error or timeout. An empty result set is valid."""
     if isinstance(schema_tables, DatabaseSchema):
         schema_tables = schema_tables.tables
     if isinstance(schema_tables, SchemaReplica):
@@ -60,7 +60,7 @@ def invalid_check(
         report = validate_against_tables(sql, schema_tables)
     if not report.is_valid:
         return report, None
-    outcome = execute(db_path, sql, timeout)
+    outcome = execute(db, sql, timeout)
     if outcome.is_rows:
         return report, outcome
     if outcome.kind == "timeout":
@@ -91,19 +91,19 @@ def build_debug_prompt(
 
 def parse_question(
     question: str,
-    db: DatabaseSchema,
+    tables: list[TableSchema] | tuple[TableSchema, ...],
     generator,
     debugger,
-    db_path: str | Path,
+    db: str | Path | ReadOnlyHandle,
     max_iters: int = DEFAULT_MAX_ITERS,
-    schema_tables=None,
     timeout: float = DEFAULT_TIMEOUT_SECS,
     temperature: float = 0.0,
 ) -> RefineResult:
-    """Run the full generate/check/debug loop for one question."""
+    """Run the full generate/check/debug loop for one question, prompting
+    with ``tables`` and executing on ``db``, a path or an open handle."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    tables = tuple(schema_tables) if schema_tables else db.tables
+    tables = tuple(tables)
 
     attempts: list[RefineAttempt] = []
     sql = ""
@@ -124,7 +124,7 @@ def parse_question(
                 GenerationRequest(prompt=prompt, temperature=temperature, n=1)
             )
             sql = extract_sql(response.completions[0])
-            validity, outcome = invalid_check(sql, replica, db_path, timeout)
+            validity, outcome = invalid_check(sql, replica, db, timeout)
             attempts.append(
                 RefineAttempt(
                     iteration=iteration,
@@ -189,20 +189,19 @@ def write_trace(trace_dir: str | Path, sample_id: str, result: RefineResult) -> 
 
 def refine_sample(
     sample: Sample,
-    db: DatabaseSchema,
     generator,
     debugger,
-    db_path: str | Path,
+    db: str | Path | ReadOnlyHandle,
     max_iters: int = DEFAULT_MAX_ITERS,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> RefineResult:
+    """:func:`parse_question` on the sample's question and prompt schema."""
     return parse_question(
         sample.question,
-        db,
+        sample.schema_tables,
         generator,
         debugger,
-        db_path,
+        db,
         max_iters=max_iters,
-        schema_tables=sample.schema_tables,
         timeout=timeout,
     )

@@ -91,9 +91,6 @@ class DatabaseSchema:
                 return t
         return None
 
-    def table_names(self) -> list[str]:
-        return [t.name for t in self.tables]
-
     def key_column_names(self) -> set[str]:
         """Lower-cased names of all columns participating in a PK or FK."""
         keys: set[str] = set()
@@ -267,37 +264,6 @@ def schema_to_dict(schema: DatabaseSchema) -> dict:
             for fk in schema.foreign_keys
         ],
     }
-
-
-def schema_from_dict(data: dict) -> DatabaseSchema:
-    return DatabaseSchema(
-        db_id=data["db_id"],
-        file_path=data.get("file_path", ""),
-        tables=tuple(
-            TableSchema(
-                name=t["name"],
-                columns=tuple(
-                    ColumnSchema(
-                        name=c["name"],
-                        declared_type=c.get("declared_type", ""),
-                        is_primary_key=c.get("is_primary_key", False),
-                        sample_values=tuple(c.get("sample_values", ())),
-                    )
-                    for c in t["columns"]
-                ),
-            )
-            for t in data["tables"]
-        ),
-        foreign_keys=tuple(
-            ForeignKey(
-                from_table=fk["from_table"],
-                from_column=fk["from_column"],
-                to_table=fk["to_table"],
-                to_column=fk["to_column"],
-            )
-            for fk in data.get("foreign_keys", ())
-        ),
-    )
 
 
 def schema_to_json(schema: DatabaseSchema) -> str:

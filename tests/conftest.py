@@ -43,7 +43,7 @@ def sample_records() -> list[dict]:
 
 @pytest.fixture(scope="session")
 def samples(corpus, sample_records) -> list[metrics.Sample]:
-    return metrics.samples_from_records(sample_records, corpus.root)
+    return metrics.samples_from_records(sample_records, metrics.Corpus(corpus.root))
 
 
 @pytest.fixture(scope="session")

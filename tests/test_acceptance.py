@@ -10,11 +10,12 @@ from sqlforge.augmentation import (
     MAX_COLUMNS_PER_TABLE,
     MAX_TABLES,
     cross_db_augment,
+    cross_db_candidates,
     inner_db_augment,
 )
 from sqlforge.cli import run
 from sqlforge.executor import execute, results_match
-from sqlforge.metrics import evaluate_corpus
+from sqlforge.metrics import Corpus, evaluate_corpus
 from sqlforge.model_client import MockModelClient
 from sqlforge.preference_miner import mine_pairs
 from sqlforge.refine_agent import refine_sample
@@ -32,7 +33,7 @@ def test_criterion_1_gold_self_evaluation(corpus, samples):
     start = time.monotonic()
     preds = {s.sample_id: s.gold_sql for s in samples}
     report = evaluate_corpus(
-        preds, samples, corpus.root, variant_root=corpus.variant_root, parallelism=4
+        preds, samples, Corpus(corpus.root, corpus.variant_root), parallelism=4
     )
     elapsed = time.monotonic() - start
     assert report.ex_accuracy == 1.0
@@ -138,7 +139,7 @@ def test_criterion_4_augmentation_invariants(corpus, samples, schemas):
 
     for i in range(1000):
         s = samples[i % len(samples)]
-        aug = cross_db_augment(s, corpus_schemas, seed=i)
+        aug = cross_db_augment(s, cross_db_candidates(s.db_id, corpus_schemas), seed=i)
         if aug.provenance.kind == CROSS_DB:
             n = len(aug.provenance.inserted_tables)
             if not 1 <= n <= 3:
@@ -225,9 +226,7 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
     pipeline_preds = {}
     debugger_iterations = 0
     for s in samples:
-        result = refine_sample(
-            s, schemas[s.db_id], generator, debugger, corpus.db_path(s.db_id)
-        )
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
         baseline_preds[s.sample_id] = result.attempts[0].sql
         pipeline_preds[s.sample_id] = result.final_sql
         debugger_iterations += result.iterations_used - 1
@@ -243,8 +242,8 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
         "MissingQuotation", "WrongColumnName", "WrongTableName",
     ]
 
-    baseline = evaluate_corpus(baseline_preds, samples, corpus.root)
-    pipeline = evaluate_corpus(pipeline_preds, samples, corpus.root)
+    baseline = evaluate_corpus(baseline_preds, samples, Corpus(corpus.root))
+    pipeline = evaluate_corpus(pipeline_preds, samples, Corpus(corpus.root))
     baseline_count = sum(1 for v in baseline.verdicts if v.ex_match)
     pipeline_count = sum(1 for v in pipeline.verdicts if v.ex_match)
     assert baseline_count == 40
@@ -264,8 +263,7 @@ def test_criterion_6_termination_and_budget(corpus, samples, schemas):
     debugger = MockModelClient([{"responses": [broken], "cycle": True}])
     for max_iters in (1, 3, 5):
         result = refine_sample(
-            s, schemas[s.db_id], generator, debugger,
-            corpus.db_path(s.db_id), max_iters=max_iters,
+            s, generator, debugger, corpus.db_path(s.db_id), max_iters=max_iters,
         )
         assert not result.succeeded
         assert result.iterations_used == max_iters

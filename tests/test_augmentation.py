@@ -19,6 +19,11 @@ from sqlforge.metrics import Sample
 from sqlforge.sql_analysis import extract_references, validate_against_tables
 
 
+def augment(sample, schemas, seed):
+    """Cross-db augment ``sample`` with the candidates found on ``schemas``."""
+    return cross_db_augment(sample, cross_db_candidates(sample.db_id, schemas), seed)
+
+
 def sample_for(samples, db_id, fragment=""):
     return next(
         s for s in samples if s.db_id == db_id and fragment in s.gold_sql
@@ -31,7 +36,7 @@ class TestCrossDb:
         s = sample_for(samples, "shop", "orders")
         keys = schemas["shop"].key_column_names()
         for seed in range(30):
-            aug = cross_db_augment(s, corpus_schemas, seed)
+            aug = augment(s, corpus_schemas, seed)
             assert aug.provenance.kind == CROSS_DB
             assert 1 <= len(aug.provenance.inserted_tables) <= 3
             for name in aug.provenance.inserted_tables:
@@ -42,19 +47,19 @@ class TestCrossDb:
         corpus_schemas = list(schemas.values())
         s = sample_for(samples, "shop", "orders")
         for seed in range(20):
-            aug = cross_db_augment(s, corpus_schemas, seed)
+            aug = augment(s, corpus_schemas, seed)
             assert "shop" not in aug.provenance.source_db_ids
 
     def test_unchanged_when_corpus_is_own_db_only(self, samples, schemas):
         s = sample_for(samples, "shop", "orders")
-        aug = cross_db_augment(s, [schemas["shop"]], 7)
+        aug = augment(s, [schemas["shop"]], 7)
         assert aug.provenance.kind == UNCHANGED
         assert aug.schema_tables == s.schema_tables
 
     def test_deterministic(self, samples, schemas):
         corpus_schemas = list(schemas.values())
         s = sample_for(samples, "concert_singer", "count(*) FROM concert WHERE")
-        assert cross_db_augment(s, corpus_schemas, 42) == cross_db_augment(
+        assert augment(s, corpus_schemas, 42) == augment(
             s, corpus_schemas, 42
         )
 
@@ -70,7 +75,7 @@ class TestCrossDb:
             if any(c.name.lower() in keys for c in t.columns)
         }
         for seed in range(50):
-            aug = cross_db_augment(s, corpus_schemas, seed)
+            aug = augment(s, corpus_schemas, seed)
             assert set(aug.provenance.inserted_tables) <= brute
 
     def test_candidates_follow_the_corpus_passed(self, schemas):
@@ -79,10 +84,14 @@ class TestCrossDb:
         assert full
         assert cross_db_candidates("shop", [schemas["shop"]]) == ()
         assert cross_db_candidates("shop", list(corpus_schemas)) == full
-        without = [sch for sch in corpus_schemas if sch.db_id != full[0][0]]
-        assert cross_db_candidates("shop", without) == tuple(
-            c for c in full if c[0] != full[0][0]
-        )
+        dropped = full[0][0][0]
+        without = [sch for sch in corpus_schemas if sch.db_id != dropped]
+        by_name = {group[0][1].name.lower(): group for group in full}
+        assert {g[0][1].name.lower(): g for g in cross_db_candidates("shop", without)} == {
+            name: tuple(c for c in group if c[0] != dropped)
+            for name, group in by_name.items()
+            if any(c[0] != dropped for c in group)
+        }
         with pytest.raises(ValueError):
             cross_db_candidates("shop", without[:0])
 
@@ -106,7 +115,7 @@ class TestCrossDb:
         for s in samples:
             copy = dataclasses.replace(s, db_id=f"{s.db_id}_1")
             for seed in range(4):
-                aug = cross_db_augment(copy, copies, seed)
+                aug = augment(copy, copies, seed)
                 names = [t.name.lower() for t in aug.schema_tables]
                 assert len(names) == len(set(names)), (s.sample_id, seed, names)
                 report = validate_against_tables(s.gold_sql, aug.schema_tables)
@@ -118,7 +127,7 @@ class TestCrossDb:
         corpus_schemas = list(schemas.values())
         for s in samples[:10]:
             for seed in range(10):
-                aug = cross_db_augment(s, corpus_schemas, seed)
+                aug = augment(s, corpus_schemas, seed)
                 report = validate_against_tables(s.gold_sql, aug.schema_tables)
                 assert report.is_valid, (s.sample_id, seed, report)
 

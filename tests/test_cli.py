@@ -307,6 +307,67 @@ class TestRefine:
         assert not (tmp_path / "preds.jsonl").exists()
 
 
+class TestCorpusHandles:
+    """mine and refine run each worker thread's statements on one reused
+    handle per database file, and close every handle before they return
+    or raise."""
+
+    @staticmethod
+    def mock(tmp_path, records, responses=None):
+        """A mock script answering each record's question with
+        ``responses``, or with its gold query."""
+        script = tmp_path / "mock.jsonl"
+        script.write_text("".join(json.dumps({
+            "match": r["question"], "responses": responses or [r["gold_sql"]], "cycle": True,
+        }) + "\n" for r in records))
+        return str(script)
+
+    @staticmethod
+    def argv(command, corpus, tmp_path, records, script):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        common = ["--samples", str(samples), "--corpus", str(corpus.root),
+                  "--out", str(tmp_path / "out.jsonl")]
+        if command == "mine":
+            return ["mine", *common, "--mock", script, "--n-candidates", "2"]
+        return ["refine", *common, "--generator", f"mock:{script}",
+                "--debugger", f"mock:{script}"]
+
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    def test_serial_run_opens_one_connection_to_its_database(
+        self, corpus, sample_records, tmp_path, opened, command
+    ):
+        records = [r for r in sample_records if r["db_id"] == "shop"]
+        assert len(records) > 1
+        # mine's candidates differ from the gold, so each one runs too.
+        other = ["SELECT 1", "SELECT * FROM no_such_table"] if command == "mine" else None
+        script = self.mock(tmp_path, records, other)
+        assert run(self.argv(command, corpus, tmp_path, records, script)) == 0
+        path = str(corpus.db_path("shop"))
+        # One connection introspects the schema; one runs every statement.
+        assert len([d for d in opened.databases if path in d]) == 2
+        assert not opened.still_open()
+
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_connection_left_open(
+        self, corpus, sample_records, tmp_path, capsys, opened, command, fails
+    ):
+        records = [dict(r) for r in sample_records]
+        script = self.mock(tmp_path, records)
+        if fails:
+            # mine: a gold query that fails; refine: a model call that fails.
+            records[3]["gold_sql"] = "SELECT * FROM no_such_table"
+            records[3]["question"] += " (unscripted)"
+            script = self.mock(tmp_path, records[:3] + records[4:])
+        assert run(self.argv(command, corpus, tmp_path, records, script)) == int(fails)
+        if fails:
+            expected = {"mine": records[3]["sample_id"], "refine": "no scripted response"}
+            assert expected[command] in capsys.readouterr().err
+        assert opened
+        assert not opened.still_open()
+
+
 class TestConcurrentSamples:
     """mine and refine against an HTTP endpoint run up to the client's
     max_in_flight samples at once, with the output of a serial run."""
@@ -453,6 +514,41 @@ class TestConfig:
         assert run(["--config", str(cfg)] + argv) == 0
         capsys.readouterr()
         assert timeouts == [DEFAULT_TIMEOUT_SECS, 7.0]
+
+    @staticmethod
+    def eval_timeouts(corpus, sample_records, tmp_path, monkeypatch, flags):
+        """The timeout eval runs with, given ``flags`` and a config of 7."""
+        timeouts = []
+        evaluate = cli.metrics.evaluate_corpus
+
+        def spy(*args, timeout, **kwargs):
+            timeouts.append(timeout)
+            return evaluate(*args, timeout=timeout, **kwargs)
+
+        monkeypatch.setattr(cli.metrics, "evaluate_corpus", spy)
+        preds = tmp_path / "preds.jsonl"
+        write_gold_preds(corpus, sample_records, preds)
+        cfg = tmp_path / "sqlforge.ini"
+        cfg.write_text("[eval]\nexec_timeout_secs = 7\n")
+        code = run(["--config", str(cfg), "eval", "--samples", str(corpus.samples_path),
+                    "--preds", str(preds), "--corpus", str(corpus.root), "--json", *flags])
+        return code, timeouts
+
+    @pytest.mark.parametrize("flags", [["--exec-timeout-secs", "3"], ["--exec-timeout-secs=3"]])
+    def test_flag_spelled_in_full_beats_config(
+        self, corpus, sample_records, tmp_path, capsys, monkeypatch, flags
+    ):
+        code, timeouts = self.eval_timeouts(corpus, sample_records, tmp_path, monkeypatch, flags)
+        capsys.readouterr()
+        assert (code, timeouts) == (0, [3.0])
+
+    def test_abbreviated_flag_is_usage_error(
+        self, corpus, sample_records, tmp_path, capsys, monkeypatch
+    ):
+        code, timeouts = self.eval_timeouts(corpus, sample_records, tmp_path, monkeypatch,
+                                            ["--exec-timeout", "3"])
+        assert (code, timeouts) == (2, [])
+        assert "--exec-timeout" in capsys.readouterr().err
 
     def test_percent_in_a_value_is_literal(self, tmp_path):
         cfg = tmp_path / "sqlforge.ini"

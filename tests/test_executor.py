@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
 import math
+import os
 import random
+import signal
 import sqlite3
+import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -267,6 +272,63 @@ class TestDeadlineWatchdog:
             for _ in range(200):
                 assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
         assert len(wakes) <= 2
+
+
+def finishes_in_child(child, seconds: float = 10.0) -> bool:
+    """Fork, and run ``child()`` in the child; whether it returned true
+    within ``seconds``. A child still running then is killed."""
+    # From Python 3.12 a fork while other threads run warns in the parent.
+    warns = (pytest.warns(DeprecationWarning, match="fork")
+             if sys.version_info >= (3, 12) else contextlib.nullcontext())
+    with warns:
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = child()
+            finally:
+                os._exit(0 if ok else 1)
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status) == 0
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedChild:
+    """A forked child enforces deadlines with a watchdog of its own."""
+
+    def test_child_forked_after_a_timed_query_times_out(self, corpus):
+        path = corpus.db_path("shop")
+        # About 1.5 s alone on a 2-core x86-64 box.
+        slow = counting(3_000_000)
+        assert execute(path, slow, timeout=0.2).kind == TIMEOUT
+        assert finishes_in_child(lambda: execute(path, slow, timeout=0.2).kind == TIMEOUT)
+
+    def test_child_forked_while_the_watchdog_lock_is_held_runs(self, corpus):
+        path = corpus.db_path("shop")
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with executor._WATCHDOG._lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            finished = finishes_in_child(lambda: execute(path, "SELECT 1").rows == ((1,),))
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert finished
 
 
 class TestNormalizeCell:

@@ -17,6 +17,7 @@ from sqlforge.errors import (
     NotADatabaseError,
 )
 from sqlforge.metrics import (
+    Corpus,
     Sample,
     evaluate_corpus,
     execution_accuracy,
@@ -170,7 +171,7 @@ class TestTestSuiteAccuracy:
 class TestEvaluateCorpus:
     def test_all_gold_is_perfect(self, corpus, samples):
         preds = {s.sample_id: s.gold_sql for s in samples}
-        report = evaluate_corpus(preds, samples, corpus.root)
+        report = evaluate_corpus(preds, samples, Corpus(corpus.root))
         assert report.ex_accuracy == 1.0
         assert report.n_samples == 50
         assert report.error_histogram == {}
@@ -180,28 +181,28 @@ class TestEvaluateCorpus:
         preds = {s.sample_id: s.gold_sql for s in subset[:8]}
         preds[subset[8].sample_id] = "SELECT * FROM not_a_table"
         preds[subset[9].sample_id] = "SELECT garbage FROM"
-        report = evaluate_corpus(preds, subset, corpus.root)
+        report = evaluate_corpus(preds, subset, Corpus(corpus.root))
         assert report.ex_accuracy == 0.8
         assert sum(report.error_histogram.values()) == 2
 
     def test_empty_predictions(self, corpus, samples):
         subset = samples[:4]
-        report = evaluate_corpus({}, subset, corpus.root)
+        report = evaluate_corpus({}, subset, Corpus(corpus.root))
         assert report.ex_accuracy == 0.0
         assert report.error_histogram == {"SyntaxError": 4}
 
     def test_unknown_prediction_id_rejected(self, corpus, samples):
         with pytest.raises(CorpusLayoutError):
-            evaluate_corpus({"ghost": "SELECT 1"}, samples[:2], corpus.root)
+            evaluate_corpus({"ghost": "SELECT 1"}, samples[:2], Corpus(corpus.root))
 
     def test_parallelism_is_deterministic(self, corpus, samples):
         preds = {s.sample_id: s.gold_sql for s in samples}
         preds[samples[3].sample_id] = "SELECT broken FROM"
         serial = evaluate_corpus(
-            preds, samples, corpus.root, variant_root=corpus.variant_root, parallelism=1
+            preds, samples, Corpus(corpus.root, corpus.variant_root), parallelism=1
         )
         parallel = evaluate_corpus(
-            preds, samples, corpus.root, variant_root=corpus.variant_root, parallelism=8
+            preds, samples, Corpus(corpus.root, corpus.variant_root), parallelism=8
         )
         assert serial == parallel
 
@@ -214,7 +215,7 @@ class TestEvaluateCorpus:
         )
         preds[lucky.sample_id] = "SELECT count(*) FROM customers"
         report = evaluate_corpus(
-            preds, samples, corpus.root, variant_root=corpus.variant_root
+            preds, samples, Corpus(corpus.root, corpus.variant_root)
         )
         assert report.ts_accuracy is not None
         assert report.ts_accuracy <= report.ex_accuracy
@@ -226,13 +227,13 @@ class TestEvaluateCorpus:
         preds = {s.sample_id: s.gold_sql for s in subset}
         preds[subset[0].sample_id] = "SELECT * FROM missing_table"
         preds[subset[1].sample_id] = "totally not sql ("
-        report = evaluate_corpus(preds, subset, corpus.root)
+        report = evaluate_corpus(preds, subset, Corpus(corpus.root))
         failures = sum(1 for v in report.verdicts if not v.ex_match)
         assert sum(report.error_histogram.values()) == failures == 2
 
     def test_corpus_layout_error(self, tmp_path, samples):
         with pytest.raises(CorpusLayoutError):
-            evaluate_corpus({}, samples[:1], tmp_path)
+            evaluate_corpus({}, samples[:1], Corpus(tmp_path))
 
 
 class TestHandleReuse:
@@ -245,8 +246,8 @@ class TestHandleReuse:
         subset = [s for s in samples if s.db_id in ("shop", "school", "hr")] + [bad]
         preds = {s.sample_id: "SELECT broken FROM" for s in subset}
         with pytest.raises(GoldExecutionFailed):
-            evaluate_corpus(preds, subset, corpus.root,
-                            variant_root=corpus.variant_root, parallelism=2)
+            evaluate_corpus(preds, subset, Corpus(corpus.root, corpus.variant_root),
+                            parallelism=2)
         assert opened
         assert not opened.still_open()
 
@@ -261,10 +262,10 @@ class TestHandleReuse:
         preds = {s.sample_id: s.gold_sql for s in subset}
         preds.update({"bad-1": "SELECT 1", "bad-2": "SELECT 1"})
         with pytest.raises(GoldExecutionFailed, match="nope_one"):
-            evaluate_corpus(preds, [first, *subset, second], corpus.root,
+            evaluate_corpus(preds, [first, *subset, second], Corpus(corpus.root),
                             parallelism=parallelism)
         with pytest.raises(GoldExecutionFailed, match="nope_two"):
-            evaluate_corpus(preds, [second, *subset, first], corpus.root,
+            evaluate_corpus(preds, [second, *subset, first], Corpus(corpus.root),
                             parallelism=parallelism)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -272,7 +273,7 @@ class TestHandleReuse:
         subset = [s for s in samples if s.db_id in ("shop", "school")]
         preds = {s.sample_id: s.gold_sql for s in subset}
         preds[subset[0].sample_id] = "SELECT broken FROM"
-        evaluate_corpus(preds, subset, corpus.root, variant_root=corpus.variant_root,
+        evaluate_corpus(preds, subset, Corpus(corpus.root, corpus.variant_root),
                         parallelism=parallelism)
         for db_id in ("shop", "school"):
             copy = corpus.variant_root / db_id / "0.sqlite"
@@ -291,8 +292,8 @@ class TestHandleReuse:
         subset = [s for s in samples if s.db_id == "shop"]
         preds = {s.sample_id: s.gold_sql for s in subset}
         with pytest.raises(NotADatabaseError):
-            evaluate_corpus(preds, subset, corpus.root,
-                            variant_root=tmp_path / "variants", parallelism=2)
+            evaluate_corpus(preds, subset, Corpus(corpus.root, tmp_path / "variants"),
+                            parallelism=2)
         assert not opened.still_open()
 
 
@@ -312,11 +313,10 @@ class TestSchemaReplicaLifetime:
                          gold_sql="SELECT nope FROM customers")
             preds[bad.sample_id] = "SELECT 1"
             with pytest.raises(GoldExecutionFailed):
-                evaluate_corpus(preds, [*subset, bad], corpus.root,
-                                variant_root=corpus.variant_root, parallelism=parallelism)
+                evaluate_corpus(preds, [*subset, bad], Corpus(corpus.root, corpus.variant_root),
+                                parallelism=parallelism)
         else:
-            report = evaluate_corpus(preds, subset, corpus.root,
-                                     variant_root=corpus.variant_root,
+            report = evaluate_corpus(preds, subset, Corpus(corpus.root, corpus.variant_root),
                                      parallelism=parallelism)
             assert report.error_histogram == {"SyntaxError": len(subset)}
             if parallelism == 1:
@@ -370,7 +370,7 @@ class TestIsolationAndDeterminism:
             mp.setattr(metrics, "execute",
                        lambda db, sql, timeout: executor.execute(db.path, sql, timeout))
             reference = metrics.report_to_dict(evaluate_corpus(
-                preds, cases, corpus.root, variant_root=corpus.variant_root))
+                preds, cases, Corpus(corpus.root, corpus.variant_root)))
         assert all(v["ex_match"] for v in reference["verdicts"]
                    if v["sample_id"].startswith("like-"))
         return cases, preds, reference, attach
@@ -385,7 +385,7 @@ class TestIsolationAndDeterminism:
         try:
             reports = [
                 metrics.report_to_dict(evaluate_corpus(
-                    preds, order, corpus.root, variant_root=corpus.variant_root,
+                    preds, order, Corpus(corpus.root, corpus.variant_root),
                     parallelism=parallelism))
                 for parallelism in (1, 2, 4)
             ]
@@ -418,14 +418,21 @@ def executed(monkeypatch):
 def held_at_close(monkeypatch):
     """The statement outcomes an eval run still held when it closed its
     handles."""
-    held = []
-    close = metrics._EvalContext.close
+    held, contexts = [], []
 
-    def recording_close(ctx):
-        held.append(dict(ctx.statements))
-        close(ctx)
+    class RecordingContext(metrics._EvalContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
 
-    monkeypatch.setattr(metrics._EvalContext, "close", recording_close)
+    close = metrics.Corpus.close
+
+    def recording_close(corpus):
+        held.extend(dict(ctx.statements) for ctx in contexts if ctx.corpus is corpus)
+        close(corpus)
+
+    monkeypatch.setattr(metrics, "_EvalContext", RecordingContext)
+    monkeypatch.setattr(metrics.Corpus, "close", recording_close)
     return held
 
 
@@ -445,8 +452,8 @@ def run_shuffled(preds, cases, corpus, parallelism, variant_root=None):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        return evaluate_corpus(preds, order, corpus.root,
-                               variant_root=variant_root or corpus.variant_root,
+        return evaluate_corpus(preds, order,
+                               Corpus(corpus.root, variant_root or corpus.variant_root),
                                parallelism=parallelism)
     finally:
         sys.setswitchinterval(interval)
@@ -604,8 +611,8 @@ class TestGoldOutcomeCache:
         s = dataclasses.replace(samples[0], gold_sql="SELECT random()")
         # Run apart, the two statements almost surely disagree.
         assert not execution_accuracy(s.gold_sql, s, corpus.db_path(s.db_id))
-        report = evaluate_corpus({s.sample_id: s.gold_sql}, [s], corpus.root,
-                                 variant_root=corpus.variant_root)
+        report = evaluate_corpus({s.sample_id: s.gold_sql}, [s],
+                                 Corpus(corpus.root, corpus.variant_root))
         assert [(v.ex_match, v.ts_match) for v in report.verdicts] == [(True, True)]
 
     @pytest.mark.parametrize("parallelism", [1, 4])
@@ -626,7 +633,7 @@ class TestGoldOutcomeCache:
 
         with pytest.raises(GoldExecutionFailed) as raised:
             evaluate_corpus(preds, [*subset[:3], first, *subset[3:], again, later],
-                            corpus.root, variant_root=corpus.variant_root,
+                            Corpus(corpus.root, corpus.variant_root),
                             parallelism=parallelism)
         assert str(raised.value) == str(uncached.value)
         assert "nope_shared" in str(raised.value)
@@ -657,14 +664,14 @@ class TestGoldOutcomeCache:
             mp.setattr(metrics._EvalContext, "outcome",
                        lambda ctx, db, sql, path: executor.execute(path, sql, ctx.timeout))
             reference = report_to_dict(evaluate_corpus(
-                preds, order, corpus.root, variant_root=corpus.variant_root))
+                preds, order, Corpus(corpus.root, corpus.variant_root)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             reports = [
                 report_to_dict(evaluate_corpus(
-                    preds, order, corpus.root, variant_root=corpus.variant_root,
+                    preds, order, Corpus(corpus.root, corpus.variant_root),
                     parallelism=parallelism))
                 for parallelism in (1, 2, 4)
             ]
@@ -677,7 +684,7 @@ class TestSerialization:
     def test_samples_round_trip(self, corpus, sample_records):
         loaded = load_samples(corpus.samples_path)
         assert loaded == sample_records
-        samples = samples_from_records(loaded, corpus.root)
+        samples = samples_from_records(loaded, Corpus(corpus.root))
         assert all(s.schema_tables for s in samples)
 
     def test_predictions_file(self, tmp_path):
@@ -688,7 +695,7 @@ class TestSerialization:
     def test_report_dict_and_table(self, corpus, samples):
         subset = samples[:3]
         preds = {s.sample_id: s.gold_sql for s in subset}
-        report = evaluate_corpus(preds, subset, corpus.root)
+        report = evaluate_corpus(preds, subset, Corpus(corpus.root))
         data = report_to_dict(report)
         assert data["ex_accuracy"] == 1.0
         assert len(data["verdicts"]) == 3

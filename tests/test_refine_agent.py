@@ -80,18 +80,17 @@ class TestBuildDebugPrompt:
 
 
 class TestParseQuestion:
-    def test_generator_success_short_circuits(self, corpus, samples, schemas):
+    def test_generator_success_short_circuits(self, corpus, samples):
         s = samples[0]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([{"responses": ["SHOULD NOT BE CALLED"]}])
         result = parse_question(
             s.question,
-            schemas[s.db_id],
+            s.schema_tables,
             generator,
             debugger,
             corpus.db_path(s.db_id),
             max_iters=3,
-            schema_tables=s.schema_tables,
         )
         assert result.succeeded
         assert result.final_sql == s.gold_sql
@@ -99,37 +98,35 @@ class TestParseQuestion:
         assert debugger.call_count == 0
         assert [a.role for a in result.attempts] == [GENERATOR]
 
-    def test_debugger_fixes_wrong_table(self, corpus, samples, schemas):
+    def test_debugger_fixes_wrong_table(self, corpus, samples):
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT count(*) FROM wrong_table"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
         result = parse_question(
             s.question,
-            schemas[s.db_id],
+            s.schema_tables,
             generator,
             debugger,
             corpus.db_path(s.db_id),
             max_iters=3,
-            schema_tables=s.schema_tables,
         )
         assert result.succeeded
         assert result.iterations_used == 2
         assert [a.role for a in result.attempts] == [GENERATOR, DEBUGGER]
         assert result.final_sql == s.gold_sql
 
-    def test_budget_exhaustion(self, corpus, samples, schemas):
+    def test_budget_exhaustion(self, corpus, samples):
         s = samples[0]
         broken = "SELECT count(*) FROM never_exists"
         generator = MockModelClient([{"responses": [broken], "cycle": True}])
         debugger = MockModelClient([{"responses": [broken], "cycle": True}])
         result = parse_question(
             s.question,
-            schemas[s.db_id],
+            s.schema_tables,
             generator,
             debugger,
             corpus.db_path(s.db_id),
             max_iters=3,
-            schema_tables=s.schema_tables,
         )
         assert not result.succeeded
         assert result.iterations_used == 3
@@ -141,19 +138,17 @@ class TestParseQuestion:
         client = MockModelClient([{"responses": ["x"], "cycle": True}])
         with pytest.raises(ValueError):
             parse_question(
-                s.question, schemas[s.db_id], client, client,
+                s.question, schemas[s.db_id].tables, client, client,
                 corpus.db_path(s.db_id), max_iters=0,
             )
 
-    def test_succeeded_implies_execution_rows(self, corpus, samples, schemas):
+    def test_succeeded_implies_execution_rows(self, corpus, samples):
         from sqlforge.executor import execute
 
         s = samples[5]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([])
-        result = refine_sample(
-            s, schemas[s.db_id], generator, debugger, corpus.db_path(s.db_id)
-        )
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
         assert result.succeeded
         assert execute(corpus.db_path(s.db_id), result.final_sql).is_rows
 
@@ -162,42 +157,35 @@ class TestReplicaLifetime:
     """refine_sample validates every attempt on one schema replica, closed
     before it returns or raises."""
 
-    def test_one_replica_validates_every_attempt(self, corpus, samples, schemas, opened,
-                                                 replicas):
+    def test_one_replica_validates_every_attempt(self, corpus, samples, opened, replicas):
         s = samples[0]
         broken = "SELECT count(*) FROM never_exists"
         generator = MockModelClient([{"responses": [broken], "cycle": True}])
         debugger = MockModelClient([{"responses": [broken], "cycle": True}])
-        result = refine_sample(
-            s, schemas[s.db_id], generator, debugger, corpus.db_path(s.db_id), max_iters=3
-        )
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id), max_iters=3)
         assert [a.validity.status for a in result.attempts] == [WRONG_TABLE_NAME] * 3
         assert len(replicas) == 1
         assert not opened.still_open()
 
-    def test_replica_closed_when_a_model_call_fails(self, corpus, samples, schemas, opened,
+    def test_replica_closed_when_a_model_call_fails(self, corpus, samples, opened,
                                                     replicas):
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT count(*) FROM never_exists"]}])
         debugger = MockModelClient([])
         with pytest.raises(MockExhausted):
-            refine_sample(
-                s, schemas[s.db_id], generator, debugger, corpus.db_path(s.db_id)
-            )
+            refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
         assert len(replicas) == 1
         assert not opened.still_open()
 
 
 class TestTrace:
-    def test_trace_round_trip(self, corpus, samples, schemas, tmp_path):
+    def test_trace_round_trip(self, corpus, samples, tmp_path):
         import json
 
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT nope FROM nada"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
-        result = refine_sample(
-            s, schemas[s.db_id], generator, debugger, corpus.db_path(s.db_id)
-        )
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
         write_trace(tmp_path, s.sample_id, result)
         data = json.loads((tmp_path / f"{s.sample_id}.json").read_text())
         assert data == result_to_dict(s.sample_id, result)
