@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import augmentation, metrics, preference_miner, refine_agent
 from .errors import SqlforgeError, ConfigError
 from .executor import DEFAULT_TIMEOUT_SECS
-from .model_client import ModelEndpoint
+from .model_client import make_client
 from .schema_catalog import corpus_db_path, introspect_database, schema_to_json
 
 log = logging.getLogger("sqlforge")
@@ -135,10 +133,6 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
             setattr(args, attr, cast(value))
 
 
-def _make_client(spec: str):
-    return ModelEndpoint.parse(spec).make_client()
-
-
 def _cmd_introspect(args) -> int:
     path = corpus_db_path(args.corpus, args.db_id)
     schema = introspect_database(path, args.db_id, args.sample_values)
@@ -148,36 +142,6 @@ def _cmd_introspect(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _inner_db_by_database(samples, corpus: metrics.Corpus, args) -> list:
-    """Inner-db augment each sample, visiting them grouped by db_id so that
-    one schema replica per database compiles every gold query; the results
-    are in sample order. If samples fail, the error of the first failing
-    sample in sample order is raised, as when they ran in that order."""
-    augmented = [None] * len(samples)
-    first_failure: tuple[int, Exception] | None = None
-    by_db = sorted(range(len(samples)), key=lambda i: samples[i].db_id)
-    for db_id, indices in itertools.groupby(by_db, key=lambda i: samples[i].db_id):
-        replica = corpus.handles(db_id).replica
-        for i in indices:
-            if first_failure is not None and first_failure[0] < i:
-                continue
-            s = samples[i]
-            try:
-                augmented[i] = augmentation.inner_db_augment(
-                    s,
-                    corpus.schema(db_id),
-                    augmentation.derive_seed(args.seed, s.sample_id),
-                    p_table=args.p_table,
-                    p_col=args.p_col,
-                    replica=replica,
-                )
-            except Exception as exc:
-                first_failure = (i, exc)
-    if first_failure is not None:
-        raise first_failure[1]
-    return augmented
 
 
 def _cmd_augment(args) -> int:
@@ -195,37 +159,30 @@ def _cmd_augment(args) -> int:
                 seed = augmentation.derive_seed(args.seed, s.sample_id)
                 augmented.append(augmentation.cross_db_augment(s, candidates[s.db_id], seed))
         else:
-            augmented = _inner_db_by_database(samples, corpus, args)
+
+            def augment(s):
+                return augmentation.inner_db_augment(
+                    s,
+                    corpus.schema(s.db_id),
+                    augmentation.derive_seed(args.seed, s.sample_id),
+                    p_table=args.p_table,
+                    p_col=args.p_col,
+                    replica=corpus.handles(s.db_id).replica,
+                )
+
+            # Grouped by db_id, so one schema replica per database compiles
+            # every gold query.
+            augmented = metrics.run_samples(augment, samples, key=lambda s: s.db_id)
     augmentation.write_augmented(args.out, augmented)
     log.info("wrote %d augmented samples to %s", len(augmented), args.out)
     return 0
-
-
-def _in_sample_order(fn, samples, width: int):
-    """Yield ``fn(s)`` for each sample, in sample order, running up to
-    ``width`` samples at once. The first sample to raise cancels every
-    sample not yet started; its exception is raised in its turn."""
-    pool = ThreadPoolExecutor(max_workers=width)
-
-    def cancel_rest(future):
-        if not future.cancelled() and future.exception() is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    try:
-        futures = [pool.submit(fn, s) for s in samples]
-        for future in futures:
-            future.add_done_callback(cancel_rest)
-        for future in futures:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _cmd_mine(args) -> int:
     records = metrics.load_samples(args.samples)
     with metrics.Corpus(args.corpus) as corpus:
         samples = metrics.samples_from_records(records, corpus)
-        client = _make_client(args.endpoint if args.endpoint else f"mock:{args.mock}")
+        client = make_client(args.endpoint if args.endpoint else f"mock:{args.mock}")
 
         def mine(s):
             return preference_miner.mine_pairs(
@@ -237,13 +194,10 @@ def _cmd_mine(args) -> int:
                 timeout=args.exec_timeout_secs,
             )
 
-        pairs = []
-        skipped = 0
-        for sample_pairs in _in_sample_order(mine, samples, client.max_in_flight):
-            if not sample_pairs:
-                skipped += 1
-            pairs.extend(sample_pairs)
+        per_sample = metrics.run_samples(mine, samples, client.max_in_flight)
+    pairs = [pair for sample_pairs in per_sample for pair in sample_pairs]
     preference_miner.write_pairs(args.out, pairs)
+    skipped = sum(1 for sample_pairs in per_sample if not sample_pairs)
     log.info("wrote %d pairs (%d samples yielded none)", len(pairs), skipped)
     return 0
 
@@ -255,8 +209,8 @@ def _cmd_refine(args) -> int:
         if args.trace:
             for s in samples:
                 refine_agent.trace_path(args.trace, s.sample_id)
-        generator = _make_client(args.generator)
-        debugger = _make_client(args.debugger)
+        generator = make_client(args.generator)
+        debugger = make_client(args.debugger)
 
         def refine(s):
             return refine_agent.refine_sample(
@@ -269,17 +223,16 @@ def _cmd_refine(args) -> int:
             )
 
         width = min(generator.max_in_flight, debugger.max_in_flight)
-        with open(args.out, "w", encoding="utf-8") as out:
-            for s, result in zip(samples, _in_sample_order(refine, samples, width)):
-                out.write(
-                    json.dumps(
-                        {"sample_id": s.sample_id, "sql": result.final_sql},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                if args.trace:
-                    refine_agent.write_trace(args.trace, s.sample_id, result)
+        results = metrics.run_samples(refine, samples, width)
+    # Nothing is written unless every sample succeeded.
+    with open(args.out, "w", encoding="utf-8") as out:
+        for s, result in zip(samples, results):
+            out.write(
+                json.dumps({"sample_id": s.sample_id, "sql": result.final_sql}, sort_keys=True)
+                + "\n"
+            )
+            if args.trace:
+                refine_agent.write_trace(args.trace, s.sample_id, result)
     return 0
 
 

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import threading
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from . import executor, sql_analysis
 from .errors import CorpusLayoutError, EmptyVariantSuiteError, GoldExecutionFailed
@@ -303,8 +305,7 @@ class _EvalContext:
 
     def finished(self, sample: Sample, pred_sql: str | None) -> None:
         """Drop the outcomes of the sample's gold and prediction once the
-        last sample needing them is done, whether it passed, failed or was
-        skipped."""
+        last sample needing them is done, whether it passed or failed."""
         with self._lock:
             for key in _statement_keys(sample, pred_sql):
                 statement = self.statements[key]
@@ -358,6 +359,56 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
     )
 
 
+def run_samples(
+    fn: Callable[[Sample], Any],
+    samples: Sequence[Sample],
+    width: int = 1,
+    key: Callable[[Sample], Any] | None = None,
+) -> list:
+    """``fn(s)`` for each sample, in sample order. Samples start in order of
+    ``key`` (sample order without one; ties keep it), up to ``width`` at
+    once; width 1 runs them inline, on the calling thread. If samples fail,
+    the error of the first failing one in sample order is raised: a failure
+    cancels every later sample not yet started, and every earlier one still
+    runs."""
+    order = range(len(samples))
+    if key is not None:
+        order = sorted(order, key=lambda i: key(samples[i]))
+    if width <= 1:
+        results = [None] * len(samples)
+        failed: tuple[int, Exception] | None = None
+        for i in order:
+            if failed is not None and failed[0] < i:
+                continue
+            try:
+                results[i] = fn(samples[i])
+            except Exception as exc:
+                failed = (i, exc)
+        if failed is not None:
+            raise failed[1]
+        return results
+
+    futures = [None] * len(samples)
+
+    def cancel_later(i: int, future: Future) -> None:
+        if not future.cancelled() and future.exception() is not None:
+            for later in futures[i + 1 :]:
+                later.cancel()
+
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        for i in order:
+            futures[i] = pool.submit(fn, samples[i])
+        for i, future in enumerate(futures):
+            future.add_done_callback(functools.partial(cancel_later, i))
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        # Each callback refers to the list: clear it, so that the futures,
+        # and the results they hold, are not kept alive in a cycle.
+        futures.clear()
+
+
 def evaluate_corpus(
     predictions: dict[str, str],
     samples: list[Sample],
@@ -369,11 +420,10 @@ def evaluate_corpus(
     a variant root; missing predictions count as failures. The report is
     deterministic regardless of ``parallelism``.
 
-    Samples are visited grouped by db_id, so each worker thread keeps its
-    database's read-only handles and schema replica open across samples;
-    all of ``corpus``'s handles are closed before this returns or raises.
-    If samples fail (e.g. GoldExecutionFailed), the error of the first one
-    in input order is raised."""
+    Samples run through :func:`run_samples`, grouped by db_id, so each
+    worker thread keeps its database's read-only handles and schema replica
+    open across samples; all of ``corpus``'s handles are closed before this
+    returns or raises."""
     unknown = set(predictions) - {s.sample_id for s in samples}
     if unknown:
         raise CorpusLayoutError(f"predictions for unknown sample ids: {sorted(unknown)}")
@@ -383,37 +433,20 @@ def evaluate_corpus(
     for s in samples:
         corpus.schema(s.db_id)
         ctx.expect(s, predictions.get(s.sample_id))
-    by_db = sorted(enumerate(samples), key=lambda item: item[1].db_id)
-    # A failing sample's error, by input index. Only the first in input
-    # order is raised, so samples after it need not run.
-    failures: dict[int, Exception] = {}
-    lock = threading.Lock()
 
-    def evaluate(item: tuple[int, Sample]) -> EvalVerdict | None:
-        index, s = item
+    def evaluate(s: Sample) -> EvalVerdict:
         pred_sql = predictions.get(s.sample_id)
         try:
-            with lock:
-                if any(i < index for i in failures):
-                    return None
             return _evaluate_one(ctx, s, pred_sql)
-        except Exception as exc:
-            with lock:
-                failures[index] = exc
-            return None
         finally:
             ctx.finished(s, pred_sql)
 
     try:
-        if parallelism <= 1:
-            results = [evaluate(item) for item in by_db]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                results = list(pool.map(evaluate, by_db))
+        results = run_samples(evaluate, samples, parallelism, key=lambda s: s.db_id)
     finally:
+        # Samples cancelled after a failure never finish: drop what they held.
+        ctx.statements.clear()
         corpus.close()
-    if failures:
-        raise failures[min(failures)]
     verdicts = sorted(results, key=lambda v: v.sample_id)
 
     n = len(samples)
@@ -447,18 +480,31 @@ def load_samples(path: str | Path) -> list[dict]:
     return records
 
 
+def _fields(rec, keys: tuple[str, ...], which: str) -> list:
+    """The values of ``keys`` in ``rec``, the record named by ``which``;
+    a record that is not a JSON object or lacks a key is a ValueError."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{which} is not a JSON object")
+    for key in keys:
+        if key not in rec:
+            raise ValueError(f"{which} has no {key!r} key")
+    return [rec[key] for key in keys]
+
+
 def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
     """Attach each record's full database schema, from ``corpus``, as its
     prompt schema."""
     samples = []
-    for rec in records:
-        db_id = rec["db_id"]
+    for n, rec in enumerate(records, 1):
+        sample_id, db_id, question, gold_sql = _fields(
+            rec, ("sample_id", "db_id", "question", "gold_sql"), f"sample record {n}"
+        )
         samples.append(
             Sample(
-                sample_id=str(rec["sample_id"]),
+                sample_id=str(sample_id),
                 db_id=db_id,
-                question=rec["question"],
-                gold_sql=rec["gold_sql"],
+                question=question,
+                gold_sql=gold_sql,
                 schema_tables=corpus.schema(db_id).tables,
             )
         )
@@ -468,11 +514,13 @@ def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
 def load_predictions(path: str | Path) -> dict[str, str]:
     preds: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                rec = json.loads(line)
-                preds[str(rec["sample_id"])] = rec["sql"]
+                sample_id, sql = _fields(
+                    json.loads(line), ("sample_id", "sql"), f"{path} line {n}"
+                )
+                preds[str(sample_id)] = sql
     return preds
 
 

@@ -244,33 +244,10 @@ class MockModelClient:
         return None
 
 
-@dataclass(frozen=True)
-class ModelEndpoint:
-    """Either a remote URL or a mock script path. ``spec`` accepts
-    ``http(s)://...`` or ``mock:<path>``."""
-
-    url: str | None = None
-    mock_script: str | None = None
-    model_name: str = "default"
-    max_retries: int = 3
-    max_in_flight: int = 4
-
-    @classmethod
-    def parse(cls, spec: str) -> "ModelEndpoint":
-        if spec.startswith(("http://", "https://")):
-            return cls(url=spec)
-        if spec.startswith("mock:"):
-            return cls(mock_script=spec[len("mock:") :])
-        raise ValueError(f"endpoint spec must be http(s)://... or mock:<path>, got {spec!r}")
-
-    def make_client(self):
-        if self.mock_script is not None:
-            return MockModelClient.from_script(self.mock_script)
-        if self.url is None:
-            raise ValueError("endpoint has neither url nor mock_script")
-        return HttpModelClient(
-            self.url,
-            model_name=self.model_name,
-            max_retries=self.max_retries,
-            max_in_flight=self.max_in_flight,
-        )
+def make_client(spec: str) -> HttpModelClient | MockModelClient:
+    """The client for ``spec``: ``http(s)://...`` or ``mock:<path>``."""
+    if spec.startswith(("http://", "https://")):
+        return HttpModelClient(spec)
+    if spec.startswith("mock:"):
+        return MockModelClient.from_script(spec[len("mock:") :])
+    raise ValueError(f"endpoint spec must be http(s)://... or mock:<path>, got {spec!r}")

@@ -201,32 +201,15 @@ def _primary_key_of(conn: sqlite3.Connection, table_name: str) -> str:
 def render_prompt(
     schema_list: list[TableSchema] | tuple[TableSchema, ...],
     question: str,
-    extended: bool = False,
 ) -> str:
-    """Render the generation prompt: one CREATE TABLE line per table,
-    the fixed instruction line, then the question as a comment.
-
-    ``extended`` switches to a verbose rendering that includes declared
-    column types and sample values; the default names-only form is what
-    training prompts use.
+    """Render the generation prompt: one CREATE TABLE line per table (column
+    names only), the fixed instruction line, then the question as a comment.
     """
     if not schema_list:
         raise EmptySchemaListError("schema_list must contain at least one table")
     if not question:
         raise ValueError("question must be non-empty")
-    lines = []
-    for table in schema_list:
-        if extended:
-            parts = []
-            for c in table.columns:
-                text = c.name if not c.declared_type else f"{c.name} {c.declared_type}"
-                if c.sample_values:
-                    rendered = ", ".join(repr(v) for v in c.sample_values)
-                    text += f" /* {rendered} */"
-                parts.append(text)
-        else:
-            parts = table.column_names()
-        lines.append(f"CREATE TABLE {table.name}({', '.join(parts)});")
+    lines = [f"CREATE TABLE {t.name}({', '.join(t.column_names())});" for t in schema_list]
     lines.append(PROMPT_INSTRUCTION)
     lines.append(f"-- {question}")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ from sqlforge import cli
 from sqlforge.cli import load_config, run
 from sqlforge.errors import ConfigError
 from sqlforge.executor import DEFAULT_TIMEOUT_SECS
-from sqlforge.model_client import ModelEndpoint
+from sqlforge.model_client import HttpModelClient, make_client
 
 from corpus_builder import TRYOUT_QUESTION, TRYOUT_REJECTED
 from model_server import DEBUG_MARKER
@@ -285,6 +285,29 @@ class TestRefine:
         assert summary["ex_accuracy"] == 1.0
 
 
+    def test_failed_run_writes_no_predictions_or_traces(
+        self, corpus, sample_records, tmp_path, capsys
+    ):
+        # Sample 3's question has no scripted reply, so its model call fails.
+        script = tmp_path / "mock.jsonl"
+        script.write_text("".join(
+            json.dumps({"match": r["question"], "responses": [r["gold_sql"]]}) + "\n"
+            for r in sample_records[:3] + sample_records[4:]
+        ))
+        preds, traces = tmp_path / "preds.jsonl", tmp_path / "traces"
+        assert run([
+            "refine",
+            "--samples", str(corpus.samples_path),
+            "--corpus", str(corpus.root),
+            "--generator", f"mock:{script}",
+            "--debugger", f"mock:{script}",
+            "--out", str(preds),
+            "--trace", str(traces),
+        ]) == 1
+        assert "no scripted response" in capsys.readouterr().err
+        assert not preds.exists()
+        assert not traces.exists() or not list(traces.iterdir())
+
     def test_escaping_trace_id_rejected_before_any_call(self, corpus, tmp_path, capsys):
         samples = tmp_path / "samples.jsonl"
         samples.write_text(json.dumps({
@@ -305,6 +328,47 @@ class TestRefine:
         assert "../escaped" in capsys.readouterr().err
         assert not (tmp_path / "escaped.json").exists()
         assert not (tmp_path / "preds.jsonl").exists()
+
+
+class TestMalformedRecords:
+    """A record that is not a JSON object, or lacks a required key, is a
+    pipeline error that names the key and the record."""
+
+    @pytest.mark.parametrize("which,key", [
+        ("samples", "sample_id"),
+        ("samples", "db_id"),
+        ("samples", "question"),
+        ("samples", "gold_sql"),
+        ("samples", None),
+        ("preds", "sample_id"),
+        ("preds", "sql"),
+        ("preds", None),
+    ])
+    def test_is_an_error_naming_key_and_record(
+        self, corpus, sample_records, tmp_path, capsys, which, key
+    ):
+        samples, preds = tmp_path / "samples.jsonl", tmp_path / "preds.jsonl"
+        sample_lines = [dict(r) for r in sample_records]
+        pred_lines = [{"sample_id": r["sample_id"], "sql": r["gold_sql"]}
+                      for r in sample_records]
+        lines = sample_lines if which == "samples" else pred_lines
+        if key is None:
+            lines[1] = ["not", "an", "object"]
+        else:
+            del lines[1][key]
+        samples.write_text("".join(json.dumps(r) + "\n" for r in sample_lines))
+        preds.write_text("".join(json.dumps(r) + "\n" for r in pred_lines))
+        if which == "samples":
+            argv = ["augment", "--mode", "inner-db", "--samples", str(samples),
+                    "--corpus", str(corpus.root), "--out", str(tmp_path / "out.jsonl")]
+        else:
+            argv = ["eval", "--samples", str(samples), "--preds", str(preds),
+                    "--corpus", str(corpus.root)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("sample record 2" if which == "samples" else f"{preds} line 2") in err
+        assert (f"{key!r}" if key else "not a JSON object") in err
 
 
 class TestCorpusHandles:
@@ -372,13 +436,12 @@ class TestConcurrentSamples:
     """mine and refine against an HTTP endpoint run up to the client's
     max_in_flight samples at once, with the output of a serial run."""
 
-    WIDTH = ModelEndpoint.max_in_flight
+    WIDTH = make_client("http://localhost/").max_in_flight
 
     @staticmethod
     def serial_clients(monkeypatch):
         monkeypatch.setattr(
-            cli, "_make_client",
-            lambda spec: ModelEndpoint(url=spec, max_in_flight=1).make_client(),
+            cli, "make_client", lambda spec: HttpModelClient(spec, max_in_flight=1)
         )
 
     @staticmethod

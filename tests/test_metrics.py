@@ -3,6 +3,8 @@ import random
 import shutil
 import sqlite3
 import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -25,6 +27,7 @@ from sqlforge.metrics import (
     load_predictions,
     load_samples,
     report_to_dict,
+    run_samples,
     samples_from_records,
     variant_suite_paths,
 )
@@ -678,6 +681,60 @@ class TestGoldOutcomeCache:
         finally:
             sys.setswitchinterval(interval)
         assert reports == [reference] * 3
+
+
+class Failed(Exception):
+    pass
+
+
+class TestRunSamples:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        db_ids=st.lists(st.sampled_from("abc"), max_size=12),
+        failing=st.sets(st.integers(0, 11)),
+        width=st.sampled_from([1, 2, 4]),
+        by_db=st.booleans(),
+    )
+    def test_matches_a_serial_run(self, db_ids, failing, width, by_db):
+        samples = [Sample(sample_id=str(i), db_id=d, question="q", gold_sql="")
+                   for i, d in enumerate(db_ids)]
+        failing = {i for i in failing if i < len(samples)}
+        calls, threads = [], set()
+
+        def fn(s):
+            i = int(s.sample_id)
+            calls.append(i)
+            threads.add(threading.get_ident())
+            time.sleep(0.001)  # so that later samples are still pending
+            if i in failing:
+                raise Failed(i)
+            return (i, s.db_id)
+
+        key = (lambda s: s.db_id) if by_db else None
+        # The serial visit order: the stable sort by db_id, or sample order.
+        by_key = sorted(range(len(samples)), key=lambda i: db_ids[i] if by_db else 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            if failing:
+                with pytest.raises(Failed) as raised:
+                    run_samples(fn, samples, width, key)
+                first = raised.value.args[0]
+                assert first == min(failing)
+                assert set(range(first)) <= set(calls)
+            else:
+                assert run_samples(fn, samples, width, key) == list(enumerate(db_ids))
+                first = None
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == len(set(calls))
+        if width == 1:
+            assert threads <= {threading.get_ident()}
+            assert calls == [i for i in by_key if i in calls]
+            if first is None:
+                assert calls == by_key
+            else:
+                assert all(i < first for i in calls[calls.index(first) + 1 :])
 
 
 class TestSerialization:

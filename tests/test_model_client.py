@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from sqlforge.errors import MalformedResponse, MockExhausted
 from sqlforge.model_client import (
     GenerationRequest,
+    HttpModelClient,
     MockModelClient,
-    ModelEndpoint,
     extract_sql,
+    make_client,
 )
 
 
@@ -135,16 +136,20 @@ class TestMockClient:
 
 class TestEndpointConfig:
     def test_parse_url(self):
-        ep = ModelEndpoint.parse("https://models.example/v1/chat")
-        assert ep.url and ep.mock_script is None
+        client = make_client("https://models.example/v1/chat")
+        assert isinstance(client, HttpModelClient)
+        assert client.endpoint_url == "https://models.example/v1/chat"
 
-    def test_parse_mock(self):
-        ep = ModelEndpoint.parse("mock:/tmp/script.jsonl")
-        assert ep.mock_script == "/tmp/script.jsonl"
+    def test_parse_mock(self, tmp_path):
+        script = tmp_path / "script.jsonl"
+        script.write_text(json.dumps({"responses": ["SELECT 1"]}) + "\n")
+        client = make_client(f"mock:{script}")
+        assert isinstance(client, MockModelClient)
+        assert client.model_name == f"mock:{script}"
 
     def test_parse_garbage_rejected(self):
         with pytest.raises(ValueError):
-            ModelEndpoint.parse("ftp://nope")
+            make_client("ftp://nope")
 
 
 class TestHttpClient:

@@ -116,12 +116,6 @@ def test_render_prompt_deterministic(schemas):
     assert render_prompt(tables, "q?") == render_prompt(tables, "q?")
 
 
-def test_render_prompt_extended_mode(schemas):
-    tables = schemas["shop"].tables
-    extended = render_prompt(tables, "q?", extended=True)
-    assert "INTEGER" in extended or "TEXT" in extended
-
-
 def test_invariant_duplicate_table_names_rejected():
     t = TableSchema(name="x", columns=(ColumnSchema(name="a"),))
     t2 = TableSchema(name="X", columns=(ColumnSchema(name="b"),))
