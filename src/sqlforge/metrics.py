@@ -7,7 +7,7 @@ import hashlib
 import json
 import re
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -469,15 +469,23 @@ def evaluate_corpus(
 # --- serialization ----------------------------------------------------------
 
 
-def load_samples(path: str | Path) -> list[dict]:
-    """Raw sample records from a JSON-lines file."""
-    records = []
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """``(line number, value)`` for each non-blank line of a JSON-lines
+    file; a line that is not JSON is a ValueError naming the file and line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
-    return records
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path} line {n}: {exc}") from None
+                yield n, value
+
+
+def load_samples(path: str | Path) -> list[dict]:
+    """Raw sample records from a JSON-lines file."""
+    return [rec for _, rec in read_json_lines(path)]
 
 
 def _fields(rec, keys: tuple[str, ...], which: str) -> list:
@@ -512,15 +520,19 @@ def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:
+    """``sample_id -> sql`` from a JSON-lines file; a second line for one
+    sample_id is a ValueError naming the id and both lines."""
     preds: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                sample_id, sql = _fields(
-                    json.loads(line), ("sample_id", "sql"), f"{path} line {n}"
-                )
-                preds[str(sample_id)] = sql
+    line_of: dict[str, int] = {}
+    for n, rec in read_json_lines(path):
+        sample_id, sql = _fields(rec, ("sample_id", "sql"), f"{path} line {n}")
+        sample_id = str(sample_id)
+        if sample_id in line_of:
+            raise ValueError(
+                f"{path} lines {line_of[sample_id]} and {n} both predict sample {sample_id!r}"
+            )
+        line_of[sample_id] = n
+        preds[sample_id] = sql
     return preds
 
 

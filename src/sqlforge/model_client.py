@@ -9,15 +9,16 @@ responses remaining serves the request. ``cycle`` entries never exhaust.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from .errors import (
     AuthError,
@@ -25,6 +26,7 @@ from .errors import (
     MalformedResponse,
     MockExhausted,
 )
+from .metrics import read_json_lines
 
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_STOP_SEQUENCES = (";\n\n",)
@@ -93,7 +95,6 @@ class HttpModelClient:
         self,
         endpoint_url: str,
         model_name: str = "default",
-        api_key_env: str = API_KEY_ENV,
         max_retries: int = 3,
         backoff_base: float = 0.5,
         request_timeout: float = 120.0,
@@ -101,60 +102,55 @@ class HttpModelClient:
     ):
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self.api_key_env = api_key_env
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.request_timeout = request_timeout
         self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
-        self._session = requests.Session()
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
-        payload = {
+        payload = json.dumps({
             "model": self.model_name,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "n": request.n,
             "max_tokens": request.max_tokens,
             "stop": list(request.stop_sequences),
-        }
+        }).encode()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+            post = urllib.request.Request(
+                self.endpoint_url, payload, {"Content-Type": "application/json"}
+            )
+            if key := os.environ.get(API_KEY_ENV):
+                # Unredirected: urllib copies ordinary headers to any host a 3xx points at.
+                post.add_unredirected_header("Authorization", f"Bearer {key}")
             try:
                 with self._gate:
-                    resp = self._session.post(
-                        self.endpoint_url,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.request_timeout,
-                    )
-            except requests.RequestException as exc:
+                    try:
+                        with urllib.request.urlopen(post, timeout=self.request_timeout) as resp:
+                            status, body = resp.status, resp.read()
+                    except urllib.error.HTTPError as exc:
+                        with exc:
+                            status, body = exc.code, exc.read()
+            except (http.client.HTTPException, OSError) as exc:
                 last_error = exc
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials ({resp.status_code})")
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error = EndpointUnreachable(
-                    f"HTTP {resp.status_code} from {self.endpoint_url}"
-                )
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials ({status})")
+            if status >= 500 or status == 429:
+                last_error = EndpointUnreachable(f"HTTP {status} from {self.endpoint_url}")
                 continue
-            return self._parse_response(resp, request)
+            return self._parse_response(body, request)
         raise EndpointUnreachable(
             f"{self.endpoint_url} unreachable after {self.max_retries + 1} attempts: {last_error}"
         )
 
-    def _parse_response(self, resp, request: GenerationRequest) -> GenerationResponse:
+    def _parse_response(self, raw: bytes, request: GenerationRequest) -> GenerationResponse:
         try:
-            body = resp.json()
+            body = json.loads(raw)
             choices = body["choices"]
             completions = tuple(c["message"]["content"] for c in choices)
         except (ValueError, KeyError, TypeError) as exc:
@@ -211,12 +207,7 @@ class MockModelClient:
 
     @classmethod
     def from_script(cls, path: str | Path) -> "MockModelClient":
-        entries = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
+        entries = [entry for _, entry in read_json_lines(path)]
         return cls(entries, model_name=f"mock:{path}")
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:

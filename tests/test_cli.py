@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,8 +335,17 @@ class TestRefine:
 
 
 class TestMalformedRecords:
-    """A record that is not a JSON object, or lacks a required key, is a
-    pipeline error that names the key and the record."""
+    """A line that is not JSON, a record that is not a JSON object, or a
+    record that lacks a required key, is a pipeline error that names the
+    record, and the key if one is missing."""
+
+    NOT_JSON = '{"sample_id": "a", "sql"'
+
+    @staticmethod
+    def write(path, lines):
+        path.write_text("".join(
+            (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in lines
+        ))
 
     @pytest.mark.parametrize("which,key", [
         ("samples", "sample_id"),
@@ -340,9 +353,11 @@ class TestMalformedRecords:
         ("samples", "question"),
         ("samples", "gold_sql"),
         ("samples", None),
+        ("samples", NOT_JSON),
         ("preds", "sample_id"),
         ("preds", "sql"),
         ("preds", None),
+        ("preds", NOT_JSON),
     ])
     def test_is_an_error_naming_key_and_record(
         self, corpus, sample_records, tmp_path, capsys, which, key
@@ -352,12 +367,14 @@ class TestMalformedRecords:
         pred_lines = [{"sample_id": r["sample_id"], "sql": r["gold_sql"]}
                       for r in sample_records]
         lines = sample_lines if which == "samples" else pred_lines
-        if key is None:
+        if key == self.NOT_JSON:
+            lines[1] = key
+        elif key is None:
             lines[1] = ["not", "an", "object"]
         else:
             del lines[1][key]
-        samples.write_text("".join(json.dumps(r) + "\n" for r in sample_lines))
-        preds.write_text("".join(json.dumps(r) + "\n" for r in pred_lines))
+        self.write(samples, sample_lines)
+        self.write(preds, pred_lines)
         if which == "samples":
             argv = ["augment", "--mode", "inner-db", "--samples", str(samples),
                     "--corpus", str(corpus.root), "--out", str(tmp_path / "out.jsonl")]
@@ -366,9 +383,38 @@ class TestMalformedRecords:
                     "--corpus", str(corpus.root)]
         assert run(argv) == 1
         err = capsys.readouterr().err
+        if key == self.NOT_JSON:
+            path = samples if which == "samples" else preds
+            assert err == (
+                f"error: {path} line 2: Expecting ':' delimiter: line 1 column 25 (char 24)\n"
+            )
+            return
         assert err.startswith("error: ")
         assert ("sample record 2" if which == "samples" else f"{preds} line 2") in err
         assert (f"{key!r}" if key else "not a JSON object") in err
+
+    def test_repeated_prediction_is_an_error(self, corpus, sample_records, tmp_path, capsys):
+        samples, preds = tmp_path / "samples.jsonl", tmp_path / "preds.jsonl"
+        pred_lines = [{"sample_id": r["sample_id"], "sql": r["gold_sql"]}
+                      for r in sample_records]
+        pred_lines.insert(3, dict(pred_lines[1], sql="SELECT 1"))
+        self.write(samples, sample_records)
+        self.write(preds, pred_lines)
+        assert run(["eval", "--samples", str(samples), "--preds", str(preds),
+                    "--corpus", str(corpus.root)]) == 1
+        sample_id = pred_lines[1]["sample_id"]
+        assert capsys.readouterr().err == (
+            f"error: {preds} lines 2 and 4 both predict sample {sample_id!r}\n"
+        )
+
+    def test_sqlforge_imports_only_the_standard_library(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", "import sqlforge, sqlforge.cli"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestCorpusHandles:

@@ -1,11 +1,16 @@
 import json
+import re
+import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlforge.errors import MalformedResponse, MockExhausted
+from model_server import ModelServer, reply
+from sqlforge.errors import AuthError, EndpointUnreachable, MalformedResponse, MockExhausted
 from sqlforge.model_client import (
+    API_KEY_ENV,
     GenerationRequest,
     HttpModelClient,
     MockModelClient,
@@ -133,6 +138,12 @@ class TestMockClient:
 
         assert play() == play() == ["SELECT 1", "SELECT 2", "SELECT 3"]
 
+    def test_script_line_that_is_not_json_names_file_and_line(self, tmp_path):
+        script = tmp_path / "script.jsonl"
+        script.write_text('{"responses": ["SELECT 1"]}\n\n{"responses": [\n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(script))} line 3: Expecting"):
+            MockModelClient.from_script(script)
+
 
 class TestEndpointConfig:
     def test_parse_url(self):
@@ -153,33 +164,69 @@ class TestEndpointConfig:
 
 
 class TestHttpClient:
-    def test_retries_then_unreachable(self, monkeypatch):
-        from sqlforge import model_client as mc
+    """HttpModelClient against a chat-completions server on localhost."""
 
-        calls = {"n": 0}
+    @staticmethod
+    def client(url, **kwargs):
+        return HttpModelClient(url, max_retries=2, backoff_base=0.0, **kwargs)
 
-        class FakeSession:
-            def post(self, *a, **k):
-                calls["n"] += 1
-                raise mc.requests.ConnectionError("refused")
+    def test_retries_then_unreachable(self, model_server):
+        model_server.script.extend([(503, b"busy")] * 3)
+        with pytest.raises(EndpointUnreachable, match="HTTP 503"):
+            self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+        assert len(model_server.prompts) == 3
 
-        client = mc.HttpModelClient(
-            "http://localhost:1", max_retries=2, backoff_base=0.0
-        )
-        client._session = FakeSession()
-        with pytest.raises(mc.EndpointUnreachable):
-            client.generate(GenerationRequest(prompt="p"))
-        assert calls["n"] == 3
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_retryable_status_then_success(self, model_server, status):
+        model_server.script.append((status, b""))
+        resp = self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+        assert resp.completions == tuple(reply("p", 1))
+        assert len(model_server.prompts) == 2
 
-    def test_completion_count_checked(self):
-        from sqlforge.model_client import HttpModelClient
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_rejected_credentials_are_not_retried(self, model_server, status):
+        model_server.script.append((status, b'{"error": "no"}'))
+        with pytest.raises(AuthError, match=str(status)):
+            self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+        assert len(model_server.prompts) == 1
 
-        class FakeResponse:
-            status_code = 200
+    def test_key_is_not_sent_to_a_redirect_target(self, model_server, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "secret")
+        elsewhere = ModelServer().start()
+        try:
+            model_server.script.append((302, b"", {"Location": elsewhere.url}))
+            with pytest.raises(MalformedResponse):
+                self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+            assert [h["Authorization"] for h in model_server.headers] == ["Bearer secret"]
+            assert [h["Authorization"] for h in elsewhere.headers] == [None]
+        finally:
+            elsewhere.stop()
 
-            def json(self):
-                return {"choices": [{"message": {"content": "SELECT 1"}}]}
+    def test_completion_count_checked(self, model_server):
+        one = {"choices": [{"message": {"content": "SELECT 1"}}]}
+        model_server.script.append((200, json.dumps(one).encode()))
+        with pytest.raises(MalformedResponse, match="asked for 2 completions, got 1"):
+            self.client(model_server.url).generate(GenerationRequest(prompt="p", n=2))
+        assert len(model_server.prompts) == 1
 
-        client = HttpModelClient("http://x")
+    def test_body_that_is_not_json_is_malformed(self, model_server):
+        model_server.script.append((200, b"<html>not json</html>"))
         with pytest.raises(MalformedResponse):
-            client._parse_response(FakeResponse(), GenerationRequest(prompt="p", n=2))
+            self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+
+    def test_refused_port_is_unreachable(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(EndpointUnreachable, match="after 3 attempts"):
+            self.client(f"http://127.0.0.1:{port}/v1").generate(GenerationRequest(prompt="p"))
+
+    def test_shared_client_keeps_max_in_flight(self, model_server):
+        model_server.latency_s = 0.05
+        client = self.client(model_server.url, max_in_flight=2)
+        prompts = [f"p{i}" for i in range(8)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(client.generate, GenerationRequest(prompt=p)) for p in prompts]
+            results = [f.result(timeout=30) for f in futures]
+        assert [r.completions for r in results] == [tuple(reply(p, 1)) for p in prompts]
+        assert model_server.peak_in_flight == 2
