@@ -111,7 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--variants", help="variant-suite root for TS")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=_default_jobs(),
+        help="samples run at once, once one sample has proved slow (5 ms); "
+        "until then they run one at a time",
+    )
     p.add_argument("--exec-timeout-secs", type=float, default=DEFAULT_TIMEOUT_SECS)
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.add_argument("--out", help="write the full report JSON here")

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import re
 import threading
+import time
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -359,6 +358,14 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
     )
 
 
+#: A run wider than 1 widens once one of its samples has run this long.
+#: In eval on the fixture benchmark (2-core x86-64) a sample takes 0.2 ms
+#: in the median and at most about 2 ms warm, so threads there only trade
+#: the GIL and open more handles; a heavy-benchmark sample takes over 5 ms,
+#: and a model call at least 10 ms. It equals CPython's default switch interval.
+WIDEN_AFTER_SECS = 0.005
+
+
 def run_samples(
     fn: Callable[[Sample], Any],
     samples: Sequence[Sample],
@@ -366,47 +373,96 @@ def run_samples(
     key: Callable[[Sample], Any] | None = None,
 ) -> list:
     """``fn(s)`` for each sample, in sample order. Samples start in order of
-    ``key`` (sample order without one; ties keep it), up to ``width`` at
-    once; width 1 runs them inline, on the calling thread. If samples fail,
-    the error of the first failing one in sample order is raised: a failure
-    cancels every later sample not yet started, and every earlier one still
-    runs."""
+    ``key`` (sample order without one; ties keep it), on the calling thread.
+    With ``width`` over 1, the run widens once a sample has run for
+    :data:`WIDEN_AFTER_SECS`: a watcher thread sees it within twice that,
+    or the calling thread as it starts the next sample. The next ``width - 1``
+    samples then start at once on helper threads, and from then on up to
+    ``width`` run at once; a run never narrows. If samples fail, the error
+    of the first failing one in sample order is raised: a failure cancels
+    every later sample not yet started, and every earlier one still runs.
+    Every thread the run started has ended when it returns."""
+    width = min(width, len(samples))
     order = range(len(samples))
     if key is not None:
         order = sorted(order, key=lambda i: key(samples[i]))
-    if width <= 1:
-        results = [None] * len(samples)
-        failed: tuple[int, Exception] | None = None
-        for i in order:
-            if failed is not None and failed[0] < i:
-                continue
+    cursor = iter(order)
+    results = [None] * len(samples)
+    #: The first failure in sample order, as (index, error); an interrupt
+    #: or exit is at index -1, so it cancels every sample not yet started.
+    failed: tuple[int, BaseException] | None = None
+    lock = threading.RLock()
+    #: When the latest sample started; before the run widens, only the
+    #: calling thread runs samples.
+    since = time.monotonic()
+    #: Set, under the lock, once the run has widened or ended.
+    settled = threading.Event()
+    helpers: list[threading.Thread] = []
+
+    def take() -> int | None:
+        with lock:
+            for i in cursor:
+                if failed is None or i < failed[0]:
+                    return i
+        return None
+
+    def widen() -> None:
+        with lock:
+            if settled.is_set():
+                return
+            settled.set()
+            # Taken before any starts, so none is cancelled by another's failure.
+            taken = [take() for _ in range(width - 1)]
+        helpers.extend(threading.Thread(target=work, args=(i,)) for i in taken if i is not None)
+        for helper in helpers:
+            helper.start()
+
+    def work(i: int | None) -> None:
+        """Run sample ``i``, then each sample taken after it."""
+        nonlocal failed, since
+        while i is not None:
+            now = time.monotonic()
+            if now - since >= WIDEN_AFTER_SECS and not settled.is_set():
+                widen()
+            since = now
             try:
                 results[i] = fn(samples[i])
-            except Exception as exc:
-                failed = (i, exc)
-        if failed is not None:
-            raise failed[1]
-        return results
+            except BaseException as exc:
+                interrupt = not isinstance(exc, Exception)
+                with lock:
+                    at = -1 if interrupt else i
+                    if failed is None or at < failed[0]:
+                        failed = (at, exc)
+                if interrupt:
+                    raise
+            i = take()
 
-    futures = [None] * len(samples)
+    def watch() -> None:
+        while not settled.wait(WIDEN_AFTER_SECS):
+            if time.monotonic() - since >= WIDEN_AFTER_SECS:
+                widen()
 
-    def cancel_later(i: int, future: Future) -> None:
-        if not future.cancelled() and future.exception() is not None:
-            for later in futures[i + 1 :]:
-                later.cancel()
-
-    pool = ThreadPoolExecutor(max_workers=width)
+    # Taken before the watcher starts, so the calling thread runs a sample
+    # however soon the run widens.
+    first = take()
+    watcher = threading.Thread(target=watch) if width > 1 else None
+    if watcher is not None:
+        watcher.start()
     try:
-        for i in order:
-            futures[i] = pool.submit(fn, samples[i])
-        for i, future in enumerate(futures):
-            future.add_done_callback(functools.partial(cancel_later, i))
-        return [future.result() for future in futures]
+        work(first)
     finally:
-        pool.shutdown(cancel_futures=True)
-        # Each callback refers to the list: clear it, so that the futures,
-        # and the results they hold, are not kept alive in a cycle.
-        futures.clear()
+        with lock:
+            settled.set()
+        if watcher is not None:
+            watcher.join()
+        for helper in helpers:
+            helper.join()
+        # work and widen refer to each other: unlink them, so that fn and
+        # the results are freed on return, not by the cycle collector.
+        del work
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 def evaluate_corpus(
@@ -421,9 +477,10 @@ def evaluate_corpus(
     deterministic regardless of ``parallelism``.
 
     Samples run through :func:`run_samples`, grouped by db_id, so each
-    worker thread keeps its database's read-only handles and schema replica
-    open across samples; all of ``corpus``'s handles are closed before this
-    returns or raises."""
+    thread keeps its database's read-only handles and schema replica open
+    across samples. They run on the calling thread until one takes
+    :data:`WIDEN_AFTER_SECS`, then up to ``parallelism`` at once. All of
+    ``corpus``'s handles are closed before this returns or raises."""
     unknown = set(predictions) - {s.sample_id for s in samples}
     if unknown:
         raise CorpusLayoutError(f"predictions for unknown sample ids: {sorted(unknown)}")
@@ -488,7 +545,7 @@ def load_samples(path: str | Path) -> list[dict]:
     return [rec for _, rec in read_json_lines(path)]
 
 
-def _fields(rec, keys: tuple[str, ...], which: str) -> list:
+def record_fields(rec, keys: tuple[str, ...], which: str) -> list:
     """The values of ``keys`` in ``rec``, the record named by ``which``;
     a record that is not a JSON object or lacks a key is a ValueError."""
     if not isinstance(rec, dict):
@@ -504,7 +561,7 @@ def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
     prompt schema."""
     samples = []
     for n, rec in enumerate(records, 1):
-        sample_id, db_id, question, gold_sql = _fields(
+        sample_id, db_id, question, gold_sql = record_fields(
             rec, ("sample_id", "db_id", "question", "gold_sql"), f"sample record {n}"
         )
         samples.append(
@@ -525,7 +582,7 @@ def load_predictions(path: str | Path) -> dict[str, str]:
     preds: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for n, rec in read_json_lines(path):
-        sample_id, sql = _fields(rec, ("sample_id", "sql"), f"{path} line {n}")
+        sample_id, sql = record_fields(rec, ("sample_id", "sql"), f"{path} line {n}")
         sample_id = str(sample_id)
         if sample_id in line_of:
             raise ValueError(

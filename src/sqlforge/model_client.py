@@ -26,7 +26,7 @@ from .errors import (
     MalformedResponse,
     MockExhausted,
 )
-from .metrics import read_json_lines
+from .metrics import read_json_lines, record_fields
 
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_STOP_SEQUENCES = (";\n\n",)
@@ -186,6 +186,22 @@ class _MockEntry:
         self.cursor += 1
         return value
 
+    @staticmethod
+    def of(entry, which: str) -> "_MockEntry":
+        """The entry of script record ``entry``, named by ``which``; a
+        record of the wrong shape is a ValueError naming it."""
+        (responses,) = record_fields(entry, ("responses",), which)
+        if not (
+            isinstance(responses, list)
+            and responses
+            and all(isinstance(r, str) for r in responses)
+        ):
+            raise ValueError(f"{which}: 'responses' must be a non-empty list of strings")
+        match = entry.get("match")
+        if match is not None and not isinstance(match, str):
+            raise ValueError(f"{which}: 'match' must be a string")
+        return _MockEntry(responses=responses, match=match, cycle=bool(entry.get("cycle", False)))
+
 
 class MockModelClient:
     """Deterministic scripted stand-in for a model endpoint."""
@@ -193,22 +209,18 @@ class MockModelClient:
     max_in_flight = 1  # entries are consumed in arrival order: serial keeps replies deterministic
 
     def __init__(self, entries: list[dict], model_name: str = "mock"):
-        self._entries = [
-            _MockEntry(
-                responses=list(e["responses"]),
-                match=e.get("match"),
-                cycle=bool(e.get("cycle", False)),
-            )
-            for e in entries
-        ]
+        self._entries = [_MockEntry.of(e, f"script entry {n}") for n, e in enumerate(entries, 1)]
         self.model_name = model_name
         self.call_count = 0
         self._lock = threading.Lock()
 
     @classmethod
     def from_script(cls, path: str | Path) -> "MockModelClient":
-        entries = [entry for _, entry in read_json_lines(path)]
-        return cls(entries, model_name=f"mock:{path}")
+        """The client that plays the JSON-lines script at ``path``; a line
+        that is not an entry is a ValueError naming the file and line."""
+        client = cls([], model_name=f"mock:{path}")
+        client._entries = [_MockEntry.of(e, f"{path} line {n}") for n, e in read_json_lines(path)]
+        return client
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         with self._lock:

@@ -407,6 +407,13 @@ class TestMalformedRecords:
             f"error: {preds} lines 2 and 4 both predict sample {sample_id!r}\n"
         )
 
+    def test_mock_script_entry_without_responses_is_an_error(self, corpus, tmp_path, capsys):
+        script = tmp_path / "mock.jsonl"
+        script.write_text('{"match": "x"}\n')
+        assert run(["mine", "--samples", str(corpus.samples_path), "--corpus", str(corpus.root),
+                    "--mock", str(script), "--out", str(tmp_path / "pairs.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {script} line 1 has no 'responses' key\n"
+
     def test_sqlforge_imports_only_the_standard_library(self):
         src = Path(cli.__file__).resolve().parents[1]
         done = subprocess.run(

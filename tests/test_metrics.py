@@ -1,14 +1,16 @@
 import dataclasses
+import gc
 import random
 import shutil
 import sqlite3
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sqlforge import executor, metrics
@@ -32,6 +34,40 @@ from sqlforge.metrics import (
     variant_suite_paths,
 )
 from sqlforge.metrics import test_suite_accuracy as suite_accuracy
+
+
+class WideRuns(list):
+    """The thread ids that ran samples, per run of width over 1 and at
+    least 2 samples that returned."""
+
+    def all_threaded(self) -> bool:
+        """Whether there was such a run, and each ran samples on more than
+        one thread."""
+        return bool(self) and all(len(threads) > 1 for threads in self)
+
+
+@pytest.fixture
+def widen_at_once(monkeypatch) -> WideRuns:
+    """Every run wider than 1 widens at once, whatever its samples take, and
+    the threads each evaluate_corpus run used are recorded."""
+    monkeypatch.setattr(metrics, "WIDEN_AFTER_SECS", 0)
+    runs = WideRuns()
+    run_samples = metrics.run_samples
+
+    def recording(fn, samples, width=1, key=None):
+        threads = set()
+
+        def recorded(s):
+            threads.add(threading.get_ident())
+            return fn(s)
+
+        results = run_samples(recorded, samples, width, key)
+        if width > 1 and len(samples) > 1:
+            runs.append(threads)
+        return results
+
+    monkeypatch.setattr(metrics, "run_samples", recording)
+    return runs
 
 
 def sample_by_gold(samples, fragment):
@@ -198,7 +234,7 @@ class TestEvaluateCorpus:
         with pytest.raises(CorpusLayoutError):
             evaluate_corpus({"ghost": "SELECT 1"}, samples[:2], Corpus(corpus.root))
 
-    def test_parallelism_is_deterministic(self, corpus, samples):
+    def test_parallelism_is_deterministic(self, corpus, samples, widen_at_once):
         preds = {s.sample_id: s.gold_sql for s in samples}
         preds[samples[3].sample_id] = "SELECT broken FROM"
         serial = evaluate_corpus(
@@ -208,6 +244,7 @@ class TestEvaluateCorpus:
             preds, samples, Corpus(corpus.root, corpus.variant_root), parallelism=8
         )
         assert serial == parallel
+        assert widen_at_once.all_threaded()
 
     def test_ts_at_most_ex_with_base_in_suite(self, corpus, samples):
         preds = {s.sample_id: s.gold_sql for s in samples}
@@ -243,7 +280,8 @@ class TestHandleReuse:
     """Eval reuses one read-only handle per database file in each worker
     thread."""
 
-    def test_no_handle_left_open_after_gold_failure(self, corpus, samples, opened):
+    def test_no_handle_left_open_after_gold_failure(self, corpus, samples, opened,
+                                                    widen_at_once):
         bad = Sample(sample_id="zz-bad", db_id="shop", question="q",
                      gold_sql="SELECT nope FROM customers")
         subset = [s for s in samples if s.db_id in ("shop", "school", "hr")] + [bad]
@@ -255,7 +293,8 @@ class TestHandleReuse:
         assert not opened.still_open()
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_first_failure_in_input_order_is_raised(self, corpus, samples, parallelism):
+    def test_first_failure_in_input_order_is_raised(self, corpus, samples, parallelism,
+                                                    widen_at_once):
         # "shop" sorts after "concert_singer", so the visit order is reversed.
         first = Sample(sample_id="bad-1", db_id="shop", question="q",
                        gold_sql="SELECT nope_one FROM customers")
@@ -272,12 +311,14 @@ class TestHandleReuse:
                             parallelism=parallelism)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_no_connection_to_a_byte_copy_variant(self, corpus, samples, opened, parallelism):
+    def test_no_connection_to_a_byte_copy_variant(self, corpus, samples, opened, parallelism,
+                                                  widen_at_once):
         subset = [s for s in samples if s.db_id in ("shop", "school")]
         preds = {s.sample_id: s.gold_sql for s in subset}
         preds[subset[0].sample_id] = "SELECT broken FROM"
         evaluate_corpus(preds, subset, Corpus(corpus.root, corpus.variant_root),
                         parallelism=parallelism)
+        assert widen_at_once.all_threaded() == (parallelism > 1)
         for db_id in ("shop", "school"):
             copy = corpus.variant_root / db_id / "0.sqlite"
             other = corpus.variant_root / db_id / "1.sqlite"
@@ -287,7 +328,7 @@ class TestHandleReuse:
             assert [d for d in opened.databases if str(corpus.db_path(db_id)) in d]
         assert not opened.still_open()
 
-    def test_corrupt_variant_raises(self, corpus, samples, tmp_path, opened):
+    def test_corrupt_variant_raises(self, corpus, samples, tmp_path, opened, widen_at_once):
         suite = tmp_path / "variants" / "shop"
         suite.mkdir(parents=True)
         shutil.copyfile(corpus.variant_root / "shop" / "0.sqlite", suite / "0.sqlite")
@@ -307,7 +348,7 @@ class TestSchemaReplicaLifetime:
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("gold_fails", [False, True])
     def test_no_replica_left_open(self, corpus, samples, opened, replicas, parallelism,
-                                  gold_fails):
+                                  gold_fails, widen_at_once):
         subset = [s for s in samples if s.db_id in ("shop", "school", "hr")]
         # Every prediction fails EX, so every sample reaches validate.
         preds = {s.sample_id: "SELECT broken FROM" for s in subset}
@@ -322,6 +363,7 @@ class TestSchemaReplicaLifetime:
             report = evaluate_corpus(preds, subset, Corpus(corpus.root, corpus.variant_root),
                                      parallelism=parallelism)
             assert report.error_histogram == {"SyntaxError": len(subset)}
+            assert widen_at_once.all_threaded() == (parallelism > 1)
             if parallelism == 1:
                 assert len(replicas) == 3
         assert replicas
@@ -378,9 +420,11 @@ class TestIsolationAndDeterminism:
                    if v["sample_id"].startswith("like-"))
         return cases, preds, reference, attach
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_report_independent_of_order_and_parallelism(self, corpus, case, data):
+    def test_report_independent_of_order_and_parallelism(self, corpus, case, widen_at_once,
+                                                          data):
         cases, preds, reference, attach = case
         order = data.draw(st.permutations(cases))
         interval = sys.getswitchinterval()
@@ -396,6 +440,7 @@ class TestIsolationAndDeterminism:
             sys.setswitchinterval(interval)
         assert reports == [reference] * 3
         assert not attach.exists()
+        assert widen_at_once.all_threaded()
 
 
 #: Predictions built from a gold query, none equal in text to any gold:
@@ -469,7 +514,7 @@ class TestGoldOutcomeCache:
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_each_statement_runs_once_per_distinct_content(
-        self, corpus, samples, executed, held_at_close, parallelism
+        self, corpus, samples, executed, held_at_close, parallelism, widen_at_once
     ):
         base = [s for s in samples if s.db_id in ("shop", "concert_singer", "school")]
         cases, preds = [], {}
@@ -510,10 +555,11 @@ class TestGoldOutcomeCache:
         assert {call for call in runs if call[1] in golds} == expected_golds
         assert Counter(call for call in executed if call[1] not in golds) == expected_preds
         assert held_at_close == [{}]
+        assert widen_at_once.all_threaded() == (parallelism > 1)
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_prediction_equal_to_its_gold_runs_once_per_distinct_content(
-        self, corpus, samples, executed, parallelism
+        self, corpus, samples, executed, parallelism, widen_at_once
     ):
         base = [s for s in samples if s.db_id in ("shop", "concert_singer")]
         cases = [dataclasses.replace(s, sample_id=f"{s.sample_id}-{k}")
@@ -529,10 +575,11 @@ class TestGoldOutcomeCache:
 
         assert Counter(executed) == expected
         assert all(v.ex_match and v.ts_match for v in report.verdicts)
+        assert widen_at_once.all_threaded() == (parallelism > 1)
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_same_size_variant_with_other_bytes_still_runs(
-        self, corpus, samples, tmp_path, executed, parallelism
+        self, corpus, samples, tmp_path, executed, parallelism, widen_at_once
     ):
         # Variant 0 copies the base file; variant 1 is the base file with one
         # one-byte integer changed in place (19 -> 20), so all three files
@@ -566,10 +613,11 @@ class TestGoldOutcomeCache:
         assert verdicts == {gold.sample_id: (True, True), "lucky": (True, False)}
         ran_on = Counter(path for path, _ in executed)
         assert ran_on == {str(base_path): 2, str(suite / "1.sqlite"): 2}
+        assert widen_at_once.all_threaded() == (parallelism > 1)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_each_distinct_content_is_compared_once(
-        self, corpus, samples, monkeypatch, parallelism
+        self, corpus, samples, monkeypatch, parallelism, widen_at_once
     ):
         base = [s for s in samples if s.db_id in ("shop", "concert_singer", "school")]
         cases, preds = [], {}
@@ -609,6 +657,7 @@ class TestGoldOutcomeCache:
         assert len(calls) == expected
         verdicts = {v.sample_id: (v.ex_match, v.ts_match) for v in report.verdicts}
         assert verdicts[lucky.sample_id] == (True, False)
+        assert widen_at_once.all_threaded() == (parallelism > 1)
 
     def test_prediction_equal_to_a_random_gold_reads_its_outcome(self, corpus, samples):
         s = dataclasses.replace(samples[0], gold_sql="SELECT random()")
@@ -620,7 +669,7 @@ class TestGoldOutcomeCache:
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_shared_failing_gold_raises_first_failure_in_input_order(
-        self, corpus, samples, opened, held_at_close, parallelism
+        self, corpus, samples, opened, held_at_close, parallelism, widen_at_once
     ):
         shared = "SELECT nope_shared FROM customers"
         first = Sample(sample_id="bad-a", db_id="shop", question="q", gold_sql=shared)
@@ -644,9 +693,10 @@ class TestGoldOutcomeCache:
         assert not opened.still_open()
         assert held_at_close == [{}]
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_report_equals_uncached_reference(self, corpus, samples, data):
+    def test_report_equals_uncached_reference(self, corpus, samples, widen_at_once, data):
         base = [s for s in samples if s.db_id in ("shop", "concert_singer")]
         kinds = ["gold", *REWRITES, "missing"]
         cases, preds = [], {}
@@ -681,21 +731,27 @@ class TestGoldOutcomeCache:
         finally:
             sys.setswitchinterval(interval)
         assert reports == [reference] * 3
+        assert widen_at_once.all_threaded()
 
 
 class Failed(Exception):
     pass
 
 
+def numbered(n):
+    return [Sample(sample_id=str(i), db_id="a", question="q", gold_sql="") for i in range(n)]
+
+
 class TestRunSamples:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         db_ids=st.lists(st.sampled_from("abc"), max_size=12),
         failing=st.sets(st.integers(0, 11)),
         width=st.sampled_from([1, 2, 4]),
         by_db=st.booleans(),
     )
-    def test_matches_a_serial_run(self, db_ids, failing, width, by_db):
+    def test_matches_a_serial_run(self, widen_at_once, db_ids, failing, width, by_db):
         samples = [Sample(sample_id=str(i), db_id=d, question="q", gold_sql="")
                    for i, d in enumerate(db_ids)]
         failing = {i for i in failing if i < len(samples)}
@@ -728,6 +784,7 @@ class TestRunSamples:
         finally:
             sys.setswitchinterval(interval)
         assert len(calls) == len(set(calls))
+        assert (len(threads) > 1) == (width > 1 and len(samples) > 1)
         if width == 1:
             assert threads <= {threading.get_ident()}
             assert calls == [i for i in by_key if i in calls]
@@ -735,6 +792,91 @@ class TestRunSamples:
                 assert calls == by_key
             else:
                 assert all(i < first for i in calls[calls.index(first) + 1 :])
+
+    def test_fast_samples_run_on_the_calling_thread(self, monkeypatch):
+        # Far above what a sample takes, even on a machine so loaded that
+        # the test process waits milliseconds for a core.
+        monkeypatch.setattr(metrics, "WIDEN_AFTER_SECS", 1.0)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        threads = set()
+
+        def fn(s):
+            threads.add(threading.get_ident())
+            return s.sample_id
+
+        samples = numbered(50)
+        assert run_samples(fn, samples, 4) == [s.sample_id for s in samples]
+        assert threads == {threading.get_ident()}
+        # The only thread started is the run's watcher, and it has ended.
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_widens_while_a_sample_still_runs(self):
+        released = threading.Event()
+        started_at = {}
+
+        def fn(s):
+            started_at[s.sample_id] = time.monotonic()
+            if s.sample_id == "0":
+                # Only sample 1 sets the event, so it must start meanwhile.
+                return released.wait(timeout=10)
+            released.set()
+            return True
+
+        begun = time.monotonic()
+        assert run_samples(fn, numbered(2), 2) == [True, True]
+        assert started_at["1"] - begun >= metrics.WIDEN_AFTER_SECS
+
+    def test_failure_after_widening_raises_first_in_sample_order(self):
+        later_failed = threading.Event()
+        calls, threads = set(), set()
+
+        def fn(s):
+            i = int(s.sample_id)
+            calls.add(i)
+            threads.add(threading.get_ident())
+            if i == 0:
+                # Sample 0 outlasts the failure of sample 2, on a helper.
+                assert later_failed.wait(timeout=10)
+                raise Failed(0)
+            if i == 2:
+                later_failed.set()
+                raise Failed(2)
+            return i
+
+        with pytest.raises(Failed) as raised:
+            run_samples(fn, numbered(6), 2)
+        assert raised.value.args == (0,)
+        assert calls == {0, 1, 2}
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_frees_fn_and_results_on_return(self, monkeypatch, width):
+        monkeypatch.setattr(metrics, "WIDEN_AFTER_SECS", 0)
+
+        class Result:
+            pass
+
+        class Fn:
+            def __call__(self, s):
+                return Result()
+
+        # Without the cycle collector, only reference counts free them.
+        gc.disable()
+        try:
+            fn = Fn()
+            results = run_samples(fn, numbered(4), width)
+            refs = [weakref.ref(fn), *map(weakref.ref, results)]
+            del fn, results
+            assert [ref() for ref in refs] == [None] * 5
+        finally:
+            gc.enable()
 
 
 class TestSerialization:

@@ -144,6 +144,28 @@ class TestMockClient:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(script))} line 3: Expecting"):
             MockModelClient.from_script(script)
 
+    @pytest.mark.parametrize("line,message", [
+        ({"match": "x"}, "has no 'responses' key"),
+        (["SELECT 1"], "is not a JSON object"),
+        ("SELECT 1", "is not a JSON object"),
+        ({"responses": "SELECT 1"}, "'responses' must be a non-empty list of strings"),
+        ({"responses": []}, "'responses' must be a non-empty list of strings"),
+        ({"responses": ["SELECT 1", 2]}, "'responses' must be a non-empty list of strings"),
+        ({"responses": ["SELECT 1"], "match": 7}, "'match' must be a string"),
+    ])
+    def test_script_line_that_is_not_an_entry_names_file_and_line(self, tmp_path, line,
+                                                                   message):
+        script = tmp_path / "script.jsonl"
+        script.write_text(f'{{"responses": ["SELECT 1"]}}\n\n{json.dumps(line)}\n')
+        with pytest.raises(ValueError) as raised:
+            MockModelClient.from_script(script)
+        assert str(raised.value).startswith(f"{script} line 3")
+        assert message in str(raised.value)
+
+    def test_entry_of_the_wrong_shape_is_named_by_its_position(self):
+        with pytest.raises(ValueError, match=r"^script entry 2: 'responses' must be"):
+            MockModelClient([{"responses": ["SELECT 1"]}, {"responses": "SELECT 1"}])
+
 
 class TestEndpointConfig:
     def test_parse_url(self):
