@@ -1,6 +1,11 @@
 """Generation clients: a chat-completions HTTP client with retry/backoff
 and a deterministic scripted mock for tests and offline runs.
 
+``extract_sql`` turns a completion into one statement: markdown fences are
+stripped, and the text is cut at its first ``;`` outside quotes and
+comments, which ``sql_analysis.mask_quoted`` reads as SQLite's tokenizer
+does, so an unterminated quote or comment runs to the end of the text.
+
 Mock script files are JSON-lines; each entry is
 ``{"match": <optional prompt substring>, "responses": [...], "cycle": <bool>}``.
 Entries are consulted in file order; the first matching entry with
@@ -12,7 +17,6 @@ from __future__ import annotations
 import http.client
 import json
 import os
-import re
 import threading
 import time
 import urllib.error
@@ -27,6 +31,7 @@ from .errors import (
     MockExhausted,
 )
 from .metrics import read_json_lines, record_fields
+from .sql_analysis import mask_quoted
 
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_STOP_SEQUENCES = (";\n\n",)
@@ -55,25 +60,10 @@ class GenerationResponse:
     usage: dict = field(default_factory=dict)
 
 
-# The text before the first top-level ';'. Quoted strings and identifiers
-# ('...', "...", `...`, [...]) and -- / /* */ comments are skipped whole;
-# an unterminated one runs to the end of the text.
-_FIRST_STATEMENT = re.compile(
-    r"""(?: '[^']*'?
-          | "[^"]*"?
-          | `[^`]*`?
-          | \[[^\]]*\]?
-          | --[^\n]*
-          | /\*(?:[^*]|\*(?!/))*(?:\*/)?
-          | [^;'"`\[/-]+
-          | [/-]
-    )*""",
-    re.VERBOSE,
-)
-
-
 def extract_sql(completion: str) -> str:
-    """Strip markdown code fences and keep the first SQL statement."""
+    """Strip markdown code fences and keep the first SQL statement: the text
+    before the first ``;`` outside quotes and comments, read as SQLite reads
+    them, so that an unterminated one runs to the end of the text."""
     text = completion.strip()
     if text.startswith("```"):
         first_newline = text.find("\n")
@@ -85,7 +75,8 @@ def extract_sql(completion: str) -> str:
         if fence_end != -1:
             text = text[:fence_end]
         text = text.strip()
-    return _FIRST_STATEMENT.match(text).group().strip()
+    end = mask_quoted(text).find(";")
+    return (text if end == -1 else text[:end]).strip()
 
 
 class HttpModelClient:

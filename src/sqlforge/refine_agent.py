@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .executor import DEFAULT_TIMEOUT_SECS, ExecutionOutcome, ReadOnlyHandle, execute
+from .executor import DEFAULT_TIMEOUT_SECS, TIMEOUT, ExecutionOutcome, ReadOnlyHandle, execute
 from .metrics import Sample
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import DatabaseSchema, TableSchema, render_prompt
@@ -51,7 +51,8 @@ def invalid_check(
     """Static validation first, on ``schema_tables`` or on a replica of
     them that the caller keeps; statically valid SQL is then executed on
     ``db``, a path or an open handle, and downgraded to invalid on an
-    engine error or timeout. An empty result set is valid."""
+    engine error or timeout. An empty result set is valid; a Valid report
+    always comes with a rows outcome."""
     if isinstance(schema_tables, DatabaseSchema):
         schema_tables = schema_tables.tables
     if isinstance(schema_tables, SchemaReplica):
@@ -63,7 +64,7 @@ def invalid_check(
     outcome = execute(db, sql, timeout)
     if outcome.is_rows:
         return report, outcome
-    if outcome.kind == "timeout":
+    if outcome.kind == TIMEOUT:
         detail = f"execution exceeded {timeout}s timeout"
     else:
         detail = outcome.error_message or "execution error"
@@ -134,15 +135,14 @@ def parse_question(
                     role=role,
                 )
             )
-            if validity.is_valid and outcome is not None and outcome.is_rows:
+            if validity.is_valid:
                 break
 
     last = attempts[-1]
-    succeeded = last.validity.is_valid and last.outcome is not None and last.outcome.is_rows
     return RefineResult(
         final_sql=last.sql,
         attempts=tuple(attempts),
-        succeeded=succeeded,
+        succeeded=last.validity.is_valid,
         iterations_used=last.iteration + 1,
     )
 

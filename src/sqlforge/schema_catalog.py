@@ -20,16 +20,19 @@ PROMPT_INSTRUCTION = (
 )
 
 
+def _has_duplicate_name(names) -> bool:
+    """Whether two of ``names`` are equal once ASCII letters are folded to
+    lower case, as SQLite compares identifiers: ``"É"`` and ``"é"`` differ."""
+    folded = [name.encode().lower() for name in names]
+    return len(set(folded)) != len(folded)
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     name: str
     declared_type: str = ""
     is_primary_key: bool = False
     sample_values: tuple = ()
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("column name must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,7 @@ class TableSchema:
     columns: tuple[ColumnSchema, ...]
 
     def __post_init__(self):
-        lowered = [c.name.lower() for c in self.columns]
-        if len(set(lowered)) != len(lowered):
+        if _has_duplicate_name(c.name for c in self.columns):
             raise ValueError(f"duplicate column names in table {self.name!r}")
 
     def column_names(self) -> list[str]:
@@ -73,16 +75,8 @@ class DatabaseSchema:
     foreign_keys: tuple[ForeignKey, ...] = field(default=())
 
     def __post_init__(self):
-        lowered = [t.name.lower() for t in self.tables]
-        if len(set(lowered)) != len(lowered):
+        if _has_duplicate_name(t.name for t in self.tables):
             raise ValueError(f"duplicate table names in database {self.db_id!r}")
-        for fk in self.foreign_keys:
-            src = self.table(fk.from_table)
-            dst = self.table(fk.to_table)
-            if src is None or dst is None:
-                raise ValueError(f"foreign key references unknown table: {fk}")
-            if not src.has_column(fk.from_column) or not dst.has_column(fk.to_column):
-                raise ValueError(f"foreign key references unknown column: {fk}")
 
     def table(self, name: str) -> TableSchema | None:
         name = name.lower()
@@ -115,7 +109,10 @@ def _quote_ident(name: str) -> str:
 def introspect_database(
     path: str | Path, db_id: str, sample_value_count: int = 0
 ) -> DatabaseSchema:
-    """Read the catalog of a SQLite file into a DatabaseSchema.
+    """Read the catalog of a SQLite file into a DatabaseSchema. Every file
+    SQLite opens introspects: foreign keys are reported as declared, even
+    when their parent is missing, and one that names no parent column is
+    left out when the parent has no primary key.
 
     ``sample_value_count`` > 0 additionally fetches that many distinct
     non-null values per column.
@@ -165,10 +162,13 @@ def introspect_database(
             for row in conn.execute(
                 f"PRAGMA foreign_key_list({_quote_ident(table_name)})"
             ):
-                _id, _seq, ref_table, from_col, to_col = row[0], row[1], row[2], row[3], row[4]
+                _id, seq, ref_table, from_col, to_col, *_ = row
                 if to_col is None:
-                    # Implicit reference to the referenced table's primary key.
-                    to_col = _primary_key_of(conn, ref_table)
+                    # Implicit reference to the parent's primary key, whose
+                    # columns pair with the key's columns in order.
+                    to_col = _primary_key_column(conn, ref_table, seq)
+                    if to_col is None:
+                        continue
                 fks.append(
                     ForeignKey(
                         from_table=table_name,
@@ -187,15 +187,15 @@ def introspect_database(
     )
 
 
-def _primary_key_of(conn: sqlite3.Connection, table_name: str) -> str:
+def _primary_key_column(conn: sqlite3.Connection, table_name: str, seq: int) -> str | None:
+    """The ``seq``-th (from 0) primary-key column of ``table_name``, or None
+    when it has no such column or no such table."""
     for _, col_name, _, _, _, pk in conn.execute(
         f"PRAGMA table_info({_quote_ident(table_name)})"
     ):
-        if pk:
+        if pk == seq + 1:
             return col_name
-    raise NotADatabaseError(
-        f"foreign key references table {table_name!r} which has no primary key"
-    )
+    return None
 
 
 def render_prompt(

@@ -45,10 +45,10 @@ class SqlReferences:
     columns: set[tuple[str, str]] = field(default_factory=set)
 
 
-#: One string literal, quoted identifier or comment. A block comment may run
-#: to the end of the text, as it may in SQLite.
+#: One string literal, quoted identifier or comment, as SQLite's tokenizer
+#: reads it: one left unterminated runs to the end of the text.
 _QUOTED_OR_COMMENT = re.compile(
-    r"""'(?:[^']|'')*'|"(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\]|--[^\n]*|/\*.*?(?:\*/|\Z)""",
+    r"""'(?:[^']|'')*'?|"(?:[^"]|"")*"?|`(?:[^`]|``)*`?|\[[^\]]*\]?|--[^\n]*|/\*.*?(?:\*/|\Z)""",
     re.DOTALL,
 )
 

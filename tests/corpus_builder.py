@@ -329,3 +329,38 @@ def build_corpus(root: Path) -> Path:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
     return root
+
+
+#: Schemas SQLite creates and queries that a stricter catalog might refuse,
+#: each with the foreign keys introspection reports for it, as (from_table,
+#: from_column, to_table, to_column). Every one has a table ``c`` with an
+#: ``id`` primary key.
+SQLITE_ONLY_SCHEMAS = {
+    "fk_to_missing_table": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY, pid INT REFERENCES nope(pid))"],
+        [("c", "pid", "nope", "pid")],
+    ),
+    "fk_to_missing_column": (
+        ["CREATE TABLE p(pid INTEGER PRIMARY KEY)",
+         "CREATE TABLE c(id INTEGER PRIMARY KEY, pid INT REFERENCES p(nope))"],
+        [("c", "pid", "p", "nope")],
+    ),
+    "implicit_fk_to_keyless_table": (
+        ["CREATE TABLE p(pid INT)",
+         "CREATE TABLE c(id INTEGER PRIMARY KEY, pid INT REFERENCES p)"],
+        [],
+    ),
+    "empty_column_name": (['CREATE TABLE c(id INTEGER PRIMARY KEY, "" TEXT)'], []),
+    "accented_column_pair": (['CREATE TABLE c(id INTEGER PRIMARY KEY, "É" TEXT, "é" TEXT)'], []),
+}
+
+
+def build_sqlite_only_database(path: Path, name: str) -> Path:
+    """One of :data:`SQLITE_ONLY_SCHEMAS` at ``path``, with two rows in ``c``."""
+    conn = sqlite3.connect(path)
+    with conn:
+        for ddl in SQLITE_ONLY_SCHEMAS[name][0]:
+            conn.execute(ddl)
+        conn.execute("INSERT INTO c(id) VALUES (1), (2)")
+    conn.close()
+    return path

@@ -91,3 +91,13 @@ def test_each_subcommand_calls_its_setup_probe(bench, corpus, sample_records, tm
     finally:
         probe.restore()
     assert probe.at is not None
+
+
+def test_calibration_probes_run_on_the_fixture_corpus(bench, corpus, tmp_path):
+    from worker import probes
+
+    (tmp_path / "samples.jsonl").write_bytes(corpus.samples_path.read_bytes())
+    (tmp_path / "corpus").symlink_to(corpus.root, target_is_directory=True)
+    fixed = probes(tmp_path)
+    assert sorted(fixed) == ["executor.execute.fixed_us", "sql_analysis.validate.fixed_us"]
+    assert all(us > 0 for us in fixed.values())

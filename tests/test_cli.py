@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,14 @@ from sqlforge.cli import load_config, run
 from sqlforge.errors import ConfigError
 from sqlforge.executor import DEFAULT_TIMEOUT_SECS
 from sqlforge.model_client import HttpModelClient, make_client
+from sqlforge.schema_catalog import corpus_db_path
 
-from corpus_builder import TRYOUT_QUESTION, TRYOUT_REJECTED
+from corpus_builder import (
+    SQLITE_ONLY_SCHEMAS,
+    TRYOUT_QUESTION,
+    TRYOUT_REJECTED,
+    build_sqlite_only_database,
+)
 from model_server import DEBUG_MARKER
 
 
@@ -221,6 +228,35 @@ class TestAugment:
             ])
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
+
+
+class TestSchemasOnlySqliteAccepts:
+    """A corpus database that SQLite reads but a stricter catalog would
+    refuse (dangling foreign keys, an empty or accented column name) runs
+    like any other."""
+
+    @pytest.mark.parametrize("name", sorted(SQLITE_ONLY_SCHEMAS))
+    def test_eval_and_cross_db_augment_exit_zero(self, corpus, sample_records, tmp_path,
+                                                 name, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus.root / "database", root / "database")
+        (root / "database" / name).mkdir()
+        build_sqlite_only_database(corpus_db_path(root, name), name)
+        records = [*sample_records, {"sample_id": "odd", "db_id": name,
+                                     "question": "How many rows are in c?",
+                                     "gold_sql": "SELECT count(*) FROM c"}]
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"sample_id": r["sample_id"], "sql": r["gold_sql"]}) + "\n"
+            for r in records))
+        common = ["--samples", str(samples), "--corpus", str(root)]
+        assert run(["eval", *common, "--preds", str(preds), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ex_accuracy"] == 1.0
+        out = tmp_path / "cross.jsonl"
+        assert run(["augment", "--mode", "cross-db", *common, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == len(records)
 
 
 class TestMine:

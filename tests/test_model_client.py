@@ -1,10 +1,11 @@
 import json
 import re
 import socket
+import sqlite3
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from model_server import ModelServer, reply
@@ -36,6 +37,15 @@ class TestExtractSql:
             ("SELECT a /* it's; */ FROM t; DROP TABLE t", "SELECT a /* it's; */ FROM t"),
             ("SELECT 'it''s;' FROM t; SELECT 2", "SELECT 'it''s;' FROM t"),
             ("SELECT 4 - 2 / 1; SELECT 2", "SELECT 4 - 2 / 1"),
+            # Text sqlite3.complete_statement raises on: a NUL, a lone surrogate.
+            ("SELECT 'a\x00b' FROM t; SELECT 2", "SELECT 'a\x00b' FROM t"),
+            ("SELECT [\ud800;] FROM t; SELECT 2", "SELECT [\ud800;] FROM t"),
+            # An unterminated quote or comment runs to the end, as in SQLite.
+            ("SELECT 'x; SELECT 2", "SELECT 'x; SELECT 2"),
+            ('SELECT "x; SELECT 2', 'SELECT "x; SELECT 2'),
+            ("SELECT `x; SELECT 2", "SELECT `x; SELECT 2"),
+            ("SELECT [x; SELECT 2", "SELECT [x; SELECT 2"),
+            ("SELECT 1 /* x; SELECT 2", "SELECT 1 /* x; SELECT 2"),
         ],
     )
     def test_variants(self, completion, expected):
@@ -66,6 +76,22 @@ class TestExtractSql:
         statement = f"SELECT a, {self._quote(kind, text)} FROM t"
         assert extract_sql(statement) == statement
         assert extract_sql(statement + "; DROP TABLE t") == statement
+
+    @staticmethod
+    def _first_complete_statement(text: str) -> str:
+        """The text before the first ``;`` that ends a statement SQLite's
+        ``sqlite3_complete`` calls complete, or all of it."""
+        for i, ch in enumerate(text):
+            if ch == ";" and sqlite3.complete_statement(text[: i + 1]):
+                return text[:i].strip()
+        return text.strip()
+
+    # No letters of CREATE, so no CREATE TRIGGER, whose body may hold ';'.
+    @settings(max_examples=1000, deadline=None)
+    @given(text=st.text(alphabet=st.sampled_from("'\"`[];-/*\n abxyz"), max_size=30))
+    def test_first_statement_is_the_one_sqlite_calls_complete(self, text):
+        assume(not text.strip().startswith("```"))
+        assert extract_sql(text) == self._first_complete_statement(text)
 
     def test_no_fence_characters_or_padding_ever(self):
         for raw in ("```sql\n SELECT 1 \n```", "\n\nSELECT 1\n\n", "```SELECT 1```"):

@@ -1,17 +1,22 @@
 import sqlite3
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from sqlforge.errors import EmptySchemaListError, NotADatabaseError
 from sqlforge.schema_catalog import (
     ColumnSchema,
     DatabaseSchema,
+    ForeignKey,
     TableSchema,
+    _quote_ident,
     introspect_database,
     render_prompt,
 )
 
-from corpus_builder import TRYOUT_QUESTION
+from corpus_builder import SQLITE_ONLY_SCHEMAS, TRYOUT_QUESTION, build_sqlite_only_database
 
 CONCERT_PROMPT = """\
 CREATE TABLE stadium(Stadium_ID, Location, Name, Capacity, Highest, Lowest, Average);
@@ -123,14 +128,129 @@ def test_invariant_duplicate_table_names_rejected():
         DatabaseSchema(db_id="d", file_path="", tables=(t, t2))
 
 
-def test_invariant_fk_must_reference_existing_columns():
-    from sqlforge.schema_catalog import ForeignKey
-
-    t = TableSchema(name="x", columns=(ColumnSchema(name="a"),))
+def test_duplicate_names_fold_ascii_case_only():
     with pytest.raises(ValueError):
-        DatabaseSchema(
-            db_id="d",
-            file_path="",
-            tables=(t,),
-            foreign_keys=(ForeignKey("x", "a", "y", "b"),),
+        TableSchema(name="t", columns=(ColumnSchema(name="Id"), ColumnSchema(name="iD")))
+    table = TableSchema(name="t", columns=(ColumnSchema(name="É"), ColumnSchema(name="é")))
+    other = TableSchema(name="É", columns=(ColumnSchema(name=""),))
+    DatabaseSchema(db_id="d", file_path="", tables=(table, other, replace(other, name="é")))
+
+
+def _create(path, statements) -> None:
+    conn = sqlite3.connect(path)
+    try:
+        for ddl in statements:
+            conn.execute(ddl)
+    finally:
+        conn.close()
+
+
+def _fk_tuples(schema) -> list[tuple[str, str, str, str]]:
+    return [(fk.from_table, fk.from_column, fk.to_table, fk.to_column)
+            for fk in schema.foreign_keys]
+
+
+def test_dangling_foreign_key_introspects_as_declared(tmp_path):
+    path = tmp_path / "dangling.sqlite"
+    _create(path, ["CREATE TABLE x(a INT, b INT, FOREIGN KEY(a) REFERENCES y(b))"])
+    schema = introspect_database(path, "dangling")
+    assert schema.foreign_keys == (ForeignKey("x", "a", "y", "b"),)
+    assert schema.key_column_names() == {"a", "b"}
+
+
+@pytest.mark.parametrize("name", sorted(SQLITE_ONLY_SCHEMAS))
+def test_every_schema_sqlite_reads_introspects(tmp_path, name):
+    path = build_sqlite_only_database(tmp_path / f"{name}.sqlite", name)
+    schema = introspect_database(path, name)
+    assert schema.table("c").column_names()[0] == "id"
+    assert _fk_tuples(schema) == SQLITE_ONLY_SCHEMAS[name][1]
+
+
+def test_implicit_composite_key_pairs_columns_in_key_order(tmp_path):
+    path = tmp_path / "composite.sqlite"
+    _create(path, [
+        "CREATE TABLE p(a, b, PRIMARY KEY(b, a))",
+        "CREATE TABLE c(x, y, FOREIGN KEY(x, y) REFERENCES p)",
+    ])
+    assert sorted(_fk_tuples(introspect_database(path, "composite"))) == [
+        ("c", "x", "p", "b"), ("c", "y", "p", "a"),
+    ]
+
+
+# --- introspection accepts every schema SQLite accepts ------------------------
+
+TABLE_NAMES = ["t", "T", "a b", 'q"r', "s'u", "É", "é"]
+COLUMN_NAMES = ["", "id", "ID", "a b", 'c"d', "x'y", "É", "é"]
+
+
+def _ascii_folded(name: str) -> bytes:
+    return name.encode().lower()
+
+
+@st.composite
+def table_specs(draw):
+    """1-4 tables as (name, columns, primary key, foreign keys), where a
+    foreign key is (column, parent table, parent column or None)."""
+    specs = []
+    names = draw(st.lists(st.sampled_from(TABLE_NAMES), min_size=1, max_size=4,
+                          unique_by=_ascii_folded))
+    for name in names:
+        columns = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=1, max_size=4,
+                                unique_by=_ascii_folded))
+        key = draw(st.lists(st.sampled_from(columns), max_size=2, unique=True))
+        fks = draw(st.lists(st.tuples(
+            st.sampled_from(columns),
+            st.sampled_from(TABLE_NAMES + ["missing"]),
+            st.none() | st.sampled_from(COLUMN_NAMES),
+        ), max_size=2))
+        specs.append((name, columns, key, fks))
+    return specs
+
+
+def _ddl(name, columns, key, fks) -> str:
+    parts = [_quote_ident(c) for c in columns]
+    if key:
+        parts.append(f"PRIMARY KEY({', '.join(map(_quote_ident, key))})")
+    for column, parent, parent_column in fks:
+        target = "" if parent_column is None else f"({_quote_ident(parent_column)})"
+        parts.append(
+            f"FOREIGN KEY({_quote_ident(column)}) REFERENCES {_quote_ident(parent)}{target}"
         )
+    return f"CREATE TABLE {_quote_ident(name)}({', '.join(parts)})"
+
+
+def _expected_fks(specs) -> list[tuple[str, str, str, str]]:
+    """Each foreign key as declared; an implicit one names its parent's first
+    primary-key column, and is left out when the parent has none."""
+    keys = {_ascii_folded(name): key for name, _columns, key, _fks in specs}
+    expected = []
+    for name, _columns, _key, fks in specs:
+        for column, parent, parent_column in fks:
+            if parent_column is None:
+                parent_key = keys.get(_ascii_folded(parent))
+                if not parent_key:
+                    continue
+                parent_column = parent_key[0]
+            expected.append((name, column, parent, parent_column))
+    return sorted(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=table_specs())
+def test_introspection_accepts_every_schema_sqlite_accepts(tmp_path_factory, specs):
+    path = tmp_path_factory.mktemp("accepts") / "db.sqlite"
+    conn = sqlite3.connect(path)
+    try:
+        for spec in specs:
+            try:
+                conn.execute(_ddl(*spec))
+            except sqlite3.Error:
+                reject()
+        schema = introspect_database(path, "db")
+        assert [t.name for t in schema.tables] == [name for name, *_ in specs]
+        for table in schema.tables:
+            info = conn.execute(f"PRAGMA table_info({_quote_ident(table.name)})")
+            assert table.column_names() == [row[1] for row in info]
+    finally:
+        conn.close()
+    assert sorted(_fk_tuples(schema)) == _expected_fks(specs)
