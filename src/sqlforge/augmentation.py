@@ -2,7 +2,7 @@
 
 Cross-DB inserts 1-3 distractor tables drawn from *other* databases that
 share a PK/FK column name with the sample's database, teaching schema
-selection; no two tables of a prompt share a name (case-insensitively).
+selection; no two tables of a prompt share a name (ASCII case-insensitively).
 Inner-DB randomly drops unused tables/columns from the sample's own
 database under a 6-table / 10-columns-per-table cap, teaching column
 selection. Both are deterministic given a seed and never remove anything
@@ -76,22 +76,20 @@ def cross_db_candidates(
     db_id: str, schemas: list[DatabaseSchema]
 ) -> tuple[tuple[tuple[str, TableSchema], ...], ...]:
     """Tables of other databases that share a PK/FK column name with
-    ``db_id`` and whose name, compared case-insensitively, is not one of its
-    own tables', as (db_id, table), grouped by lower-cased table name: the
-    groups in order of first appearance, each group in ``schemas`` order.
-    ``schemas`` must hold ``db_id``'s own schema."""
+    ``db_id`` and whose name is not one of its own tables', both compared
+    ASCII case-insensitively, as (db_id, table), grouped by folded table
+    name: the groups in order of first appearance, each group in ``schemas``
+    order. ``schemas`` must hold ``db_id``'s own schema."""
     own = next((s for s in schemas if s.db_id == db_id), None)
     if own is None:
         raise ValueError(f"corpus does not contain schema for db_id {db_id!r}")
     keys = own.key_column_names()
-    own_names = {t.name.lower() for t in own.tables}
     by_name: dict[str, list[tuple[str, TableSchema]]] = {}
     for schema in schemas:
         if schema.db_id == db_id:
             continue
-        for table in schema.tables:
-            name = table.name.lower()
-            if name not in own_names and any(c.name.lower() in keys for c in table.columns):
+        for name, table in schema.by_folded_name.items():
+            if name not in own.by_folded_name and not keys.isdisjoint(table.by_folded_name):
                 by_name.setdefault(name, []).append((schema.db_id, table))
     return tuple(tuple(group) for group in by_name.values())
 
@@ -148,7 +146,7 @@ def inner_db_augment(
     kept_tables: list[TableSchema] = []
     removed_tables: list[str] = []
     for table in schema.tables:
-        if table.name.lower() in used_tables:
+        if table.name in used_tables:
             kept_tables.append(table)
         elif rng.random() < p_table:
             kept_tables.append(table)
@@ -162,32 +160,30 @@ def inner_db_augment(
 
     # Table cap: drop random unused tables beyond the limit.
     if len(kept_tables) > MAX_TABLES:
-        unused = [t for t in kept_tables if t.name.lower() not in used_tables]
+        unused = [t for t in kept_tables if t.name not in used_tables]
         excess = len(kept_tables) - MAX_TABLES
         to_drop = {t.name for t in rng.sample(unused, min(excess, len(unused)))}
         removed_tables.extend(sorted(to_drop))
         kept_tables = [t for t in kept_tables if t.name not in to_drop]
     if len(used_tables) > MAX_TABLES:
         # Gold alone exceeds the cap: keep exactly the referenced tables.
-        removed_tables = [
-            t.name for t in schema.tables if t.name.lower() not in used_tables
-        ]
-        kept_tables = [t for t in schema.tables if t.name.lower() in used_tables]
+        removed_tables = [t.name for t in schema.tables if t.name not in used_tables]
+        kept_tables = [t for t in schema.tables if t.name in used_tables]
 
     removed_columns: list[str] = []
     final_tables: list[TableSchema] = []
     for table in kept_tables:
-        used_cols = used_columns.get(table.name.lower(), set())
+        used_cols = used_columns.get(table.name, set())
         kept_cols = []
         for col in table.columns:
-            if col.name.lower() in used_cols:
+            if col.name in used_cols:
                 kept_cols.append(col)
             elif rng.random() < p_col:
                 kept_cols.append(col)
             else:
                 removed_columns.append(f"{table.name}.{col.name}")
         if len(kept_cols) > MAX_COLUMNS_PER_TABLE and len(used_cols) <= MAX_COLUMNS_PER_TABLE:
-            unused_cols = [c for c in kept_cols if c.name.lower() not in used_cols]
+            unused_cols = [c for c in kept_cols if c.name not in used_cols]
             excess = len(kept_cols) - MAX_COLUMNS_PER_TABLE
             to_drop = {c.name for c in rng.sample(unused_cols, min(excess, len(unused_cols)))}
             removed_columns.extend(f"{table.name}.{name}" for name in sorted(to_drop))

@@ -195,6 +195,12 @@ READ_ACTIONS = frozenset(
 )
 
 
+#: What compiling or running model text can raise: Python 3.10 raises
+#: Warning for a second statement and ValueError for a NUL character, and
+#: text that cannot be encoded is a ValueError.
+STATEMENT_ERRORS = (sqlite3.Error, sqlite3.Warning, ValueError)
+
+
 class ReadOnlyHandle:
     """A read-only connection to one SQLite file, opened on first use and
     reusable for any number of queries until :meth:`close`.
@@ -255,7 +261,7 @@ class ReadOnlyHandle:
                 raw = conn.execute(sql).fetchall()
             finally:
                 interrupted = _WATCHDOG.disarm(self)
-        except sqlite3.DatabaseError as exc:
+        except STATEMENT_ERRORS as exc:
             elapsed = time.monotonic() - start
             if interrupted and isinstance(exc, sqlite3.OperationalError):
                 return ExecutionOutcome.of_timeout(elapsed)

@@ -8,6 +8,7 @@ which is what every other pipeline consumes.
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,11 +21,15 @@ PROMPT_INSTRUCTION = (
 )
 
 
-def _has_duplicate_name(names) -> bool:
-    """Whether two of ``names`` are equal once ASCII letters are folded to
-    lower case, as SQLite compares identifiers: ``"É"`` and ``"é"`` differ."""
-    folded = [name.encode().lower() for name in names]
-    return len(set(folded)) != len(folded)
+#: ASCII upper-case letters to lower case, and nothing else.
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+
+
+def fold(name: str) -> str:
+    """``name`` with ASCII letters folded to lower case, as SQLite compares
+    identifiers: ``"É"`` and ``"é"`` stay apart. Any ``str`` folds, lone
+    surrogates included."""
+    return name.translate(_ASCII_LOWER)
 
 
 @dataclass(frozen=True)
@@ -39,24 +44,23 @@ class ColumnSchema:
 class TableSchema:
     name: str
     columns: tuple[ColumnSchema, ...]
+    #: The columns by :func:`fold` of their names.
+    by_folded_name: dict[str, ColumnSchema] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if _has_duplicate_name(c.name for c in self.columns):
+        by_name = {fold(c.name): c for c in self.columns}
+        if len(by_name) != len(self.columns):
             raise ValueError(f"duplicate column names in table {self.name!r}")
+        object.__setattr__(self, "by_folded_name", by_name)
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
     def has_column(self, name: str) -> bool:
-        name = name.lower()
-        return any(c.name.lower() == name for c in self.columns)
+        return fold(name) in self.by_folded_name
 
     def column(self, name: str) -> ColumnSchema:
-        name = name.lower()
-        for c in self.columns:
-            if c.name.lower() == name:
-                return c
-        raise KeyError(name)
+        return self.by_folded_name[fold(name)]
 
 
 @dataclass(frozen=True)
@@ -73,28 +77,24 @@ class DatabaseSchema:
     file_path: str
     tables: tuple[TableSchema, ...]
     foreign_keys: tuple[ForeignKey, ...] = field(default=())
+    #: The tables by :func:`fold` of their names.
+    by_folded_name: dict[str, TableSchema] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if _has_duplicate_name(t.name for t in self.tables):
+        by_name = {fold(t.name): t for t in self.tables}
+        if len(by_name) != len(self.tables):
             raise ValueError(f"duplicate table names in database {self.db_id!r}")
+        object.__setattr__(self, "by_folded_name", by_name)
 
     def table(self, name: str) -> TableSchema | None:
-        name = name.lower()
-        for t in self.tables:
-            if t.name.lower() == name:
-                return t
-        return None
+        return self.by_folded_name.get(fold(name))
 
     def key_column_names(self) -> set[str]:
-        """Lower-cased names of all columns participating in a PK or FK."""
-        keys: set[str] = set()
-        for t in self.tables:
-            for c in t.columns:
-                if c.is_primary_key:
-                    keys.add(c.name.lower())
+        """Folded names of all columns participating in a PK or FK."""
+        keys = {k for t in self.tables for k, c in t.by_folded_name.items() if c.is_primary_key}
         for fk in self.foreign_keys:
-            keys.add(fk.from_column.lower())
-            keys.add(fk.to_column.lower())
+            keys.add(fold(fk.from_column))
+            keys.add(fold(fk.to_column))
         return keys
 
 
@@ -109,13 +109,17 @@ def _quote_ident(name: str) -> str:
 def introspect_database(
     path: str | Path, db_id: str, sample_value_count: int = 0
 ) -> DatabaseSchema:
-    """Read the catalog of a SQLite file into a DatabaseSchema. Every file
-    SQLite opens introspects: foreign keys are reported as declared, even
-    when their parent is missing, and one that names no parent column is
-    left out when the parent has no primary key.
+    """Read the tables and views of a SQLite file, each with every column
+    ``PRAGMA table_xinfo`` lists, into a DatabaseSchema. Every file SQLite
+    opens introspects: foreign keys are reported as declared, even when
+    their parent is missing, and one that names no parent column is left
+    out when the parent has no primary key. SQLite's own ``sqlite_`` tables
+    are left out, and so is an object no statement can read: a view over a
+    dropped table, a circular view, a virtual table whose module is missing.
 
     ``sample_value_count`` > 0 additionally fetches that many distinct
-    non-null values per column.
+    non-null values per column; a column whose values fail to compute, such
+    as a view's whose expression overflows, gets none.
     """
     path = Path(path)
     if not path.exists():
@@ -127,7 +131,7 @@ def introspect_database(
                 row[0]
                 for row in conn.execute(
                     "SELECT name FROM sqlite_master "
-                    "WHERE type='table' AND name NOT LIKE 'sqlite_%' "
+                    "WHERE type IN ('table', 'view') AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\' "
                     "ORDER BY rowid"
                 )
             ]
@@ -135,21 +139,28 @@ def introspect_database(
             raise NotADatabaseError(f"{path}: {exc}") from exc
 
         tables = []
-        fks = []
+        # Primary-key columns by place in the key (from 1), by folded table name.
+        keys: dict[str, dict[int, str]] = {}
+        declared = []  # (table name, row of PRAGMA foreign_key_list)
         for table_name in names:
+            try:
+                info = conn.execute(f"PRAGMA table_xinfo({_quote_ident(table_name)})").fetchall()
+            except sqlite3.OperationalError:
+                continue
             cols = []
-            for _, col_name, decl_type, _notnull, _default, pk in conn.execute(
-                f"PRAGMA table_info({_quote_ident(table_name)})"
-            ):
+            for _, col_name, decl_type, _notnull, _default, pk, _hidden in info:
                 samples: tuple = ()
                 if sample_value_count > 0:
-                    cur = conn.execute(
-                        f"SELECT DISTINCT {_quote_ident(col_name)} "
-                        f"FROM {_quote_ident(table_name)} "
-                        f"WHERE {_quote_ident(col_name)} IS NOT NULL "
-                        f"LIMIT {int(sample_value_count)}"
-                    )
-                    samples = tuple(row[0] for row in cur)
+                    try:
+                        cur = conn.execute(
+                            f"SELECT DISTINCT {_quote_ident(col_name)} "
+                            f"FROM {_quote_ident(table_name)} "
+                            f"WHERE {_quote_ident(col_name)} IS NOT NULL "
+                            f"LIMIT {int(sample_value_count)}"
+                        )
+                        samples = tuple(row[0] for row in cur)
+                    except sqlite3.OperationalError:
+                        pass
                 cols.append(
                     ColumnSchema(
                         name=col_name,
@@ -159,26 +170,22 @@ def introspect_database(
                     )
                 )
             tables.append(TableSchema(name=table_name, columns=tuple(cols)))
-            for row in conn.execute(
-                f"PRAGMA foreign_key_list({_quote_ident(table_name)})"
-            ):
-                _id, seq, ref_table, from_col, to_col, *_ = row
-                if to_col is None:
-                    # Implicit reference to the parent's primary key, whose
-                    # columns pair with the key's columns in order.
-                    to_col = _primary_key_column(conn, ref_table, seq)
-                    if to_col is None:
-                        continue
-                fks.append(
-                    ForeignKey(
-                        from_table=table_name,
-                        from_column=from_col,
-                        to_table=ref_table,
-                        to_column=to_col,
-                    )
-                )
+            keys[fold(table_name)] = {row[5]: row[1] for row in info if row[5]}
+            declared.extend(
+                (table_name, row)
+                for row in conn.execute(f"PRAGMA foreign_key_list({_quote_ident(table_name)})")
+            )
     finally:
         conn.close()
+    fks = []
+    for table_name, (_id, seq, ref_table, from_col, to_col, *_) in declared:
+        if to_col is None:
+            # Implicit reference to the parent's primary key, whose columns
+            # pair with the key's columns in order.
+            to_col = keys.get(fold(ref_table), {}).get(seq + 1)
+            if to_col is None:
+                continue
+        fks.append(ForeignKey(table_name, from_col, ref_table, to_col))
     return DatabaseSchema(
         db_id=db_id,
         file_path=str(path),
@@ -187,15 +194,16 @@ def introspect_database(
     )
 
 
-def _primary_key_column(conn: sqlite3.Connection, table_name: str, seq: int) -> str | None:
-    """The ``seq``-th (from 0) primary-key column of ``table_name``, or None
-    when it has no such column or no such table."""
-    for _, col_name, _, _, _, pk in conn.execute(
-        f"PRAGMA table_info({_quote_ident(table_name)})"
-    ):
-        if pk == seq + 1:
-            return col_name
-    return None
+#: What would end a name early in a prompt line, as SQLite's tokenizer reads
+#: it: a quote of any kind, a bracket, a parenthesis, a comma, a semicolon,
+#: a line break or the start of a comment.
+_ENDS_EARLY = re.compile(r"[\"'`\[(),;\n\r]|--|/\*")
+
+
+def _prompt_names(names: list[str]) -> list[str]:
+    """``names`` as the prompt writes them: bare, except that one that is
+    empty or would end early is double-quoted."""
+    return [n if n and not _ENDS_EARLY.search(n) else _quote_ident(n) for n in names]
 
 
 def render_prompt(
@@ -204,12 +212,17 @@ def render_prompt(
 ) -> str:
     """Render the generation prompt: one CREATE TABLE line per table (column
     names only), the fixed instruction line, then the question as a comment.
+    Names are written bare, as the paper's prompt writes them, unless they
+    would end early.
     """
     if not schema_list:
         raise EmptySchemaListError("schema_list must contain at least one table")
     if not question:
         raise ValueError("question must be non-empty")
-    lines = [f"CREATE TABLE {t.name}({', '.join(t.column_names())});" for t in schema_list]
+    lines = []
+    for t in schema_list:
+        name, *columns = _prompt_names([t.name, *t.column_names()])
+        lines.append(f"CREATE TABLE {name}({', '.join(columns)});")
     lines.append(PROMPT_INSTRUCTION)
     lines.append(f"-- {question}")
     return "\n".join(lines)

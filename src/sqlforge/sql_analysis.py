@@ -19,8 +19,8 @@ import sqlite3
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .executor import READ_ACTIONS
-from .schema_catalog import DatabaseSchema, TableSchema, _quote_ident
+from .executor import READ_ACTIONS, STATEMENT_ERRORS
+from .schema_catalog import DatabaseSchema, _quote_ident, fold
 
 VALID = "Valid"
 SYNTAX_ERROR = "SyntaxError"
@@ -135,18 +135,16 @@ class SchemaReplica:
         try:
             self._conn.set_authorizer(note)
             return self._conn.execute(f"EXPLAIN {sql}").fetchall(), reads
-        except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
-            # Python 3.10 raises Warning for a second statement and ValueError
-            # for a NUL character; text that cannot be encoded is a ValueError.
+        except STATEMENT_ERRORS as exc:
             raise ParseError(str(exc)) from None
         finally:
             if changed:
                 self.close()
 
     def references(self, sql: str) -> SqlReferences:
-        """The tables and columns that ``sql`` reads, lower-cased, as SQLite
-        resolves them when it compiles the statement. Raises ParseError with
-        SQLite's message if it does not compile."""
+        """The tables and columns that ``sql`` reads, named as declared, as
+        SQLite resolves them when it compiles the statement. Raises
+        ParseError with SQLite's message if it does not compile."""
         program, reads = self._compile(sql)
         # The authorizer is not called for USING / NATURAL join columns, nor
         # for a table reached only through them; the program's OpenRead and
@@ -160,12 +158,10 @@ class SchemaReplica:
                 reads.append((self._pages[p2], ""))
             elif opcode == "Column" and p1 in opened:
                 reads.append((opened[p1], columns[opened[p1]][p2].name))
-        refs = SqlReferences()
-        for table, column in reads:
-            refs.tables.add(table.lower())
-            if column:
-                refs.columns.add((table.lower(), column.lower()))
-        return refs
+        return SqlReferences(
+            tables={table for table, _column in reads},
+            columns={read for read in reads if read[1]},
+        )
 
     def validate(self, sql: str) -> ValidityReport:
         """Classify ``sql``. It is Valid exactly when ``EXPLAIN`` compiles
@@ -179,14 +175,13 @@ class SchemaReplica:
             engine_error = str(exc)
 
         tables = self.tables
-        low = engine_error.lower()
-        if low.startswith("no such table:"):
+        if engine_error.startswith("no such table:"):
             name = engine_error.split(":", 1)[1].strip()
             quoted = find_unquoted_special(sql, tables)
-            if quoted is not None and name.lower() in quoted.lower():
+            if quoted is not None and fold(name) in fold(quoted):
                 return ValidityReport(MISSING_QUOTATION, quoted)
             return ValidityReport(WRONG_TABLE_NAME, name)
-        if low.startswith("no such column:") or low.startswith("ambiguous column"):
+        if engine_error.startswith(("no such column:", "ambiguous column")):
             name = engine_error.split(":", 1)[1].strip()
             if "." in name:
                 name = name.split(".")[-1]
@@ -210,24 +205,15 @@ def extract_references(sql: str, tables) -> SqlReferences:
 _PLAIN_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def _special_identifiers(tables: list[TableSchema] | tuple[TableSchema, ...]) -> list[str]:
-    names = []
-    for t in tables:
-        if not _PLAIN_IDENT_RE.match(t.name):
-            names.append(t.name)
-        for c in t.columns:
-            if not _PLAIN_IDENT_RE.match(c.name):
-                names.append(c.name)
-    return names
-
-
 def find_unquoted_special(sql: str, tables) -> str | None:
     """First schema identifier with special characters that appears in the
-    SQL text outside quotes and comments, or None."""
-    masked = mask_quoted(sql).lower()
-    for name in _special_identifiers(tables):
-        if name.lower() in masked:
-            return name
+    SQL text outside quotes and comments, ASCII case-insensitively, or
+    None."""
+    masked = fold(mask_quoted(sql))
+    for t in tables:
+        for name in (t.name, *t.column_names()):
+            if not _PLAIN_IDENT_RE.match(name) and fold(name) in masked:
+                return name
     return None
 
 
@@ -235,17 +221,13 @@ def _missing_column_detail(sql: str, tables, name: str) -> str:
     """``"<name> not in <table>"`` when, once every table lacking ``name``
     gets it, the statement reads ``name`` from exactly one of those tables;
     otherwise ``name`` alone."""
-    lacking = {t.name.lower(): t.name for t in tables if not t.has_column(name)}
+    lacking = {t.name for t in tables if not t.has_column(name)}
     try:
         with SchemaReplica(tables, extra_column=name) as widened:
             _program, reads = widened._compile(sql)
     except ParseError:
         return name
-    owners = {
-        lacking[table.lower()]
-        for table, column in reads
-        if column.lower() == name.lower() and table.lower() in lacking
-    }
+    owners = {table for table, column in reads if column == name and table in lacking}
     return f"{name} not in {owners.pop()}" if len(owners) == 1 else name
 
 

@@ -332,26 +332,84 @@ def build_corpus(root: Path) -> Path:
 
 
 #: Schemas SQLite creates and queries that a stricter catalog might refuse,
-#: each with the foreign keys introspection reports for it, as (from_table,
-#: from_column, to_table, to_column). Every one has a table ``c`` with an
-#: ``id`` primary key.
+#: or that a catalog reading only tables and ``PRAGMA table_info`` would get
+#: wrong. Each comes with the tables introspection lists, with their
+#: columns, and the foreign keys it reports, as (from_table, from_column,
+#: to_table, to_column). Every one has a table ``c`` with an ``id`` primary
+#: key.
 SQLITE_ONLY_SCHEMAS = {
     "fk_to_missing_table": (
         ["CREATE TABLE c(id INTEGER PRIMARY KEY, pid INT REFERENCES nope(pid))"],
+        {"c": ["id", "pid"]},
         [("c", "pid", "nope", "pid")],
     ),
     "fk_to_missing_column": (
         ["CREATE TABLE p(pid INTEGER PRIMARY KEY)",
          "CREATE TABLE c(id INTEGER PRIMARY KEY, pid INT REFERENCES p(nope))"],
+        {"p": ["pid"], "c": ["id", "pid"]},
         [("c", "pid", "p", "nope")],
     ),
     "implicit_fk_to_keyless_table": (
         ["CREATE TABLE p(pid INT)",
          "CREATE TABLE c(id INTEGER PRIMARY KEY, pid INT REFERENCES p)"],
+        {"p": ["pid"], "c": ["id", "pid"]},
         [],
     ),
-    "empty_column_name": (['CREATE TABLE c(id INTEGER PRIMARY KEY, "" TEXT)'], []),
-    "accented_column_pair": (['CREATE TABLE c(id INTEGER PRIMARY KEY, "É" TEXT, "é" TEXT)'], []),
+    "empty_column_name": (
+        ['CREATE TABLE c(id INTEGER PRIMARY KEY, "" TEXT)'], {"c": ["id", ""]}, []),
+    "accented_column_pair": (
+        ['CREATE TABLE c(id INTEGER PRIMARY KEY, "É" TEXT, "é" TEXT)'],
+        {"c": ["id", "É", "é"]},
+        [],
+    ),
+    "accented_table_pair": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY)",
+         'CREATE TABLE "É"(a INT)',
+         'CREATE TABLE "é"(b INT)'],
+        {"c": ["id"], "É": ["a"], "é": ["b"]},
+        [],
+    ),
+    "sqlite_like_table_name": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY AUTOINCREMENT)",
+         "CREATE TABLE SQLiteData(b)",
+         "CREATE TABLE sqlite1(a)"],
+        {"c": ["id"], "SQLiteData": ["b"], "sqlite1": ["a"]},
+        [],
+    ),
+    "view": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY, a TEXT)",
+         "CREATE VIEW v AS SELECT id, a AS b FROM c"],
+        {"c": ["id", "a"], "v": ["id", "b"]},
+        [],
+    ),
+    "generated_column": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY, a INT, "
+         "g INT GENERATED ALWAYS AS (id * 2), s INT GENERATED ALWAYS AS (id * 3) STORED)"],
+        {"c": ["id", "a", "g", "s"]},
+        [],
+    ),
+    "broken_view": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY)",
+         "CREATE TABLE gone(x)",
+         "CREATE VIEW bv AS SELECT x FROM gone",
+         "DROP TABLE gone"],
+        {"c": ["id"]},
+        [],
+    ),
+    "overflowing_view": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY)",
+         "CREATE VIEW ov AS SELECT abs(-9223372036854775807 - 1) AS o FROM c"],
+        {"c": ["id"], "ov": ["o"]},
+        [],
+    ),
+    "missing_module_vtable": (
+        ["CREATE TABLE c(id INTEGER PRIMARY KEY)",
+         "PRAGMA writable_schema = ON",
+         "INSERT INTO sqlite_master(type, name, tbl_name, rootpage, sql) VALUES "
+         "('table', 'vt', 'vt', 0, 'CREATE VIRTUAL TABLE vt USING nosuchmod(x)')"],
+        {"c": ["id"]},
+        [],
+    ),
 }
 
 

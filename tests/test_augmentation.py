@@ -16,7 +16,10 @@ from sqlforge.augmentation import (
 )
 from sqlforge.errors import GoldReferencesUnknownColumn
 from sqlforge.metrics import Sample
+from sqlforge.schema_catalog import introspect_database
 from sqlforge.sql_analysis import extract_references, validate_against_tables
+
+from corpus_builder import build_sqlite_only_database
 
 
 def augment(sample, schemas, seed):
@@ -186,6 +189,18 @@ class TestInnerDb:
             report = validate_against_tables(gold, aug.schema_tables)
             assert report.is_valid, (seed, report)
             assert extract_references(gold, aug.schema_tables) == reads, seed
+
+    @pytest.mark.parametrize("gold, kept", [
+        ('SELECT a FROM "É"', ("É", ["a"])),
+        ('SELECT B FROM "é"', ("é", ["b"])),
+    ])
+    def test_keeps_only_the_accented_table_the_gold_reads(self, tmp_path, gold, kept):
+        # SQLite folds ASCII letters only: "É" and "é" are two tables.
+        path = build_sqlite_only_database(tmp_path / "pair.sqlite", "accented_table_pair")
+        schema = introspect_database(path, "pair")
+        s = Sample("g", "pair", "q", gold, schema.tables)
+        aug = inner_db_augment(s, schema, 1, p_table=0, p_col=0)
+        assert [(t.name, t.column_names()) for t in aug.schema_tables] == [kept]
 
     def test_deterministic(self, samples, schemas):
         s = sample_for(samples, "hr", "departments.dname")

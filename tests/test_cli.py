@@ -154,6 +154,23 @@ class TestEval:
         assert passes[0] == passes[1]
         assert sorted(corpus.root.rglob("*")) == corpus_files
 
+    @pytest.mark.parametrize("sql", ["SELECT '\ud800'", "SELECT 1; SELECT 2", "SELECT 1\x00"])
+    def test_any_prediction_text_gets_a_verdict(self, corpus, sample_records, tmp_path,
+                                                capsys, sql):
+        rec = sample_records[0]
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps(rec) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"sample_id": rec["sample_id"], "sql": sql}) + "\n")
+        out = tmp_path / "eval.json"
+        assert run([
+            "eval", "--samples", str(samples), "--preds", str(preds),
+            "--corpus", str(corpus.root), "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        [verdict] = json.loads(out.read_text())["verdicts"]
+        assert (verdict["pred_sql"], verdict["outcome_kind"]) == (sql, "error")
+
     def test_corpus_files_unchanged(self, corpus, sample_records, tmp_path, capsys):
         before = corpus_digest(corpus)
         preds = tmp_path / "preds.jsonl"
@@ -288,6 +305,21 @@ class TestMine:
         lines = [json.loads(l) for l in out_path.read_text().splitlines()]
         assert len(lines) == 1
         assert lines[0]["rejected"] == TRYOUT_REJECTED
+
+
+    def test_any_completion_text_gets_a_record(self, corpus, tmp_path):
+        script = tmp_path / "mock.jsonl"
+        script.write_text(json.dumps({"responses": ["SELECT '\ud800'"], "cycle": True}) + "\n")
+        samples_file = tmp_path / "samples.jsonl"
+        with open(corpus.samples_path) as fh:
+            samples_file.write_text(next(line for line in fh if TRYOUT_QUESTION in line))
+        out_path = tmp_path / "pairs.jsonl"
+        assert run([
+            "mine", "--samples", str(samples_file), "--corpus", str(corpus.root),
+            "--mock", str(script), "--n-candidates", "2", "--out", str(out_path),
+        ]) == 0
+        [pair] = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert (pair["rejected"], pair["rejected_reason"]) == ("SELECT '\ud800'", "exec_error")
 
 
 class TestRefine:

@@ -63,7 +63,9 @@ class TestExtractSql:
             return "[" + text.replace("]", "") + "]"
         if kind == "line_comment":
             return "-- " + text.replace("\n", " ").replace("\r", " ") + "\n"
-        return "/* " + text.replace("*/", "") + " */"
+        while "*/" in text:  # removing one "*/" from "**//" leaves another
+            text = text.replace("*/", "")
+        return "/* " + text + " */"
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -15,6 +15,7 @@ from sqlforge.schema_catalog import (
     introspect_database,
     render_prompt,
 )
+from sqlforge.sql_analysis import validate
 
 from corpus_builder import SQLITE_ONLY_SCHEMAS, TRYOUT_QUESTION, build_sqlite_only_database
 
@@ -161,9 +162,35 @@ def test_dangling_foreign_key_introspects_as_declared(tmp_path):
 @pytest.mark.parametrize("name", sorted(SQLITE_ONLY_SCHEMAS))
 def test_every_schema_sqlite_reads_introspects(tmp_path, name):
     path = build_sqlite_only_database(tmp_path / f"{name}.sqlite", name)
-    schema = introspect_database(path, name)
-    assert schema.table("c").column_names()[0] == "id"
-    assert _fk_tuples(schema) == SQLITE_ONLY_SCHEMAS[name][1]
+    schema = introspect_database(path, name, sample_value_count=1)
+    tables = SQLITE_ONLY_SCHEMAS[name][1]
+    assert [(t.name, t.column_names()) for t in schema.tables] == list(tables.items())
+    assert _fk_tuples(schema) == SQLITE_ONLY_SCHEMAS[name][2]
+
+
+def test_lookups_fold_ascii_case_only(tmp_path):
+    path = build_sqlite_only_database(tmp_path / "pair.sqlite", "accented_table_pair")
+    schema = introspect_database(path, "pair")
+    assert schema.table("é").name == "é"
+    assert schema.table("É").name == "É"
+    assert schema.table("C").name == "c"
+    assert schema.table("e") is None
+    assert schema.table("é").has_column("B")
+    assert not schema.table("É").has_column("b")
+    assert schema.key_column_names() == {"id"}
+
+
+def test_render_prompt_quotes_only_names_that_would_end_early(tmp_path):
+    path = build_sqlite_only_database(tmp_path / "empty.sqlite", "empty_column_name")
+    schema = introspect_database(path, "empty")
+    assert render_prompt(schema.tables, "?").startswith('CREATE TABLE c(id, "");\n')
+    names = ["free text", "É", "a-b", "a/b", 'q"r', "a,b", "f(x)", "line\nbreak", "s'u",
+             "b`c", "[d", "a;b", "a--b", "a/*b", "cr\r"]
+    table = TableSchema(name="t(1)", columns=tuple(ColumnSchema(name=n) for n in names))
+    assert render_prompt([table], "?").split(";\n")[0] == (
+        'CREATE TABLE "t(1)"(free text, É, a-b, a/b, "q""r", "a,b", "f(x)", "line\nbreak", '
+        '"s\'u", "b`c", "[d", "a;b", "a--b", "a/*b", "cr\r")'
+    )
 
 
 def test_implicit_composite_key_pairs_columns_in_key_order(tmp_path):
@@ -180,6 +207,7 @@ def test_implicit_composite_key_pairs_columns_in_key_order(tmp_path):
 # --- introspection accepts every schema SQLite accepts ------------------------
 
 TABLE_NAMES = ["t", "T", "a b", 'q"r', "s'u", "É", "é"]
+VIEW_NAMES = ["v", "V", "t", "v w", "Ü", "ü", "é"]
 COLUMN_NAMES = ["", "id", "ID", "a b", 'c"d', "x'y", "É", "é"]
 
 
@@ -189,26 +217,44 @@ def _ascii_folded(name: str) -> bytes:
 
 @st.composite
 def table_specs(draw):
-    """1-4 tables as (name, columns, primary key, foreign keys), where a
-    foreign key is (column, parent table, parent column or None)."""
+    """1-4 tables as (name, columns, primary key, foreign keys, generated
+    columns), where a foreign key is (column, parent table, parent column
+    or None), and 0-3 views as (name, source, selected columns or None for
+    ``*``), where a selected column is (name, alias or None). The first
+    column of a table is never generated, nor is a key or foreign-key
+    column."""
     specs = []
     names = draw(st.lists(st.sampled_from(TABLE_NAMES), min_size=1, max_size=4,
                           unique_by=_ascii_folded))
     for name in names:
         columns = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=1, max_size=4,
                                 unique_by=_ascii_folded))
-        key = draw(st.lists(st.sampled_from(columns), max_size=2, unique=True))
+        generated = draw(st.lists(st.sampled_from(columns[1:]), unique=True)
+                         if len(columns) > 1 else st.just([]))
+        plain = [c for c in columns if c not in generated]
+        key = draw(st.lists(st.sampled_from(plain), max_size=2, unique=True))
         fks = draw(st.lists(st.tuples(
-            st.sampled_from(columns),
+            st.sampled_from(plain),
             st.sampled_from(TABLE_NAMES + ["missing"]),
             st.none() | st.sampled_from(COLUMN_NAMES),
         ), max_size=2))
-        specs.append((name, columns, key, fks))
-    return specs
+        specs.append((name, columns, key, fks, generated))
+    views = draw(st.lists(st.tuples(
+        st.sampled_from(VIEW_NAMES),
+        st.sampled_from(names) | st.sampled_from(VIEW_NAMES),
+        st.none() | st.lists(st.tuples(
+            st.sampled_from(COLUMN_NAMES),
+            st.none() | st.sampled_from(COLUMN_NAMES),
+        ), min_size=1, max_size=3),
+    ), max_size=3))
+    return specs, views
 
 
-def _ddl(name, columns, key, fks) -> str:
-    parts = [_quote_ident(c) for c in columns]
+def _ddl(name, columns, key, fks, generated) -> str:
+    parts = [
+        _quote_ident(c) + (" GENERATED ALWAYS AS (1)" if c in generated else "")
+        for c in columns
+    ]
     if key:
         parts.append(f"PRIMARY KEY({', '.join(map(_quote_ident, key))})")
     for column, parent, parent_column in fks:
@@ -219,12 +265,38 @@ def _ddl(name, columns, key, fks) -> str:
     return f"CREATE TABLE {_quote_ident(name)}({', '.join(parts)})"
 
 
+def _view_ddl(name, source, selected) -> str:
+    items = "*" if selected is None else ", ".join(
+        _quote_ident(column) + ("" if alias is None else f" AS {_quote_ident(alias)}")
+        for column, alias in selected
+    )
+    return f"CREATE VIEW {_quote_ident(name)} AS SELECT {items} FROM {_quote_ident(source)}"
+
+
+def _create_schema(conn, specs, views) -> list:
+    """Create ``specs``' tables, rejecting the example if SQLite refuses one,
+    then each of ``views`` that SQLite accepts. Returns the views created."""
+    for spec in specs:
+        try:
+            conn.execute(_ddl(*spec))
+        except sqlite3.Error:
+            reject()
+    created = []
+    for view in views:
+        try:
+            conn.execute(_view_ddl(*view))
+        except sqlite3.Error:
+            continue
+        created.append(view)
+    return created
+
+
 def _expected_fks(specs) -> list[tuple[str, str, str, str]]:
     """Each foreign key as declared; an implicit one names its parent's first
     primary-key column, and is left out when the parent has none."""
-    keys = {_ascii_folded(name): key for name, _columns, key, _fks in specs}
+    keys = {_ascii_folded(name): key for name, _columns, key, _fks, _gen in specs}
     expected = []
-    for name, _columns, _key, fks in specs:
+    for name, _columns, _key, fks, _gen in specs:
         for column, parent, parent_column in fks:
             if parent_column is None:
                 parent_key = keys.get(_ascii_folded(parent))
@@ -236,21 +308,75 @@ def _expected_fks(specs) -> list[tuple[str, str, str, str]]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(specs=table_specs())
-def test_introspection_accepts_every_schema_sqlite_accepts(tmp_path_factory, specs):
+@given(schema_specs=table_specs())
+def test_introspection_accepts_every_schema_sqlite_accepts(tmp_path_factory, schema_specs):
+    specs, views = schema_specs
     path = tmp_path_factory.mktemp("accepts") / "db.sqlite"
     conn = sqlite3.connect(path)
     try:
-        for spec in specs:
-            try:
-                conn.execute(_ddl(*spec))
-            except sqlite3.Error:
-                reject()
+        _create_schema(conn, specs, views)
         schema = introspect_database(path, "db")
-        assert [t.name for t in schema.tables] == [name for name, *_ in specs]
-        for table in schema.tables:
-            info = conn.execute(f"PRAGMA table_info({_quote_ident(table.name)})")
-            assert table.column_names() == [row[1] for row in info]
+        # Every table and view that SQLite reads (a view may be circular),
+        # with its columns as table_xinfo lists them.
+        readable = []
+        for name, in conn.execute("SELECT name FROM sqlite_master "
+                                  "WHERE type IN ('table', 'view') ORDER BY rowid").fetchall():
+            try:
+                info = conn.execute(f"PRAGMA table_xinfo({_quote_ident(name)})").fetchall()
+            except sqlite3.OperationalError:
+                continue
+            readable.append((name, [row[1] for row in info]))
+        assert [(t.name, t.column_names()) for t in schema.tables] == readable
     finally:
         conn.close()
     assert sorted(_fk_tuples(schema)) == _expected_fks(specs)
+
+
+# --- validate on the introspected schema judges as SQLite does on the file ----
+
+
+@st.composite
+def selects(draw, specs, views):
+    """A SELECT of column references, bare, quoted or qualified, from one or
+    two of the tables and views or a missing table."""
+    names = [name for name, *_ in specs] + [name for name, *_ in views]
+    sources = draw(st.lists(st.sampled_from(names + ["missing"]), min_size=1, max_size=2))
+    declared = [c for _name, columns, *_ in specs for c in columns] + [
+        alias for _name, _source, selected in views for _column, alias in selected or ()
+        if alias is not None
+    ]
+    refs = []
+    for _ in range(draw(st.integers(1, 3))):
+        column = draw(st.sampled_from(declared) | st.sampled_from(COLUMN_NAMES + ["nope"]))
+        ref = draw(st.sampled_from([column, _quote_ident(column), _quote_ident(column)])) or '""'
+        owner = draw(st.none() | st.sampled_from(sources))
+        refs.append(ref if owner is None else f"{_quote_ident(owner)}.{ref}")
+    joined = " JOIN ".join(map(_quote_ident, sources))
+    return f"SELECT {', '.join(refs)} FROM {joined}"
+
+
+def _compiles_on_file(path, sql) -> bool:
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    try:
+        conn.execute(f"EXPLAIN {sql}")
+        return True
+    except sqlite3.Error:
+        return False
+    finally:
+        conn.close()
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_specs=table_specs(), data=st.data())
+def test_validate_is_valid_exactly_when_the_file_compiles(tmp_path_factory, schema_specs,
+                                                           data):
+    specs, views = schema_specs
+    path = tmp_path_factory.mktemp("validate") / "db.sqlite"
+    conn = sqlite3.connect(path)
+    try:
+        views = _create_schema(conn, specs, views)
+    finally:
+        conn.close()
+    schema = introspect_database(path, "db")
+    for sql in data.draw(st.lists(selects(specs, views), min_size=1, max_size=4)):
+        assert validate(sql, schema).is_valid == _compiles_on_file(path, sql), sql

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlforge.errors import ParseError
-from sqlforge.schema_catalog import _quote_ident
+from sqlforge.schema_catalog import ColumnSchema, TableSchema, _quote_ident, introspect_database
 from sqlforge.sql_analysis import (
     MISSING_QUOTATION,
     SYNTAX_ERROR,
@@ -17,6 +17,8 @@ from sqlforge.sql_analysis import (
     validate,
     validate_against_tables,
 )
+
+from corpus_builder import build_sqlite_only_database
 
 
 def compiles_on_replica(sql, tables):
@@ -69,7 +71,7 @@ class TestExtractReferences:
         refs = extract_references(
             "SELECT name, age FROM singer WHERE age > 20", schemas["concert_singer"].tables
         )
-        assert refs.columns == {("singer", "name"), ("singer", "age")}
+        assert refs.columns == {("singer", "Name"), ("singer", "Age")}
 
     def test_bare_column_in_join_resolves_to_its_owner(self, schemas):
         # Name is in singer only; Singer_ID is in both tables, so it must be
@@ -80,9 +82,9 @@ class TestExtractReferences:
             schemas["concert_singer"].tables,
         )
         assert refs.columns == {
-            ("singer", "name"),
-            ("singer", "singer_id"),
-            ("singer_in_concert", "singer_id"),
+            ("singer", "Name"),
+            ("singer", "Singer_ID"),
+            ("singer_in_concert", "Singer_ID"),
         }
 
     def test_alias_resolution(self, schemas):
@@ -93,15 +95,15 @@ class TestExtractReferences:
         )
         assert refs.tables == {"singer", "singer_in_concert"}
         assert refs.columns == {
-            ("singer", "name"),
-            ("singer", "singer_id"),
-            ("singer_in_concert", "singer_id"),
+            ("singer", "Name"),
+            ("singer", "Singer_ID"),
+            ("singer_in_concert", "Singer_ID"),
         }
 
     def test_implicit_alias_without_as(self, schemas):
         refs = extract_references("SELECT s.name FROM singer s", schemas["concert_singer"].tables)
         assert refs.tables == {"singer"}
-        assert refs.columns == {("singer", "name")}
+        assert refs.columns == {("singer", "Name")}
 
     def test_subquery_tables_collected(self, schemas):
         refs = extract_references(
@@ -111,9 +113,9 @@ class TestExtractReferences:
         )
         assert refs.tables == {"singer", "singer_in_concert"}
         assert refs.columns == {
-            ("singer", "name"),
-            ("singer", "singer_id"),
-            ("singer_in_concert", "singer_id"),
+            ("singer", "Name"),
+            ("singer", "Singer_ID"),
+            ("singer_in_concert", "Singer_ID"),
         }
 
     def test_correlated_subquery_resolves_innermost_first(self, schemas):
@@ -124,9 +126,9 @@ class TestExtractReferences:
         )
         assert refs.tables == {"singer", "singer_in_concert"}
         assert refs.columns == {
-            ("singer", "name"),
-            ("singer", "age"),
-            ("singer_in_concert", "singer_id"),
+            ("singer", "Name"),
+            ("singer", "Age"),
+            ("singer_in_concert", "Singer_ID"),
         }
 
     def test_cte_name_is_not_a_table(self, schemas):
@@ -136,7 +138,7 @@ class TestExtractReferences:
             schemas["concert_singer"].tables,
         )
         assert refs.tables == {"singer"}
-        assert refs.columns == {("singer", "name"), ("singer", "age")}
+        assert refs.columns == {("singer", "Name"), ("singer", "Age")}
 
     def test_using_join_columns_read_from_both_tables(self, schemas):
         tables = schemas["concert_singer"].tables
@@ -144,17 +146,17 @@ class TestExtractReferences:
             "SELECT concert_Name, Name FROM concert JOIN stadium USING (Stadium_ID)", tables
         )
         assert refs.columns == {
-            ("concert", "concert_name"),
-            ("concert", "stadium_id"),
-            ("stadium", "name"),
-            ("stadium", "stadium_id"),
+            ("concert", "concert_Name"),
+            ("concert", "Stadium_ID"),
+            ("stadium", "Name"),
+            ("stadium", "Stadium_ID"),
         }
         # A table reached only through USING is still read.
         refs = extract_references(
             "SELECT concert_Name FROM concert JOIN stadium USING (Stadium_ID)", tables
         )
         assert refs.tables == {"concert", "stadium"}
-        assert ("stadium", "stadium_id") in refs.columns
+        assert ("stadium", "Stadium_ID") in refs.columns
 
     def test_natural_join_columns_read_from_both_tables(self, schemas):
         refs = extract_references(
@@ -163,9 +165,9 @@ class TestExtractReferences:
         )
         assert refs.tables == {"singer", "singer_in_concert"}
         assert refs.columns == {
-            ("singer", "name"),
-            ("singer", "singer_id"),
-            ("singer_in_concert", "singer_id"),
+            ("singer", "Name"),
+            ("singer", "Singer_ID"),
+            ("singer_in_concert", "Singer_ID"),
         }
 
     def test_reads_the_optimizer_drops_are_kept(self, schemas):
@@ -176,6 +178,17 @@ class TestExtractReferences:
             "SELECT pname FROM player WHERE EXISTS (SELECT state FROM college)", tables
         )
         assert refs.columns == {("player", "pname"), ("college", "state")}
+
+    def test_names_come_back_as_declared(self, tmp_path):
+        # SQLite folds ASCII letters only: "É" and "é" are two tables.
+        path = build_sqlite_only_database(tmp_path / "pair.sqlite", "accented_table_pair")
+        tables = introspect_database(path, "pair").tables
+        assert extract_references('SELECT b FROM "é"', tables).tables == {"é"}
+        refs = extract_references('SELECT A FROM "É"', tables)
+        assert (refs.tables, refs.columns) == ({"É"}, {("É", "a")})
+        singer = TableSchema(name="Singer", columns=(ColumnSchema(name="Name"),))
+        refs = extract_references("SELECT name FROM SINGER", [singer])
+        assert (refs.tables, refs.columns) == ({"Singer"}, {("Singer", "Name")})
 
     def test_statement_that_does_not_compile_raises(self, schemas):
         with pytest.raises(ParseError, match="no such column: bogus"):
