@@ -20,7 +20,8 @@ from pathlib import Path
 from .errors import GoldReferencesUnknownColumn, ParseError
 from .metrics import Sample
 from .schema_catalog import DatabaseSchema, TableSchema, render_prompt
-from .sql_analysis import SchemaReplica, extract_references
+from .sql_analysis import SchemaReplica
+from .sql_analysis import extract_references  # noqa: F401 -- bench/tracer.py wraps this name
 
 MAX_TABLES = 6
 MAX_COLUMNS_PER_TABLE = 10
@@ -54,22 +55,6 @@ class AugmentedSample:
 def derive_seed(global_seed: int, sample_id: str) -> int:
     digest = hashlib.sha256(f"{global_seed}:{sample_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _used_references(sample: Sample, schema: DatabaseSchema, replica: SchemaReplica | None):
-    """The tables the gold SQL reads, and the columns it reads of each, as
-    SQLite resolves them on the sample's schema (on ``replica`` if given)."""
-    try:
-        if replica is None:
-            refs = extract_references(sample.gold_sql, schema.tables)
-        else:
-            refs = replica.references(sample.gold_sql)
-    except ParseError as exc:
-        raise GoldReferencesUnknownColumn(f"{sample.sample_id}: {exc}") from None
-    used_columns: dict[str, set[str]] = {t: set() for t in refs.tables}
-    for table, col in refs.columns:
-        used_columns[table].add(col)
-    return refs.tables, used_columns
 
 
 def cross_db_candidates(
@@ -128,24 +113,30 @@ def cross_db_augment(
 
 def inner_db_augment(
     sample: Sample,
-    schema: DatabaseSchema,
+    replica: SchemaReplica,
     seed: int,
     p_table: float = DEFAULT_P_TABLE,
     p_col: float = DEFAULT_P_COL,
-    replica: SchemaReplica | None = None,
 ) -> AugmentedSample:
     """Randomly drop unused tables/columns from the sample's own schema,
-    enforcing the 6-table / 10-column caps. Used tables and columns are
-    never removed; when the gold SQL alone exceeds a cap, only the
-    referenced set is kept in full. ``replica``, a SchemaReplica of
-    ``schema.tables`` that the caller keeps across samples, compiles the
-    gold SQL; without one, a replica is made for this call."""
-    used_tables, used_columns = _used_references(sample, schema, replica)
+    ``replica.tables``, enforcing the 6-table / 10-column caps. Used tables
+    and columns are never removed; when the gold SQL alone exceeds a cap,
+    only the referenced set is kept in full. ``replica``, which the caller
+    keeps across samples, compiles the gold SQL."""
+    try:
+        used = replica.references(sample.gold_sql)
+    except ParseError as exc:
+        raise GoldReferencesUnknownColumn(f"{sample.sample_id}: {exc}") from None
+    used_tables = used.tables
+    used_columns: dict[str, set[str]] = {t: set() for t in used_tables}
+    for table, col in used.columns:
+        used_columns[table].add(col)
+    tables = replica.tables
     rng = random.Random(seed)
 
     kept_tables: list[TableSchema] = []
     removed_tables: list[str] = []
-    for table in schema.tables:
+    for table in tables:
         if table.name in used_tables:
             kept_tables.append(table)
         elif rng.random() < p_table:
@@ -153,10 +144,10 @@ def inner_db_augment(
         else:
             removed_tables.append(table.name)
 
-    if not kept_tables and schema.tables:
+    if not kept_tables and tables:
         # Prompt rendering needs at least one table.
-        kept_tables.append(schema.tables[0])
-        removed_tables.remove(schema.tables[0].name)
+        kept_tables.append(tables[0])
+        removed_tables.remove(tables[0].name)
 
     # Table cap: drop random unused tables beyond the limit.
     if len(kept_tables) > MAX_TABLES:
@@ -167,8 +158,8 @@ def inner_db_augment(
         kept_tables = [t for t in kept_tables if t.name not in to_drop]
     if len(used_tables) > MAX_TABLES:
         # Gold alone exceeds the cap: keep exactly the referenced tables.
-        removed_tables = [t.name for t in schema.tables if t.name not in used_tables]
-        kept_tables = [t for t in schema.tables if t.name in used_tables]
+        removed_tables = [t.name for t in tables if t.name not in used_tables]
+        kept_tables = [t for t in tables if t.name in used_tables]
 
     removed_columns: list[str] = []
     final_tables: list[TableSchema] = []

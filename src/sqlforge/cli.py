@@ -169,11 +169,10 @@ def _cmd_augment(args) -> int:
             def augment(s):
                 return augmentation.inner_db_augment(
                     s,
-                    corpus.schema(s.db_id),
+                    corpus.handles(s.db_id).replica,
                     augmentation.derive_seed(args.seed, s.sample_id),
                     p_table=args.p_table,
                     p_col=args.p_col,
-                    replica=corpus.handles(s.db_id).replica,
                 )
 
             # Grouped by db_id, so one schema replica per database compiles
@@ -219,11 +218,13 @@ def _cmd_refine(args) -> int:
         debugger = make_client(args.debugger)
 
         def refine(s):
+            handles = corpus.handles(s.db_id)
             return refine_agent.refine_sample(
                 s,
                 generator,
                 debugger,
-                corpus.handles(s.db_id).base,
+                handles.replica,
+                handles.base,
                 max_iters=args.max_iters,
                 timeout=args.exec_timeout_secs,
             )

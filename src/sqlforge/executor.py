@@ -297,7 +297,7 @@ def execute(
 # --- comparison -------------------------------------------------------------
 
 
-def _cells_equal(a, b, rel_tol: float) -> bool:
+def _cells_equal(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
     a_num = isinstance(a, (int, float))
@@ -305,12 +305,12 @@ def _cells_equal(a, b, rel_tol: float) -> bool:
     if a_num and b_num:
         if isinstance(a, int) and isinstance(b, int):
             return a == b
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-9)
+        return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-9)
     return type(a) is type(b) and a == b
 
 
-def _rows_equal(ra, rb, rel_tol: float) -> bool:
-    return len(ra) == len(rb) and all(_cells_equal(a, b, rel_tol) for a, b in zip(ra, rb))
+def _rows_equal(ra, rb) -> bool:
+    return len(ra) == len(rb) and all(map(_cells_equal, ra, rb))
 
 
 def _has_float(rows) -> bool:
@@ -321,7 +321,6 @@ def results_match(
     pred: ExecutionOutcome,
     gold: ExecutionOutcome,
     order_sensitive: bool,
-    rel_tol: float = FLOAT_REL_TOL,
 ) -> bool:
     """EX comparison: row lists elementwise when order matters, multisets
     otherwise. A non-Rows gold is a corpus defect and raises."""
@@ -334,7 +333,7 @@ def results_match(
     pred_rows = pred.rows
     gold_rows = gold.rows
     if order_sensitive:
-        return _rows_equal_list(pred_rows, gold_rows, rel_tol)
+        return len(pred_rows) == len(gold_rows) and all(map(_rows_equal, pred_rows, gold_rows))
     # Multiset mode: exact hashable fast path, then tolerant matching when
     # floats are involved. Every count is positive, so dict equality (in C)
     # is Counter equality.
@@ -347,15 +346,9 @@ def results_match(
     remaining = list(gold_rows)
     for row in pred_rows:
         for idx, cand in enumerate(remaining):
-            if _rows_equal(row, cand, rel_tol):
+            if _rows_equal(row, cand):
                 del remaining[idx]
                 break
         else:
             return False
     return True
-
-
-def _rows_equal_list(pred_rows, gold_rows, rel_tol: float) -> bool:
-    return len(pred_rows) == len(gold_rows) and all(
-        _rows_equal(p, g, rel_tol) for p, g in zip(pred_rows, gold_rows)
-    )

@@ -112,13 +112,9 @@ def test_suite_accuracy(
     short-circuits on failure."""
     if not variant_db_paths:
         raise EmptyVariantSuiteError(sample.sample_id)
-    order = order_sensitive(sample.gold_sql)
-
-    def matches_on(db: _Db) -> bool:
-        gold = execute(db, sample.gold_sql, timeout)
-        return results_match(execute(db, pred_sql, timeout), gold, order)
-
-    return _suite_matches(variant_db_paths, matches_on)
+    return _suite_matches(
+        variant_db_paths, lambda db: execution_accuracy(pred_sql, sample, db, timeout)
+    )
 
 
 def variant_suite_paths(variant_root: str | Path, db_id: str) -> list[Path]:
@@ -155,7 +151,7 @@ def _first_copies(files: list[Path]) -> dict[Path, Path]:
 class _DbHandles:
     """One thread's read-only handles to the files of the database it is
     working on, each opened on its first query, and its schema replica,
-    built on its first validate."""
+    built on its first compile. The pipelines borrow both."""
 
     def __init__(self, db_id: str, files: list[Path], tables: tuple[TableSchema, ...]):
         self.db_id = db_id

@@ -43,8 +43,6 @@ class GenerationRequest:
     prompt: str
     temperature: float = 0.5
     n: int = 1
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    stop_sequences: tuple[str, ...] = DEFAULT_STOP_SEQUENCES
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -105,8 +103,8 @@ class HttpModelClient:
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "n": request.n,
-            "max_tokens": request.max_tokens,
-            "stop": list(request.stop_sequences),
+            "max_tokens": DEFAULT_MAX_TOKENS,
+            "stop": list(DEFAULT_STOP_SEQUENCES),
         }).encode()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):

@@ -1,9 +1,9 @@
 """Preference-pair mining via self-consistency execution.
 
-For each sample we draw N candidates at temperature 0.5, execute all of
-them, and reject any whose execution result disagrees with the gold
-query's result. The gold SQL is always the chosen side; one pair is
-emitted per distinct rejected SQL.
+For each sample we draw N candidates at temperature 0.5, execute each
+distinct one (by whitespace-normalised text) once, and reject any whose
+execution result disagrees with the gold query's result. The gold SQL is
+always the chosen side; one pair is emitted per distinct rejected SQL.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ def mine_pairs(
         norm = normalize_whitespace(candidate)
         if not norm or norm == gold_norm or norm in seen:
             continue
+        seen.add(norm)  # one run and one verdict, even if nondeterministic
         outcome = execute(db, candidate, timeout)
         if results_match(outcome, gold_outcome, ordered):
             continue  # execution-equivalent candidates are correct, not rejected
@@ -81,7 +82,6 @@ def mine_pairs(
             reason = TIMEOUT_REASON
         else:
             reason = RESULT_MISMATCH
-        seen.add(norm)
         pairs.append(
             PreferencePair(
                 prompt=prompt,

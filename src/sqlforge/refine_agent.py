@@ -16,8 +16,9 @@ from pathlib import Path
 from .executor import DEFAULT_TIMEOUT_SECS, TIMEOUT, ExecutionOutcome, ReadOnlyHandle, execute
 from .metrics import Sample
 from .model_client import GenerationRequest, extract_sql
-from .schema_catalog import DatabaseSchema, TableSchema, render_prompt
-from .sql_analysis import SYNTAX_ERROR, SchemaReplica, ValidityReport, validate_against_tables
+from .schema_catalog import render_prompt
+from .sql_analysis import SYNTAX_ERROR, SchemaReplica, ValidityReport
+from .sql_analysis import validate_against_tables  # noqa: F401 -- bench/tracer.py wraps this name
 
 GENERATOR = "generator"
 DEBUGGER = "debugger"
@@ -44,21 +45,16 @@ class RefineResult:
 
 def invalid_check(
     sql: str,
-    schema_tables: list[TableSchema] | tuple[TableSchema, ...] | DatabaseSchema | SchemaReplica,
+    replica: SchemaReplica,
     db: str | Path | ReadOnlyHandle,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> tuple[ValidityReport, ExecutionOutcome | None]:
-    """Static validation first, on ``schema_tables`` or on a replica of
-    them that the caller keeps; statically valid SQL is then executed on
-    ``db``, a path or an open handle, and downgraded to invalid on an
-    engine error or timeout. An empty result set is valid; a Valid report
-    always comes with a rows outcome."""
-    if isinstance(schema_tables, DatabaseSchema):
-        schema_tables = schema_tables.tables
-    if isinstance(schema_tables, SchemaReplica):
-        report = schema_tables.validate(sql)
-    else:
-        report = validate_against_tables(sql, schema_tables)
+    """Static validation first, on ``replica``, which the caller keeps;
+    statically valid SQL is then executed on ``db``, a path or an open
+    handle, and downgraded to invalid on an engine error or timeout. An
+    empty result set is valid; a Valid report always comes with a rows
+    outcome."""
+    report = replica.validate(sql)
     if not report.is_valid:
         return report, None
     outcome = execute(db, sql, timeout)
@@ -92,7 +88,7 @@ def build_debug_prompt(
 
 def parse_question(
     question: str,
-    tables: list[TableSchema] | tuple[TableSchema, ...],
+    replica: SchemaReplica,
     generator,
     debugger,
     db: str | Path | ReadOnlyHandle,
@@ -101,42 +97,39 @@ def parse_question(
     temperature: float = 0.0,
 ) -> RefineResult:
     """Run the full generate/check/debug loop for one question, prompting
-    with ``tables`` and executing on ``db``, a path or an open handle."""
+    with ``replica.tables``, validating every attempt on ``replica`` and
+    executing on ``db``, a path or an open handle. The caller keeps both."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    tables = tuple(tables)
+    tables = replica.tables
 
     attempts: list[RefineAttempt] = []
-    sql = ""
-    # One replica validates every attempt; it is closed before this returns
-    # or raises.
-    with SchemaReplica(tables) as replica:
-        for iteration in range(max_iters):
-            if iteration == 0:
-                prompt = render_prompt(tables, question)
-                role = GENERATOR
-                client = generator
-            else:
-                prev = attempts[-1]
-                prompt = build_debug_prompt(question, tables, prev.sql, prev.validity)
-                role = DEBUGGER
-                client = debugger
-            response = client.generate(
-                GenerationRequest(prompt=prompt, temperature=temperature, n=1)
+    for iteration in range(max_iters):
+        if iteration == 0:
+            prompt = render_prompt(tables, question)
+            role = GENERATOR
+            client = generator
+        else:
+            prev = attempts[-1]
+            prompt = build_debug_prompt(question, tables, prev.sql, prev.validity)
+            role = DEBUGGER
+            client = debugger
+        response = client.generate(
+            GenerationRequest(prompt=prompt, temperature=temperature, n=1)
+        )
+        sql = extract_sql(response.completions[0])
+        validity, outcome = invalid_check(sql, replica, db, timeout)
+        attempts.append(
+            RefineAttempt(
+                iteration=iteration,
+                sql=sql,
+                validity=validity,
+                outcome=outcome,
+                role=role,
             )
-            sql = extract_sql(response.completions[0])
-            validity, outcome = invalid_check(sql, replica, db, timeout)
-            attempts.append(
-                RefineAttempt(
-                    iteration=iteration,
-                    sql=sql,
-                    validity=validity,
-                    outcome=outcome,
-                    role=role,
-                )
-            )
-            if validity.is_valid:
-                break
+        )
+        if validity.is_valid:
+            break
 
     last = attempts[-1]
     return RefineResult(
@@ -191,14 +184,16 @@ def refine_sample(
     sample: Sample,
     generator,
     debugger,
+    replica: SchemaReplica,
     db: str | Path | ReadOnlyHandle,
     max_iters: int = DEFAULT_MAX_ITERS,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> RefineResult:
-    """:func:`parse_question` on the sample's question and prompt schema."""
+    """:func:`parse_question` on the sample's question, with ``replica``
+    of the sample's database."""
     return parse_question(
         sample.question,
-        sample.schema_tables,
+        replica,
         generator,
         debugger,
         db,

@@ -2,10 +2,10 @@
 
 Both questions that need a schema are answered by compiling the statement
 with ``EXPLAIN`` on an empty in-memory replica of the tables, a
-``SchemaReplica`` that callers keep for as long as they stay on one
-schema: ``validate`` classifies it into {Valid, SyntaxError,
-WrongTableName, WrongColumnName, MissingQuotation}, and ``references``
-lists the tables and columns the compiled statement reads. The
+``SchemaReplica`` that the caller owns, and the pipelines borrow, for as
+long as they stay on one schema: ``validate`` classifies it into {Valid,
+SyntaxError, WrongTableName, WrongColumnName, MissingQuotation}, and
+``references`` lists the tables and columns the compiled statement reads. The
 module-level ``validate``, ``validate_against_tables`` and
 ``extract_references`` do the same on a replica made for one call. A
 lexical scan that skips quoted text and comments finds schema identifiers
@@ -57,6 +57,15 @@ def mask_quoted(sql: str) -> str:
     """``sql`` with string literals, quoted identifiers and comments blanked
     out, offsets preserved."""
     return _QUOTED_OR_COMMENT.sub(lambda m: " " * len(m.group()), sql)
+
+
+_EXPLAIN_FIRST = re.compile(r"\s*explain\b", re.IGNORECASE | re.ASCII)
+
+
+def _explains(sql: str) -> bool:
+    """Whether ``sql``'s first token outside comments is ``EXPLAIN``. Quoted
+    text is masked too, but no statement can begin with it."""
+    return _EXPLAIN_FIRST.match(mask_quoted(sql)) is not None
 
 
 # --- compiling on a schema replica ------------------------------------------
@@ -113,9 +122,10 @@ class SchemaReplica:
             self._conn = None
 
     def _compile(self, sql: str) -> tuple[list[tuple], list[tuple[str, str]]]:
-        """Compile ``EXPLAIN sql``. Returns the program and the (table,
-        column) of every SQLITE_READ the authorizer saw; the column is
-        empty for a table read without a column, as by ``count(*)``.
+        """Compile ``EXPLAIN sql``, or ``sql`` as given when it is already
+        an ``EXPLAIN``. Returns the rows of the explained statement and the
+        (table, column) of every SQLITE_READ the authorizer saw; the column
+        is empty for a table read without a column, as by ``count(*)``.
         Raises ParseError with SQLite's message if the statement does not
         compile."""
         if self._conn is None:
@@ -134,7 +144,8 @@ class SchemaReplica:
 
         try:
             self._conn.set_authorizer(note)
-            return self._conn.execute(f"EXPLAIN {sql}").fetchall(), reads
+            text = sql if _explains(sql) else f"EXPLAIN {sql}"
+            return self._conn.execute(text).fetchall(), reads
         except STATEMENT_ERRORS as exc:
             raise ParseError(str(exc)) from None
         finally:
@@ -144,7 +155,10 @@ class SchemaReplica:
     def references(self, sql: str) -> SqlReferences:
         """The tables and columns that ``sql`` reads, named as declared, as
         SQLite resolves them when it compiles the statement. Raises
-        ParseError with SQLite's message if it does not compile."""
+        ParseError with SQLite's message if it does not compile, and for
+        an ``EXPLAIN``, whose rows are not a program of ``sql``."""
+        if _explains(sql):
+            raise ParseError("cannot list the reads of an EXPLAIN statement")
         program, reads = self._compile(sql)
         # The authorizer is not called for USING / NATURAL join columns, nor
         # for a table reached only through them; the program's OpenRead and
@@ -165,7 +179,7 @@ class SchemaReplica:
 
     def validate(self, sql: str) -> ValidityReport:
         """Classify ``sql``. It is Valid exactly when ``EXPLAIN`` compiles
-        it."""
+        it, or when it is an ``EXPLAIN`` that compiles as given."""
         if not sql or not sql.strip():
             return ValidityReport(SYNTAX_ERROR, "empty SQL text")
         try:

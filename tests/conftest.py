@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sqlite3
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,16 @@ def schemas(corpus) -> dict[str, DatabaseSchema]:
         db_id = db_dir.name
         out[db_id] = introspect_database(corpus.db_path(db_id), db_id)
     return out
+
+
+@pytest.fixture
+def replica_of(schemas):
+    """``replica_of(db_id)``: a new schema replica of the fixture database
+    ``db_id``, closed when the test ends."""
+    with ExitStack() as stack:
+        yield lambda db_id: stack.enter_context(
+            sql_analysis.SchemaReplica(schemas[db_id].tables)
+        )
 
 
 @pytest.fixture

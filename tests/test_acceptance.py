@@ -132,9 +132,10 @@ def test_criterion_3_reference_example_fidelity(corpus, samples):
     ok(3, "tryout/player preference pair reproduced in the chosen/rejected shape")
 
 
-def test_criterion_4_augmentation_invariants(corpus, samples, schemas):
+def test_criterion_4_augmentation_invariants(corpus, samples, schemas, replica_of):
     start = time.monotonic()
     corpus_schemas = list(schemas.values())
+    replica_for = {db_id: replica_of(db_id) for db_id in schemas}
     violations = 0
 
     for i in range(1000):
@@ -154,7 +155,7 @@ def test_criterion_4_augmentation_invariants(corpus, samples, schemas):
 
     for i in range(1000):
         s = samples[i % len(samples)]
-        aug = inner_db_augment(s, schemas[s.db_id], seed=i)
+        aug = inner_db_augment(s, replica_for[s.db_id], seed=i)
         if len(aug.schema_tables) > MAX_TABLES:
             violations += 1
         if any(len(t.columns) > MAX_COLUMNS_PER_TABLE for t in aug.schema_tables):
@@ -201,7 +202,7 @@ def _failure_plan(samples):
     return plan
 
 
-def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
+def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas, replica_of):
     plan = _failure_plan(samples)
     fixed_ids = sorted(plan)[:6]
 
@@ -225,8 +226,10 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
     baseline_preds = {}
     pipeline_preds = {}
     debugger_iterations = 0
+    replica_for = {db_id: replica_of(db_id) for db_id in schemas}
     for s in samples:
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, replica_for[s.db_id],
+                               corpus.db_path(s.db_id))
         baseline_preds[s.sample_id] = result.attempts[0].sql
         pipeline_preds[s.sample_id] = result.final_sql
         debugger_iterations += result.iterations_used - 1
@@ -256,14 +259,15 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
     ok(5, "pipeline EX = baseline EX + 6/50 exactly; debugger used only on failures")
 
 
-def test_criterion_6_termination_and_budget(corpus, samples, schemas):
+def test_criterion_6_termination_and_budget(corpus, samples, replica_of):
     s = samples[0]
     broken = "SELECT nothing FROM nowhere"
     generator = MockModelClient([{"responses": [broken], "cycle": True}])
     debugger = MockModelClient([{"responses": [broken], "cycle": True}])
     for max_iters in (1, 3, 5):
         result = refine_sample(
-            s, generator, debugger, corpus.db_path(s.db_id), max_iters=max_iters,
+            s, generator, debugger, replica_of(s.db_id), corpus.db_path(s.db_id),
+            max_iters=max_iters,
         )
         assert not result.succeeded
         assert result.iterations_used == max_iters

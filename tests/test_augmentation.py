@@ -17,7 +17,7 @@ from sqlforge.augmentation import (
 from sqlforge.errors import GoldReferencesUnknownColumn
 from sqlforge.metrics import Sample
 from sqlforge.schema_catalog import introspect_database
-from sqlforge.sql_analysis import extract_references, validate_against_tables
+from sqlforge.sql_analysis import SchemaReplica, extract_references, validate_against_tables
 
 from corpus_builder import build_sqlite_only_database
 
@@ -136,33 +136,37 @@ class TestCrossDb:
 
 
 class TestInnerDb:
-    def test_used_table_always_kept(self, samples, schemas):
+    def test_used_table_always_kept(self, samples, replica_of):
         s = sample_for(samples, "concert_singer", "count(*) FROM singer")
+        replica = replica_of("concert_singer")
         for seed in range(50):
-            aug = inner_db_augment(s, schemas["concert_singer"], seed)
+            aug = inner_db_augment(s, replica, seed)
             assert any(t.name == "singer" for t in aug.schema_tables)
 
-    def test_table_cap_on_nine_table_database(self, samples, schemas):
+    def test_table_cap_on_nine_table_database(self, samples, replica_of):
         s = sample_for(samples, "warehouse", "suppliers.sname")
+        replica = replica_of("warehouse")
         for seed in range(200):
-            aug = inner_db_augment(s, schemas["warehouse"], seed, p_table=1.0)
+            aug = inner_db_augment(s, replica, seed, p_table=1.0)
             assert len(aug.schema_tables) <= MAX_TABLES
             names = {t.name for t in aug.schema_tables}
             assert {"suppliers", "items"} <= names
 
-    def test_column_cap_on_wide_table(self, samples, schemas):
+    def test_column_cap_on_wide_table(self, samples, replica_of):
         s = sample_for(samples, "wide_metrics", "avg(m01)")
+        replica = replica_of("wide_metrics")
         for seed in range(200):
-            aug = inner_db_augment(s, schemas["wide_metrics"], seed, p_col=1.0)
+            aug = inner_db_augment(s, replica, seed, p_col=1.0)
             readings = next(t for t in aug.schema_tables if t.name == "readings")
             assert len(readings.columns) <= MAX_COLUMNS_PER_TABLE
             kept = {c.name for c in readings.columns}
             assert {"device_id", "m01"} <= kept
 
-    def test_gold_preservation_over_seeds(self, samples, schemas):
+    def test_gold_preservation_over_seeds(self, samples, replica_of):
         for s in samples[:15]:
+            replica = replica_of(s.db_id)
             for seed in range(20):
-                aug = inner_db_augment(s, schemas[s.db_id], seed)
+                aug = inner_db_augment(s, replica, seed)
                 report = validate_against_tables(s.gold_sql, aug.schema_tables)
                 assert report.is_valid, (s.sample_id, seed, report)
 
@@ -178,14 +182,17 @@ class TestInnerDb:
             "SELECT Name FROM old ORDER BY Age",
         ],
     )
-    def test_gold_still_compiles_when_everything_unused_is_dropped(self, schemas, gold):
+    def test_gold_still_compiles_when_everything_unused_is_dropped(
+        self, schemas, replica_of, gold
+    ):
         # The gold must also read the same columns: a NATURAL join that lost
         # its shared column would still compile, as a cross join.
         schema = schemas["concert_singer"]
         s = Sample("g", "concert_singer", "q", gold, schema.tables)
         reads = extract_references(gold, schema.tables)
+        replica = replica_of("concert_singer")
         for seed in range(10):
-            aug = inner_db_augment(s, schema, seed, p_table=0, p_col=0)
+            aug = inner_db_augment(s, replica, seed, p_table=0, p_col=0)
             report = validate_against_tables(gold, aug.schema_tables)
             assert report.is_valid, (seed, report)
             assert extract_references(gold, aug.schema_tables) == reads, seed
@@ -199,16 +206,17 @@ class TestInnerDb:
         path = build_sqlite_only_database(tmp_path / "pair.sqlite", "accented_table_pair")
         schema = introspect_database(path, "pair")
         s = Sample("g", "pair", "q", gold, schema.tables)
-        aug = inner_db_augment(s, schema, 1, p_table=0, p_col=0)
+        with SchemaReplica(schema.tables) as replica:
+            aug = inner_db_augment(s, replica, 1, p_table=0, p_col=0)
         assert [(t.name, t.column_names()) for t in aug.schema_tables] == [kept]
 
-    def test_deterministic(self, samples, schemas):
+    def test_deterministic(self, samples, replica_of):
         s = sample_for(samples, "hr", "departments.dname")
-        assert inner_db_augment(s, schemas["hr"], 3) == inner_db_augment(
-            s, schemas["hr"], 3
+        assert inner_db_augment(s, replica_of("hr"), 3) == inner_db_augment(
+            s, replica_of("hr"), 3
         )
 
-    def test_gold_referencing_unknown_column_rejected(self, schemas):
+    def test_gold_referencing_unknown_column_rejected(self, schemas, replica_of):
         s = Sample(
             sample_id="bad",
             db_id="shop",
@@ -217,7 +225,7 @@ class TestInnerDb:
             schema_tables=schemas["shop"].tables,
         )
         with pytest.raises(GoldReferencesUnknownColumn):
-            inner_db_augment(s, schemas["shop"], 1)
+            inner_db_augment(s, replica_of("shop"), 1)
 
 
 class TestExport:
@@ -227,9 +235,9 @@ class TestExport:
         assert a != derive_seed(42, "s002")
         assert a != derive_seed(43, "s001")
 
-    def test_record_shape(self, samples, schemas):
+    def test_record_shape(self, samples, replica_of):
         s = sample_for(samples, "school", "age > 20")
-        aug = inner_db_augment(s, schemas["school"], 5)
+        aug = inner_db_augment(s, replica_of("school"), 5)
         record = augmented_to_record(aug)
         assert set(record) == {"sample_id", "prompt", "completion", "provenance", "seed"}
         assert record["completion"] == s.gold_sql

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqlforge import cli
+from sqlforge import cli, metrics, sql_analysis
 from sqlforge.cli import load_config, run
 from sqlforge.errors import ConfigError
 from sqlforge.executor import DEFAULT_TIMEOUT_SECS
@@ -492,6 +494,55 @@ class TestMalformedRecords:
         assert done.returncode == 0, done.stderr
 
 
+#: Pieces of model text: what sqlite3 refuses (a NUL, a lone surrogate, a
+#: second statement), comments and quotes, EXPLAIN, and statements that
+#: would write a file or a database if they ran.
+HOSTILE_PIECES = [
+    "SELECT count(*) FROM customers", "SELECT name FROM customers", " ", "\x00", "\ud800",
+    ";", "-- c\n", "/* c */", "/* open", "'", '"', "EXPLAIN ", "EXPLAIN QUERY PLAN ",
+    "ATTACH 'attached.sqlite' AS z", "PRAGMA query_only=0", "PRAGMA writable_schema=1",
+    "VACUUM INTO 'vacuumed.sqlite'", "DELETE FROM customers", "DROP TABLE orders",
+    "INSERT INTO customers(name) VALUES ('x')", "CREATE TABLE t(a)",
+]
+hostile_texts = st.lists(st.sampled_from(HOSTILE_PIECES), min_size=1, max_size=4).map("".join)
+
+
+class TestHostileModelText:
+    @settings(max_examples=20, deadline=None)
+    @given(preds=st.lists(hostile_texts, min_size=2, max_size=2),
+           completions=st.lists(hostile_texts, min_size=1, max_size=3))
+    def test_eval_and_mine_exit_zero_and_change_no_file(
+        self, corpus, sample_records, tmp_path_factory, preds, completions
+    ):
+        records = [r for r in sample_records if r["db_id"] == "shop"][:2]
+        work = tmp_path_factory.mktemp("hostile")
+        (work / "samples.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        (work / "preds.jsonl").write_text("".join(
+            json.dumps({"sample_id": r["sample_id"], "sql": sql}) + "\n"
+            for r, sql in zip(records, preds)))
+        (work / "mock.jsonl").write_text(
+            json.dumps({"responses": completions, "cycle": True}) + "\n")
+        corpus_files = sorted(corpus.root.rglob("*"))
+        before = corpus_digest(corpus)
+        common = ["--samples", "samples.jsonl", "--corpus", str(corpus.root)]
+        cwd = os.getcwd()
+        os.chdir(work)  # relative ATTACH and VACUUM INTO targets land here
+        try:
+            assert run(["eval", *common, "--preds", "preds.jsonl", "--json",
+                        "--out", "eval.json"]) == 0
+            assert run(["mine", *common, "--mock", "mock.jsonl", "--n-candidates", "3",
+                        "--out", "pairs.jsonl"]) == 0
+        finally:
+            os.chdir(cwd)
+        verdicts = json.loads((work / "eval.json").read_text())["verdicts"]
+        assert sorted(v["sample_id"] for v in verdicts) == sorted(
+            r["sample_id"] for r in records)
+        assert sorted(p.name for p in work.iterdir()) == [
+            "eval.json", "mock.jsonl", "pairs.jsonl", "preds.jsonl", "samples.jsonl"]
+        assert sorted(corpus.root.rglob("*")) == corpus_files
+        assert corpus_digest(corpus) == before
+
+
 class TestCorpusHandles:
     """mine and refine run each worker thread's statements on one reused
     handle per database file, and close every handle before they return
@@ -609,13 +660,39 @@ class TestConcurrentSamples:
             assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
         assert any(DEBUG_MARKER in p for p in model_server.prompts)  # debugger used
 
-    def test_refine_holds_one_replica_per_sample_in_flight(
-        self, corpus, model_server, tmp_path, opened, replicas
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_refine_borrows_the_corpus_replicas(
+        self, corpus, model_server, tmp_path, monkeypatch, capsys, opened, replicas, fails
     ):
+        """refine builds no schema replica of its own: every attempt
+        validates on its worker thread's corpus replica, at most one is open
+        per thread, and all are closed on return and on failure."""
+        made, held = [], []
+        replica_init = sql_analysis.SchemaReplica.__init__
+        handles_init = metrics._DbHandles.__init__
+
+        def recording_replica_init(replica, tables, extra_column=None):
+            replica_init(replica, tables, extra_column)
+            if extra_column is None:
+                made.append(replica)
+
+        def recording_handles_init(handles, *args):
+            handles_init(handles, *args)
+            held.append(handles.replica)
+
+        monkeypatch.setattr(sql_analysis.SchemaReplica, "__init__", recording_replica_init)
+        monkeypatch.setattr(metrics._DbHandles, "__init__", recording_handles_init)
+        if fails:
+            # The first replies are valid, so replicas are open when a
+            # later model call is refused.
+            ok = json.dumps({"choices": [{"message": {"content": "SELECT 1"}}]}).encode()
+            model_server.script.extend([(200, ok)] * 8 + [(401, b"{}")])
         assert self.refine(corpus, model_server.url, tmp_path / "out.jsonl",
-                           tmp_path / "trace") == 0
+                           tmp_path / "trace") == int(fails)
+        assert ("rejected credentials" in capsys.readouterr().err) == fails
         assert 1 < model_server.peak_in_flight
-        assert len(replicas) == 50
+        assert replicas
+        assert made == held
         assert max(replicas.open_at_build) < self.WIDTH
         assert not opened.still_open()
 

@@ -1,5 +1,6 @@
 import pytest
 
+from sqlforge import preference_miner
 from sqlforge.errors import GoldExecutionFailed
 from sqlforge.metrics import Sample
 from sqlforge.model_client import MockModelClient
@@ -42,6 +43,23 @@ class TestMinePairs:
         client = MockModelClient([{"responses": [equivalent] * 4}])
         pairs = mine_pairs(s, client, corpus.db_path(s.db_id), n=4)
         assert pairs == []
+
+    def test_each_distinct_candidate_runs_once(self, corpus, samples, monkeypatch):
+        s = next(s for s in samples if "min(player.hs)" in s.gold_sql)
+        equivalent = (
+            "SELECT min(player.hs) , tryout.ppos FROM player JOIN tryout "
+            "ON player.pid = tryout.pid GROUP BY tryout.ppos"
+        )
+        runs = []
+
+        def counting_execute(db, sql, timeout):
+            runs.append(sql)
+            return execute(db, sql, timeout)
+
+        monkeypatch.setattr(preference_miner, "execute", counting_execute)
+        client = MockModelClient([{"responses": [equivalent] * 4}])
+        assert mine_pairs(s, client, corpus.db_path(s.db_id), n=4) == []
+        assert runs == [s.gold_sql, equivalent]
 
     def test_duplicate_rejections_deduped(self, corpus, samples):
         s = tryout_sample(samples)

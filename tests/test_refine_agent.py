@@ -1,6 +1,5 @@
 import pytest
 
-from sqlforge.errors import MockExhausted
 from sqlforge.model_client import MockModelClient
 from sqlforge.refine_agent import (
     DEBUGGER,
@@ -23,33 +22,33 @@ from sqlforge.sql_analysis import (
 
 
 class TestInvalidCheck:
-    def test_gold_sql_passes(self, corpus, samples, schemas):
+    def test_gold_sql_passes(self, corpus, samples, replica_of):
         s = samples[0]
         report, outcome = invalid_check(
-            s.gold_sql, schemas[s.db_id], corpus.db_path(s.db_id)
+            s.gold_sql, replica_of(s.db_id), corpus.db_path(s.db_id)
         )
         assert report.status == VALID
         assert outcome is not None and outcome.is_rows
 
-    def test_static_catch_skips_execution(self, corpus, schemas):
+    def test_static_catch_skips_execution(self, corpus, replica_of):
         report, outcome = invalid_check(
-            "SELECT * FROM no_such_table", schemas["shop"], corpus.db_path("shop")
+            "SELECT * FROM no_such_table", replica_of("shop"), corpus.db_path("shop")
         )
         assert report.status == WRONG_TABLE_NAME
         assert outcome is None
 
-    def test_runtime_error_downgrades_static_pass(self, corpus, schemas):
+    def test_runtime_error_downgrades_static_pass(self, corpus, replica_of):
         # Statically fine (names resolve) but fails in the engine at runtime.
         sql = "SELECT json_extract(name, 'not a path') FROM customers"
-        report, outcome = invalid_check(sql, schemas["shop"], corpus.db_path("shop"))
+        report, outcome = invalid_check(sql, replica_of("shop"), corpus.db_path("shop"))
         assert not report.is_valid
         assert outcome is not None and outcome.kind == "error"
         assert report.detail  # carries the engine message
 
-    def test_empty_result_is_valid(self, corpus, schemas):
+    def test_empty_result_is_valid(self, corpus, replica_of):
         report, outcome = invalid_check(
             "SELECT name FROM customers WHERE city = 'Nowhere'",
-            schemas["shop"],
+            replica_of("shop"),
             corpus.db_path("shop"),
         )
         assert report.is_valid
@@ -80,13 +79,13 @@ class TestBuildDebugPrompt:
 
 
 class TestParseQuestion:
-    def test_generator_success_short_circuits(self, corpus, samples):
+    def test_generator_success_short_circuits(self, corpus, samples, replica_of):
         s = samples[0]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([{"responses": ["SHOULD NOT BE CALLED"]}])
         result = parse_question(
             s.question,
-            s.schema_tables,
+            replica_of(s.db_id),
             generator,
             debugger,
             corpus.db_path(s.db_id),
@@ -98,13 +97,13 @@ class TestParseQuestion:
         assert debugger.call_count == 0
         assert [a.role for a in result.attempts] == [GENERATOR]
 
-    def test_debugger_fixes_wrong_table(self, corpus, samples):
+    def test_debugger_fixes_wrong_table(self, corpus, samples, replica_of):
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT count(*) FROM wrong_table"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
         result = parse_question(
             s.question,
-            s.schema_tables,
+            replica_of(s.db_id),
             generator,
             debugger,
             corpus.db_path(s.db_id),
@@ -115,14 +114,14 @@ class TestParseQuestion:
         assert [a.role for a in result.attempts] == [GENERATOR, DEBUGGER]
         assert result.final_sql == s.gold_sql
 
-    def test_budget_exhaustion(self, corpus, samples):
+    def test_budget_exhaustion(self, corpus, samples, replica_of, replicas):
         s = samples[0]
         broken = "SELECT count(*) FROM never_exists"
         generator = MockModelClient([{"responses": [broken], "cycle": True}])
         debugger = MockModelClient([{"responses": [broken], "cycle": True}])
         result = parse_question(
             s.question,
-            s.schema_tables,
+            replica_of(s.db_id),
             generator,
             debugger,
             corpus.db_path(s.db_id),
@@ -132,60 +131,41 @@ class TestParseQuestion:
         assert result.iterations_used == 3
         assert len(result.attempts) == 3
         assert result.final_sql == broken
+        assert [a.validity.status for a in result.attempts] == [WRONG_TABLE_NAME] * 3
+        # Every attempt validated on the borrowed replica, left open for its owner.
+        assert len(replicas) == 1
+        assert replicas.still_open() == replicas
 
-    def test_max_iters_must_be_positive(self, corpus, samples, schemas):
+    def test_max_iters_must_be_positive(self, corpus, samples, replica_of):
         s = samples[0]
         client = MockModelClient([{"responses": ["x"], "cycle": True}])
         with pytest.raises(ValueError):
             parse_question(
-                s.question, schemas[s.db_id].tables, client, client,
+                s.question, replica_of(s.db_id), client, client,
                 corpus.db_path(s.db_id), max_iters=0,
             )
 
-    def test_succeeded_implies_execution_rows(self, corpus, samples):
+    def test_succeeded_implies_execution_rows(self, corpus, samples, replica_of):
         from sqlforge.executor import execute
 
         s = samples[5]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([])
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, replica_of(s.db_id),
+                               corpus.db_path(s.db_id))
         assert result.succeeded
         assert execute(corpus.db_path(s.db_id), result.final_sql).is_rows
 
 
-class TestReplicaLifetime:
-    """refine_sample validates every attempt on one schema replica, closed
-    before it returns or raises."""
-
-    def test_one_replica_validates_every_attempt(self, corpus, samples, opened, replicas):
-        s = samples[0]
-        broken = "SELECT count(*) FROM never_exists"
-        generator = MockModelClient([{"responses": [broken], "cycle": True}])
-        debugger = MockModelClient([{"responses": [broken], "cycle": True}])
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id), max_iters=3)
-        assert [a.validity.status for a in result.attempts] == [WRONG_TABLE_NAME] * 3
-        assert len(replicas) == 1
-        assert not opened.still_open()
-
-    def test_replica_closed_when_a_model_call_fails(self, corpus, samples, opened,
-                                                    replicas):
-        s = samples[0]
-        generator = MockModelClient([{"responses": ["SELECT count(*) FROM never_exists"]}])
-        debugger = MockModelClient([])
-        with pytest.raises(MockExhausted):
-            refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
-        assert len(replicas) == 1
-        assert not opened.still_open()
-
-
 class TestTrace:
-    def test_trace_round_trip(self, corpus, samples, tmp_path):
+    def test_trace_round_trip(self, corpus, samples, tmp_path, replica_of):
         import json
 
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT nope FROM nada"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, replica_of(s.db_id),
+                               corpus.db_path(s.db_id))
         write_trace(tmp_path, s.sample_id, result)
         data = json.loads((tmp_path / f"{s.sample_id}.json").read_text())
         assert data == result_to_dict(s.sample_id, result)

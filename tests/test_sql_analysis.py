@@ -36,6 +36,14 @@ def compiles_on_replica(sql, tables):
         conn.close()
 
 
+#: Statements that are already an EXPLAIN, over the shop database.
+EXPLAINED = [
+    "EXPLAIN SELECT 1",
+    "EXPLAIN QUERY PLAN SELECT name FROM customers",
+    "/* c */ explain select name from customers",
+]
+
+
 class TestExtractReferences:
     def test_join_with_qualified_columns(self, schemas):
         refs = extract_references(
@@ -197,6 +205,11 @@ class TestExtractReferences:
     def test_empty_sql_raises(self, schemas):
         with pytest.raises(ParseError):
             extract_references("   ", schemas["shop"].tables)
+
+    @pytest.mark.parametrize("sql", EXPLAINED)
+    def test_explain_raises(self, schemas, sql):
+        with pytest.raises(ParseError):
+            extract_references(sql, schemas["shop"].tables)
 
     def test_unterminated_string_raises(self, schemas):
         with pytest.raises(ParseError):
@@ -440,20 +453,17 @@ class TestReusedReplica:
 
 
 class TestValidateExecutionConsistency:
-    def test_static_table_or_column_errors_also_fail_at_execution(
-        self, corpus, samples, schemas
-    ):
+    @pytest.mark.parametrize("db_id, sql, status", [
+        ("shop", "SELECT * FROM missing_table", WRONG_TABLE_NAME),
+        ("soccer_tryout", "SELECT min(HS), ppos FROM player GROUP BY ppos", WRONG_COLUMN_NAME),
+        ("concert_singer", "SELECT bogus FROM singer", WRONG_COLUMN_NAME),
+        *[("shop", sql, VALID) for sql in EXPLAINED],
+    ])
+    def test_validate_agrees_with_execution(self, corpus, schemas, db_id, sql, status):
         # Every statically detected table/column defect must also error at
-        # execution on the schema's database.
-        from sqlforge.executor import EXEC_ERROR, execute
+        # execution on the schema's database, and a Valid statement runs.
+        from sqlforge.executor import EXEC_ERROR, ROWS, execute
 
-        bad_preds = {
-            "shop": "SELECT * FROM missing_table",
-            "soccer_tryout": "SELECT min(HS), ppos FROM player GROUP BY ppos",
-            "concert_singer": "SELECT bogus FROM singer",
-        }
-        for db_id, sql in bad_preds.items():
-            report = validate(sql, schemas[db_id])
-            assert report.status in (WRONG_TABLE_NAME, WRONG_COLUMN_NAME)
-            outcome = execute(corpus.db_path(db_id), sql)
-            assert outcome.kind == EXEC_ERROR
+        assert validate(sql, schemas[db_id]).status == status
+        outcome = execute(corpus.db_path(db_id), sql)
+        assert outcome.kind == (ROWS if status == VALID else EXEC_ERROR)
