@@ -295,7 +295,7 @@ def run(argv: list[str]) -> int:
     try:
         _apply_config(args, argv)
         return _COMMANDS[args.command](args)
-    except (SqlforgeError, FileNotFoundError, ValueError) as exc:
+    except (SqlforgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -181,10 +181,10 @@ _WATCHDOG = _Watchdog()
 os.register_at_fork(after_in_child=_WATCHDOG.__init__)
 
 
-#: The authorizer actions a query needs. A handle denies every other action
-#: -- ATTACH, PRAGMA, temp-schema DDL, writes -- when the statement is
-#: prepared, so no statement can change what later statements on the same
-#: handle see, or touch the file system.
+#: The authorizer actions a query needs. Every connection that compiles or
+#: runs model text denies the rest -- ATTACH, PRAGMA, temp-schema DDL,
+#: writes -- when the statement is prepared, so no statement can change what
+#: later statements on it see, or touch the file system.
 READ_ACTIONS = frozenset(
     {
         sqlite3.SQLITE_SELECT,
@@ -193,6 +193,11 @@ READ_ACTIONS = frozenset(
         sqlite3.SQLITE_RECURSIVE,
     }
 )
+
+
+def read_only_authorizer(action, *_names) -> int:
+    """Allow :data:`READ_ACTIONS`; deny every other action."""
+    return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
 
 
 #: What compiling or running model text can raise: Python 3.10 raises
@@ -205,8 +210,8 @@ class ReadOnlyHandle:
     """A read-only connection to one SQLite file, opened on first use and
     reusable for any number of queries until :meth:`close`.
 
-    Only SELECT, READ, FUNCTION and RECURSIVE actions are authorized. A
-    handle is used by one thread at a time, but may be closed from another.
+    Statements are prepared under :func:`read_only_authorizer`. A handle is
+    used by one thread at a time, but may be closed from another.
     """
 
     def __init__(self, db_path: str | Path):
@@ -244,13 +249,13 @@ class ReadOnlyHandle:
         except sqlite3.DatabaseError as exc:
             conn.close()
             raise NotADatabaseError(f"{self.path}: {exc}") from exc
-        conn.set_authorizer(self._authorize)
+        conn.set_authorizer(read_only_authorizer)
         self._conn = conn
         return conn
 
     def run(self, sql: str, timeout: float = DEFAULT_TIMEOUT_SECS) -> ExecutionOutcome:
         """Run one statement with a fresh deadline of ``timeout`` seconds,
-        which must be positive and finite."""
+        which must be positive and finite; text with no statement is an error."""
         if not 0 < timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, not {timeout}")
         conn = self._connection()
@@ -258,7 +263,8 @@ class ReadOnlyHandle:
         _WATCHDOG.arm(self, conn, start + timeout)
         try:
             try:
-                raw = conn.execute(sql).fetchall()
+                cursor = conn.execute(sql)
+                raw = cursor.fetchall()
             finally:
                 interrupted = _WATCHDOG.disarm(self)
         except STATEMENT_ERRORS as exc:
@@ -270,10 +276,9 @@ class ReadOnlyHandle:
                 raise NotADatabaseError(f"{self.path}: {message}") from exc
             return ExecutionOutcome.of_error(message, elapsed)
         elapsed = time.monotonic() - start
+        if cursor.description is None:
+            return ExecutionOutcome.of_error("no statement to run", elapsed)
         return ExecutionOutcome(ROWS, rows=_normalized(raw), elapsed=elapsed)
-
-    def _authorize(self, action, *_names) -> int:
-        return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
 
     def close(self) -> None:
         if self._conn is not None:

@@ -542,13 +542,16 @@ def load_samples(path: str | Path) -> list[dict]:
 
 
 def record_fields(rec, keys: tuple[str, ...], which: str) -> list:
-    """The values of ``keys`` in ``rec``, the record named by ``which``;
-    a record that is not a JSON object or lacks a key is a ValueError."""
+    """The values of ``keys`` in ``rec``, the record named by ``which``; a
+    record that is not a JSON object, lacks a key, or holds a text key's
+    value that is not a string is a ValueError."""
     if not isinstance(rec, dict):
         raise ValueError(f"{which} is not a JSON object")
     for key in keys:
         if key not in rec:
             raise ValueError(f"{which} has no {key!r} key")
+        if key in {"db_id", "question", "gold_sql", "sql"} and not isinstance(rec[key], str):
+            raise ValueError(f"{which}: {key!r} must be a string")
     return [rec[key] for key in keys]
 
 

@@ -19,7 +19,7 @@ import sqlite3
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .executor import READ_ACTIONS, STATEMENT_ERRORS
+from .executor import STATEMENT_ERRORS, read_only_authorizer
 from .schema_catalog import DatabaseSchema, _quote_ident, fold
 
 VALID = "Valid"
@@ -98,9 +98,8 @@ class SchemaReplica:
 
     - Each compile installs a new authorizer. That makes SQLite re-prepare
       a statement it has cached, so a repeated statement's reads are seen.
-    - A compile whose authorizer saw any action but a read (``EXPLAIN
-      PRAGMA query_only=1`` sets its flag while it compiles) closes the
-      connection; the next compile opens a fresh one.
+    - The authorizer denies what the runner's :func:`read_only_authorizer`
+      denies, so no compile changes the connection.
     """
 
     def __init__(self, tables, extra_column: str | None = None):
@@ -132,15 +131,11 @@ class SchemaReplica:
             self._conn = _build_replica(self.tables, self._extra_column)
             self._pages = dict(self._conn.execute("SELECT rootpage, name FROM sqlite_master"))
         reads: list[tuple[str, str]] = []
-        changed = False
 
         def note(action, table, column, _db, _trigger):
-            nonlocal changed
             if action == sqlite3.SQLITE_READ:
                 reads.append((table, column))
-            elif action not in READ_ACTIONS:
-                changed = True
-            return sqlite3.SQLITE_OK
+            return read_only_authorizer(action)
 
         try:
             self._conn.set_authorizer(note)
@@ -148,9 +143,6 @@ class SchemaReplica:
             return self._conn.execute(text).fetchall(), reads
         except STATEMENT_ERRORS as exc:
             raise ParseError(str(exc)) from None
-        finally:
-            if changed:
-                self.close()
 
     def references(self, sql: str) -> SqlReferences:
         """The tables and columns that ``sql`` reads, named as declared, as
@@ -178,10 +170,8 @@ class SchemaReplica:
         )
 
     def validate(self, sql: str) -> ValidityReport:
-        """Classify ``sql``. It is Valid exactly when ``EXPLAIN`` compiles
-        it, or when it is an ``EXPLAIN`` that compiles as given."""
-        if not sql or not sql.strip():
-            return ValidityReport(SYNTAX_ERROR, "empty SQL text")
+        """Classify ``sql``. It is Valid exactly when the read-only runner
+        would compile ``EXPLAIN sql``, or ``sql`` as given if an ``EXPLAIN``."""
         try:
             self._compile(sql)
             return ValidityReport(VALID)

@@ -156,10 +156,15 @@ class TestEval:
         assert passes[0] == passes[1]
         assert sorted(corpus.root.rglob("*")) == corpus_files
 
-    @pytest.mark.parametrize("sql", ["SELECT '\ud800'", "SELECT 1; SELECT 2", "SELECT 1\x00"])
+    @pytest.mark.parametrize("sql", [
+        "SELECT '\ud800'", "SELECT 1; SELECT 2", "SELECT 1\x00",
+        "", "-- nothing", ";", "DELETE FROM stadium",
+    ])
     def test_any_prediction_text_gets_a_verdict(self, corpus, sample_records, tmp_path,
                                                 capsys, sql):
-        rec = sample_records[0]
+        # Against a gold with no rows, which text with no statement must not match.
+        rec = dict(sample_records[0])
+        rec["gold_sql"] = f"SELECT * FROM ({rec['gold_sql']}) WHERE 0"
         samples = tmp_path / "samples.jsonl"
         samples.write_text(json.dumps(rec) + "\n")
         preds = tmp_path / "preds.jsonl"
@@ -172,6 +177,7 @@ class TestEval:
         capsys.readouterr()
         [verdict] = json.loads(out.read_text())["verdicts"]
         assert (verdict["pred_sql"], verdict["outcome_kind"]) == (sql, "error")
+        assert (verdict["ex_match"], verdict["failure_class"]) == (False, "SyntaxError")
 
     def test_corpus_files_unchanged(self, corpus, sample_records, tmp_path, capsys):
         before = corpus_digest(corpus)
@@ -309,9 +315,10 @@ class TestMine:
         assert lines[0]["rejected"] == TRYOUT_REJECTED
 
 
-    def test_any_completion_text_gets_a_record(self, corpus, tmp_path):
+    @pytest.mark.parametrize("sql", ["SELECT '\ud800'", "-- nothing", "/* c */"])
+    def test_any_completion_text_gets_a_record(self, corpus, tmp_path, sql):
         script = tmp_path / "mock.jsonl"
-        script.write_text(json.dumps({"responses": ["SELECT '\ud800'"], "cycle": True}) + "\n")
+        script.write_text(json.dumps({"responses": [sql], "cycle": True}) + "\n")
         samples_file = tmp_path / "samples.jsonl"
         with open(corpus.samples_path) as fh:
             samples_file.write_text(next(line for line in fh if TRYOUT_QUESTION in line))
@@ -321,7 +328,7 @@ class TestMine:
             "--mock", str(script), "--n-candidates", "2", "--out", str(out_path),
         ]) == 0
         [pair] = [json.loads(line) for line in out_path.read_text().splitlines()]
-        assert (pair["rejected"], pair["rejected_reason"]) == ("SELECT '\ud800'", "exec_error")
+        assert (pair["rejected"], pair["rejected_reason"]) == (sql, "exec_error")
 
 
 class TestRefine:
@@ -406,10 +413,14 @@ class TestRefine:
 
 class TestMalformedRecords:
     """A line that is not JSON, a record that is not a JSON object, or a
-    record that lacks a required key, is a pipeline error that names the
-    record, and the key if one is missing."""
+    record that lacks a required key or holds a non-string text value, is
+    a pipeline error that names the record, and the key if one is at
+    fault. An input or output path that is a directory is a pipeline error
+    that names it."""
 
     NOT_JSON = '{"sample_id": "a", "sql"'
+    #: The key's value is deleted.
+    MISSING = object()
 
     @staticmethod
     def write(path, lines):
@@ -417,42 +428,59 @@ class TestMalformedRecords:
             (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in lines
         ))
 
-    @pytest.mark.parametrize("which,key", [
-        ("samples", "sample_id"),
-        ("samples", "db_id"),
-        ("samples", "question"),
-        ("samples", "gold_sql"),
-        ("samples", None),
-        ("samples", NOT_JSON),
-        ("preds", "sample_id"),
-        ("preds", "sql"),
-        ("preds", None),
-        ("preds", NOT_JSON),
+    @pytest.mark.parametrize("which,key,value", [
+        ("samples", "sample_id", MISSING),
+        ("samples", "db_id", MISSING),
+        ("samples", "question", MISSING),
+        ("samples", "gold_sql", MISSING),
+        ("samples", "db_id", 5),
+        ("samples", "db_id", ["a"]),
+        ("samples", "question", None),
+        ("samples", "gold_sql", 5),
+        ("samples", None, MISSING),
+        ("samples", NOT_JSON, MISSING),
+        ("preds", "sample_id", MISSING),
+        ("preds", "sql", MISSING),
+        ("preds", "sql", 5),
+        ("preds", None, MISSING),
+        ("preds", NOT_JSON, MISSING),
+        ("directory", "--samples", MISSING),
+        ("directory", "--out", MISSING),
     ])
     def test_is_an_error_naming_key_and_record(
-        self, corpus, sample_records, tmp_path, capsys, which, key
+        self, corpus, sample_records, tmp_path, capsys, which, key, value
     ):
         samples, preds = tmp_path / "samples.jsonl", tmp_path / "preds.jsonl"
         sample_lines = [dict(r) for r in sample_records]
         pred_lines = [{"sample_id": r["sample_id"], "sql": r["gold_sql"]}
                       for r in sample_records]
         lines = sample_lines if which == "samples" else pred_lines
-        if key == self.NOT_JSON:
+        if which == "directory":
+            pass
+        elif key == self.NOT_JSON:
             lines[1] = key
         elif key is None:
             lines[1] = ["not", "an", "object"]
-        else:
+        elif value is self.MISSING:
             del lines[1][key]
+        else:
+            lines[1][key] = value
         self.write(samples, sample_lines)
         self.write(preds, pred_lines)
-        if which == "samples":
-            argv = ["augment", "--mode", "inner-db", "--samples", str(samples),
-                    "--corpus", str(corpus.root), "--out", str(tmp_path / "out.jsonl")]
-        else:
+        if which == "preds":
             argv = ["eval", "--samples", str(samples), "--preds", str(preds),
                     "--corpus", str(corpus.root)]
+        else:
+            argv = ["augment", "--mode", "inner-db", "--samples", str(samples),
+                    "--corpus", str(corpus.root), "--out", str(tmp_path / "out.jsonl")]
+        if which == "directory":
+            argv[argv.index(key) + 1] = str(tmp_path)
         assert run(argv) == 1
         err = capsys.readouterr().err
+        if which == "directory":
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(tmp_path) in err
+            return
         if key == self.NOT_JSON:
             path = samples if which == "samples" else preds
             assert err == (

@@ -133,10 +133,10 @@ class TestAuthorizer:
         )
         assert outcome.rows == ((3, "ANA"),)
 
-    def test_exactly_the_read_actions_are_authorized(self, corpus):
-        handle = ReadOnlyHandle(corpus.db_path("shop"))
+    def test_exactly_the_read_actions_are_authorized(self):
         answers = {
-            action: handle._authorize(action, None, None, None, None) for action in range(34)
+            action: executor.read_only_authorizer(action, None, None, None, None)
+            for action in range(34)
         }
         assert {a for a, answer in answers.items() if answer == sqlite3.SQLITE_OK} == READ_ACTIONS
         assert set(answers.values()) == {sqlite3.SQLITE_OK, sqlite3.SQLITE_DENY}
@@ -164,10 +164,10 @@ class TestReadOnlyHandle:
             ).rows == ((2,),)
 
     def test_page_cache_bounded_at_open(self, corpus, monkeypatch):
-        def allow_all(self, *args):
+        def allow_all(*args):
             return sqlite3.SQLITE_OK
 
-        monkeypatch.setattr(ReadOnlyHandle, "_authorize", allow_all)
+        monkeypatch.setattr(executor, "read_only_authorizer", allow_all)
         bound = ((-1024,),)
         with ReadOnlyHandle(corpus.db_path("shop")) as handle:
             for _ in range(3):

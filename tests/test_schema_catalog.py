@@ -1,3 +1,4 @@
+import re
 import sqlite3
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sqlforge.errors import EmptySchemaListError, NotADatabaseError
+from sqlforge.executor import ReadOnlyHandle
 from sqlforge.schema_catalog import (
     ColumnSchema,
     DatabaseSchema,
@@ -355,15 +357,34 @@ def selects(draw, specs, views):
     return f"SELECT {', '.join(refs)} FROM {joined}"
 
 
+#: Text the read-only runner does not compile, over the table ``{t}``.
+_REFUSED = [
+    "DELETE FROM {t}",
+    "INSERT INTO {t} DEFAULT VALUES",
+    "CREATE TEMP TABLE tmp(x)",
+    "ATTACH DATABASE ':memory:' AS z",
+    "PRAGMA query_only=0",
+    "EXPLAIN PRAGMA query_only=1",
+    "BEGIN",
+    "SELECT * FROM pragma_table_info('x')",
+    "",
+    "-- c",
+    ";",
+]
+
+
+def refused(specs):
+    """One of :data:`_REFUSED`, over the first of ``specs``' tables."""
+    table = _quote_ident(specs[0][0])
+    return st.sampled_from(_REFUSED).map(lambda text: text.replace("{t}", table))
+
+
 def _compiles_on_file(path, sql) -> bool:
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    try:
-        conn.execute(f"EXPLAIN {sql}")
-        return True
-    except sqlite3.Error:
-        return False
-    finally:
-        conn.close()
+    """Whether ``EXPLAIN sql``, or ``sql`` as given when it is an
+    ``EXPLAIN``, compiles on a read-only runner's handle of ``path``."""
+    text = sql if re.match(r"\s*explain\b", sql, re.IGNORECASE) else f"EXPLAIN {sql}"
+    with ReadOnlyHandle(path) as handle:
+        return handle.run(text).is_rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,5 +399,6 @@ def test_validate_is_valid_exactly_when_the_file_compiles(tmp_path_factory, sche
     finally:
         conn.close()
     schema = introspect_database(path, "db")
-    for sql in data.draw(st.lists(selects(specs, views), min_size=1, max_size=4)):
+    statements = selects(specs, views) | refused(specs)
+    for sql in data.draw(st.lists(statements, min_size=1, max_size=4)):
         assert validate(sql, schema).is_valid == _compiles_on_file(path, sql), sql

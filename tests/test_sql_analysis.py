@@ -369,17 +369,23 @@ class TestValidateMatchesCompiler:
         assert validate(sql, schema).is_valid == compiles_on_replica(sql, schema.tables)
 
 
+#: The actions the read-only runner allows; it denies every other one.
+_RUNNER_ALLOWS = {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
+                  sqlite3.SQLITE_RECURSIVE}
+
+
 def fresh_compile(sql, tables):
     """The oracle for a reused replica: ``EXPLAIN sql`` compiled on a new
-    in-memory copy of ``tables``, closed afterwards. Returns the program
-    and the authorizer's SQLITE_READ calls; raises ParseError with SQLite's
-    message if the statement does not compile."""
+    in-memory copy of ``tables``, closed afterwards, denying what the
+    read-only runner denies. Returns the program and the authorizer's
+    SQLITE_READ calls; raises ParseError with SQLite's message if the
+    statement does not compile."""
     reads = []
 
     def note(action, table, column, _db, _trigger):
         if action == sqlite3.SQLITE_READ:
             reads.append((table, column))
-        return sqlite3.SQLITE_OK
+        return sqlite3.SQLITE_OK if action in _RUNNER_ALLOWS else sqlite3.SQLITE_DENY
 
     conn = sqlite3.connect(":memory:")
     try:
@@ -452,12 +458,30 @@ class TestReusedReplica:
                 ), sql
 
 
+#: Text the read-only runner does not compile: writes, connection changes,
+#: a table-valued pragma, and text with no statement.
+REFUSED = [
+    "DELETE FROM customers",
+    "INSERT INTO customers(name) VALUES ('x')",
+    "CREATE TEMP TABLE t(x)",
+    "ATTACH DATABASE ':memory:' AS z",
+    "PRAGMA query_only=0",
+    "EXPLAIN PRAGMA query_only=1",
+    "BEGIN",
+    "SELECT * FROM pragma_table_info('customers')",
+    "",
+    "-- c",
+    ";",
+]
+
+
 class TestValidateExecutionConsistency:
     @pytest.mark.parametrize("db_id, sql, status", [
         ("shop", "SELECT * FROM missing_table", WRONG_TABLE_NAME),
         ("soccer_tryout", "SELECT min(HS), ppos FROM player GROUP BY ppos", WRONG_COLUMN_NAME),
         ("concert_singer", "SELECT bogus FROM singer", WRONG_COLUMN_NAME),
         *[("shop", sql, VALID) for sql in EXPLAINED],
+        *[("shop", sql, SYNTAX_ERROR) for sql in REFUSED],
     ])
     def test_validate_agrees_with_execution(self, corpus, schemas, db_id, sql, status):
         # Every statically detected table/column defect must also error at
