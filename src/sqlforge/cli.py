@@ -8,13 +8,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import augmentation, metrics, preference_miner, refine_agent
 from .errors import SqlforgeError, ConfigError
 from .executor import DEFAULT_TIMEOUT_SECS
 from .model_client import make_client
-from .schema_catalog import corpus_db_path, introspect_database, schema_to_json
+from .schema_catalog import corpus_db_path, introspect_database
 
 log = logging.getLogger("sqlforge")
 
@@ -142,7 +143,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
 def _cmd_introspect(args) -> int:
     path = corpus_db_path(args.corpus, args.db_id)
     schema = introspect_database(path, args.db_id, args.sample_values)
-    text = schema_to_json(schema)
+    text = json.dumps(asdict(schema), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -255,22 +256,12 @@ def _cmd_eval(args) -> int:
             parallelism=args.jobs,
             timeout=args.exec_timeout_secs,
         )
+    record = metrics.report_to_dict(report)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(metrics.report_to_dict(report), indent=2, sort_keys=True) + "\n"
-        )
+        Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ex_accuracy": report.ex_accuracy,
-                    "ts_accuracy": report.ts_accuracy,
-                    "n_samples": report.n_samples,
-                    "error_histogram": dict(sorted(report.error_histogram.items())),
-                },
-                sort_keys=True,
-            )
-        )
+        del record["verdicts"]
+        print(json.dumps(record, sort_keys=True))
     else:
         print(metrics.format_summary_table(report))
     return 0

@@ -206,6 +206,19 @@ def read_only_authorizer(action, *_names) -> int:
 STATEMENT_ERRORS = (sqlite3.Error, sqlite3.Warning, ValueError)
 
 
+def connect_read_only(path: Path, **kwargs) -> sqlite3.Connection:
+    """A read-only connection to the SQLite file at ``path``, whatever its
+    name holds: a ``?``, ``#`` or ``%`` is escaped, not read as part of the
+    URI. A missing file raises FileNotFoundError, and one SQLite cannot
+    open NotADatabaseError. ``kwargs`` go to :func:`sqlite3.connect`."""
+    if not path.exists():
+        raise FileNotFoundError(path)
+    try:
+        return sqlite3.connect(f"{path.absolute().as_uri()}?mode=ro", uri=True, **kwargs)
+    except sqlite3.Error as exc:
+        raise NotADatabaseError(f"{path}: {exc}") from exc
+
+
 class ReadOnlyHandle:
     """A read-only connection to one SQLite file, opened on first use and
     reusable for any number of queries until :meth:`close`.
@@ -234,14 +247,7 @@ class ReadOnlyHandle:
     def _connection(self) -> sqlite3.Connection:
         if self._conn is not None:
             return self._conn
-        if not self.path.exists():
-            raise FileNotFoundError(self.path)
-        try:
-            conn = sqlite3.connect(
-                f"file:{self.path}?mode=ro", uri=True, check_same_thread=False
-            )
-        except sqlite3.Error as exc:
-            raise NotADatabaseError(f"{self.path}: {exc}") from exc
+        conn = connect_read_only(self.path, check_same_thread=False)
         try:
             # Force a header read; junk files fail here, not at connect time.
             conn.execute("SELECT 1 FROM sqlite_master LIMIT 1")

@@ -593,6 +593,7 @@ def load_predictions(path: str | Path) -> dict[str, str]:
 
 
 def report_to_dict(report: EvalReport) -> dict:
+    """The eval record: ``eval --out`` writes it, ``--json`` all but its verdicts."""
     return {
         "ex_accuracy": report.ex_accuracy,
         "ts_accuracy": report.ts_accuracy,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import GoldExecutionFailed
@@ -70,7 +70,7 @@ def mine_pairs(
     for completion in response.completions:
         candidate = extract_sql(completion)
         norm = normalize_whitespace(candidate)
-        if not norm or norm == gold_norm or norm in seen:
+        if norm == gold_norm or norm in seen:
             continue
         seen.add(norm)  # one run and one verdict, even if nondeterministic
         outcome = execute(db, candidate, timeout)
@@ -94,17 +94,7 @@ def mine_pairs(
     return pairs
 
 
-def pair_to_record(pair: PreferencePair) -> dict:
-    return {
-        "prompt": pair.prompt,
-        "chosen": pair.chosen,
-        "rejected": pair.rejected,
-        "rejected_reason": pair.rejected_reason,
-        "sample_id": pair.sample_id,
-    }
-
-
 def write_pairs(path: str | Path, pairs: list[PreferencePair]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
-            fh.write(json.dumps(pair_to_record(pair), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(pair), sort_keys=True) + "\n")

@@ -7,13 +7,13 @@ which is what every other pipeline consumes.
 
 from __future__ import annotations
 
-import json
 import re
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptySchemaListError, NotADatabaseError
+from .executor import connect_read_only
 
 PROMPT_INSTRUCTION = (
     "-- Using valid SQLite, answer the following questions "
@@ -44,13 +44,13 @@ class ColumnSchema:
 class TableSchema:
     name: str
     columns: tuple[ColumnSchema, ...]
-    #: The columns by :func:`fold` of their names.
-    by_folded_name: dict[str, ColumnSchema] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_name = {fold(c.name): c for c in self.columns}
         if len(by_name) != len(self.columns):
             raise ValueError(f"duplicate column names in table {self.name!r}")
+        # The columns by fold() of their names: an attribute, not a field,
+        # so not part of the record dataclasses.asdict writes.
         object.__setattr__(self, "by_folded_name", by_name)
 
     def column_names(self) -> list[str]:
@@ -76,14 +76,13 @@ class DatabaseSchema:
     db_id: str
     file_path: str
     tables: tuple[TableSchema, ...]
-    foreign_keys: tuple[ForeignKey, ...] = field(default=())
-    #: The tables by :func:`fold` of their names.
-    by_folded_name: dict[str, TableSchema] = field(init=False, repr=False, compare=False)
+    foreign_keys: tuple[ForeignKey, ...] = ()
 
     def __post_init__(self):
         by_name = {fold(t.name): t for t in self.tables}
         if len(by_name) != len(self.tables):
             raise ValueError(f"duplicate table names in database {self.db_id!r}")
+        # The tables by fold() of their names; not a field, as above.
         object.__setattr__(self, "by_folded_name", by_name)
 
     def table(self, name: str) -> TableSchema | None:
@@ -118,13 +117,12 @@ def introspect_database(
     dropped table, a circular view, a virtual table whose module is missing.
 
     ``sample_value_count`` > 0 additionally fetches that many distinct
-    non-null values per column; a column whose values fail to compute, such
-    as a view's whose expression overflows, gets none.
+    values per column, leaving out NULL and BLOB values (JSON has no form
+    for bytes); a column whose values fail to compute, such as a view's
+    whose expression overflows, gets none.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    conn = connect_read_only(path)
     try:
         try:
             names = [
@@ -156,6 +154,7 @@ def introspect_database(
                             f"SELECT DISTINCT {_quote_ident(col_name)} "
                             f"FROM {_quote_ident(table_name)} "
                             f"WHERE {_quote_ident(col_name)} IS NOT NULL "
+                            f"AND typeof({_quote_ident(col_name)}) != 'blob' "
                             f"LIMIT {int(sample_value_count)}"
                         )
                         samples = tuple(row[0] for row in cur)
@@ -226,41 +225,3 @@ def render_prompt(
     lines.append(PROMPT_INSTRUCTION)
     lines.append(f"-- {question}")
     return "\n".join(lines)
-
-
-# --- JSON caching shape -----------------------------------------------------
-
-
-def schema_to_dict(schema: DatabaseSchema) -> dict:
-    return {
-        "db_id": schema.db_id,
-        "file_path": schema.file_path,
-        "tables": [
-            {
-                "name": t.name,
-                "columns": [
-                    {
-                        "name": c.name,
-                        "declared_type": c.declared_type,
-                        "is_primary_key": c.is_primary_key,
-                        "sample_values": list(c.sample_values),
-                    }
-                    for c in t.columns
-                ],
-            }
-            for t in schema.tables
-        ],
-        "foreign_keys": [
-            {
-                "from_table": fk.from_table,
-                "from_column": fk.from_column,
-                "to_table": fk.to_table,
-                "to_column": fk.to_column,
-            }
-            for fk in schema.foreign_keys
-        ],
-    }
-
-
-def schema_to_json(schema: DatabaseSchema) -> str:
-    return json.dumps(schema_to_dict(schema), indent=2)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -68,12 +69,58 @@ class TestIntrospect:
         assert [t["name"] for t in data["tables"]] == [
             "stadium", "singer", "concert", "singer_in_concert",
         ]
+        # The record is the DatabaseSchema's fields, in their order.
+        assert list(data) == ["db_id", "file_path", "tables", "foreign_keys"]
+        assert list(data["tables"][0]) == ["name", "columns"]
+        assert list(data["tables"][0]["columns"][0]) == [
+            "name", "declared_type", "is_primary_key", "sample_values",
+        ]
+        assert list(data["foreign_keys"][0]) == [
+            "from_table", "from_column", "to_table", "to_column",
+        ]
+
+    def test_sample_values_leave_out_blobs(self, tmp_path, capsys):
+        path = corpus_db_path(tmp_path, "blobs")
+        path.parent.mkdir(parents=True)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("CREATE TABLE t(x)")
+            conn.execute("INSERT INTO t VALUES (x'00ff'), (1), ('a'), (NULL)")
+        conn.close()
+        assert run([
+            "introspect", "--corpus", str(tmp_path), "--db-id", "blobs",
+            "--sample-values", "3",
+        ]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["tables"][0]["columns"][0]["sample_values"] == [1, "a"]
 
     def test_missing_database_is_pipeline_error(self, corpus, capsys):
         assert run([
             "introspect", "--corpus", str(corpus.root), "--db-id", "nope",
         ]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestCorpusRoot:
+    # Each of these characters means something in a SQLite URI.
+    @pytest.mark.parametrize("name", ["corpus#copy", "corpus?x", "corpus%41"])
+    def test_any_path_is_a_corpus_root(self, corpus, sample_records, tmp_path, capsys, name):
+        root = tmp_path / "roots" / name
+        shutil.copytree(corpus.root, root)
+        assert run(["introspect", "--corpus", str(root), "--db-id", "concert_singer"]) == 0
+        assert json.loads(capsys.readouterr().out)["db_id"] == "concert_singer"
+        preds = tmp_path / "preds.jsonl"
+        write_gold_preds(corpus, sample_records, preds)
+        assert run([
+            "eval",
+            "--samples", str(root / "samples.jsonl"),
+            "--preds", str(preds),
+            "--corpus", str(root),
+            "--json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["ex_accuracy"] == 1.0
+        # No database was opened, or made, under a shorter name.
+        assert [p.name for p in root.parent.iterdir()] == [name]
 
 
 class TestEval:
@@ -86,11 +133,16 @@ class TestEval:
             "--preds", str(preds),
             "--corpus", str(corpus.root),
             "--json",
+            "--out", str(tmp_path / "report.json"),
         ])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["ex_accuracy"] == 1.0
         assert summary["n_samples"] == 50
+        # --json is the --out record without its verdicts.
+        report = json.loads((tmp_path / "report.json").read_text())
+        del report["verdicts"]
+        assert summary == report
 
     def test_jobs_invariance_and_report_file(self, corpus, sample_records, tmp_path, capsys):
         preds = tmp_path / "preds.jsonl"

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
 from sqlforge import preference_miner
@@ -9,7 +12,6 @@ from sqlforge.preference_miner import (
     RESULT_MISMATCH,
     mine_pairs,
     normalize_whitespace,
-    pair_to_record,
     write_pairs,
 )
 from sqlforge.executor import execute, results_match
@@ -69,9 +71,11 @@ class TestMinePairs:
         pairs = mine_pairs(s, client, corpus.db_path(s.db_id), n=8)
         assert len(pairs) == 1
 
-    def test_rejected_reason_exec_error(self, corpus, samples):
+    # Text with no statement fails to run, whether or not a comment is left.
+    @pytest.mark.parametrize("rejected", [TRYOUT_REJECTED, "", ";", "-- nothing"])
+    def test_rejected_reason_exec_error(self, corpus, samples, rejected):
         s = tryout_sample(samples)
-        client = MockModelClient([{"responses": [TRYOUT_REJECTED]}])
+        client = MockModelClient([{"responses": [rejected]}])
         (pair,) = mine_pairs(s, client, corpus.db_path(s.db_id), n=1)
         assert pair.rejected_reason == EXEC_ERROR_REASON
 
@@ -124,8 +128,9 @@ class TestSerialization:
         s = tryout_sample(samples)
         client = MockModelClient([{"responses": [TRYOUT_REJECTED]}])
         pairs = mine_pairs(s, client, corpus.db_path(s.db_id), n=1)
-        record = pair_to_record(pairs[0])
-        assert set(record) == {"prompt", "chosen", "rejected", "rejected_reason", "sample_id"}
         out = tmp_path / "pairs.jsonl"
         write_pairs(out, pairs)
-        assert out.read_text().count("\n") == 1
+        (line,) = out.read_text().splitlines()
+        record = json.loads(line)
+        assert list(record) == ["chosen", "prompt", "rejected", "rejected_reason", "sample_id"]
+        assert record == asdict(pairs[0])
