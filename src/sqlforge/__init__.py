@@ -26,7 +26,7 @@ from .metrics import (
 )
 from .augmentation import AugmentedSample, cross_db_augment, inner_db_augment
 from .preference_miner import PreferencePair, mine_pairs
-from .refine_agent import RefineAttempt, RefineResult, invalid_check, parse_question
+from .refine_agent import RefineAttempt, RefineResult, invalid_check, refine_sample
 
 __version__ = "0.1.0"
 
@@ -59,5 +59,5 @@ __all__ = [
     "RefineAttempt",
     "RefineResult",
     "invalid_check",
-    "parse_question",
+    "refine_sample",
 ]

@@ -123,6 +123,9 @@ def inner_db_augment(
     and columns are never removed; when the gold SQL alone exceeds a cap,
     only the referenced set is kept in full. ``replica``, which the caller
     keeps across samples, compiles the gold SQL."""
+    for name, p in (("p_table", p_table), ("p_col", p_col)):
+        if not 0 <= p <= 1:
+            raise ValueError(f"{name} must be between 0 and 1, not {p}")
     try:
         used = replica.references(sample.gold_sql)
     except ParseError as exc:

@@ -13,6 +13,7 @@ from the parent must not be reused in the child: open new ones there.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import os
@@ -212,7 +213,7 @@ def connect_read_only(path: Path, **kwargs) -> sqlite3.Connection:
     URI. A missing file raises FileNotFoundError, and one SQLite cannot
     open NotADatabaseError. ``kwargs`` go to :func:`sqlite3.connect`."""
     if not path.exists():
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     try:
         return sqlite3.connect(f"{path.absolute().as_uri()}?mode=ro", uri=True, **kwargs)
     except sqlite3.Error as exc:

@@ -30,9 +30,6 @@ from .schema_catalog import (
 
 MISSING_PREDICTION_DETAIL = "missing prediction"
 
-#: A database to run on: a path, or an open handle to reuse.
-_Db = str | Path | ReadOnlyHandle
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -79,7 +76,7 @@ def order_sensitive(gold_sql: str) -> bool:
     return False
 
 
-def _suite_matches(variants: list[_Db], matches_on: Callable[[_Db], bool]) -> bool:
+def _suite_matches(variants: list, matches_on: Callable[[Any], bool]) -> bool:
     """EX on every variant in turn; stops at the first variant that fails."""
     for db in variants:
         try:
@@ -94,11 +91,10 @@ def execution_accuracy(
     pred_sql: str,
     sample: Sample,
     db_path: str | Path | ReadOnlyHandle,
-    timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> bool:
-    gold = execute(db_path, sample.gold_sql, timeout)
+    gold = execute(db_path, sample.gold_sql)
     return results_match(
-        execute(db_path, pred_sql, timeout), gold, order_sensitive(sample.gold_sql)
+        execute(db_path, pred_sql), gold, order_sensitive(sample.gold_sql)
     )
 
 
@@ -106,14 +102,13 @@ def test_suite_accuracy(
     pred_sql: str,
     sample: Sample,
     variant_db_paths: list[str | Path | ReadOnlyHandle],
-    timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> bool:
     """EX must hold on every variant database (a path or an open handle);
     short-circuits on failure."""
     if not variant_db_paths:
         raise EmptyVariantSuiteError(sample.sample_id)
     return _suite_matches(
-        variant_db_paths, lambda db: execution_accuracy(pred_sql, sample, db, timeout)
+        variant_db_paths, lambda db: execution_accuracy(pred_sql, sample, db)
     )
 
 
@@ -378,6 +373,8 @@ def run_samples(
     of the first failing one in sample order is raised: a failure cancels
     every later sample not yet started, and every earlier one still runs.
     Every thread the run started has ended when it returns."""
+    if width < 1:
+        raise ValueError(f"width must be at least 1, not {width}")
     width = min(width, len(samples))
     order = range(len(samples))
     if key is not None:
@@ -613,13 +610,13 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def format_summary_table(report: EvalReport, model_label: str = "predictions") -> str:
+def format_summary_table(report: EvalReport) -> str:
     """Plain-text summary mirroring an EX/TS leaderboard row."""
     ex = 100.0 * report.ex_accuracy
     ts = "-" if report.ts_accuracy is None else f"{100.0 * report.ts_accuracy:.1f}"
     lines = [
         f"{'Model':<30} {'EX':>6} {'TS':>6}",
-        f"{model_label:<30} {ex:>6.1f} {ts:>6}",
+        f"{'predictions':<30} {ex:>6.1f} {ts:>6}",
         "",
         f"samples: {report.n_samples}",
     ]

@@ -36,6 +36,9 @@ from .sql_analysis import mask_quoted
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_STOP_SEQUENCES = (";\n\n",)
 API_KEY_ENV = "SQLFORGE_API_KEY"
+MAX_RETRIES = 3
+BACKOFF_BASE_SECS = 0.5
+REQUEST_TIMEOUT_SECS = 120.0
 
 
 @dataclass(frozen=True)
@@ -80,22 +83,12 @@ def extract_sql(completion: str) -> str:
 class HttpModelClient:
     """Chat-completions JSON-over-HTTP client with exponential backoff."""
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        model_name: str = "default",
-        max_retries: int = 3,
-        backoff_base: float = 0.5,
-        request_timeout: float = 120.0,
-        max_in_flight: int = 4,
-    ):
+    max_in_flight = 4  # requests open at once; mine and refine run this many samples
+
+    def __init__(self, endpoint_url: str, model_name: str = "default"):
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.request_timeout = request_timeout
-        self.max_in_flight = max_in_flight
-        self._gate = threading.Semaphore(max_in_flight)
+        self._gate = threading.Semaphore(self.max_in_flight)
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         payload = json.dumps({
@@ -107,9 +100,9 @@ class HttpModelClient:
             "stop": list(DEFAULT_STOP_SEQUENCES),
         }).encode()
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_BASE_SECS * (2 ** (attempt - 1)))
             post = urllib.request.Request(
                 self.endpoint_url, payload, {"Content-Type": "application/json"}
             )
@@ -119,7 +112,7 @@ class HttpModelClient:
             try:
                 with self._gate:
                     try:
-                        with urllib.request.urlopen(post, timeout=self.request_timeout) as resp:
+                        with urllib.request.urlopen(post, timeout=REQUEST_TIMEOUT_SECS) as resp:
                             status, body = resp.status, resp.read()
                     except urllib.error.HTTPError as exc:
                         with exc:
@@ -134,7 +127,7 @@ class HttpModelClient:
                 continue
             return self._parse_response(body, request)
         raise EndpointUnreachable(
-            f"{self.endpoint_url} unreachable after {self.max_retries + 1} attempts: {last_error}"
+            f"{self.endpoint_url} unreachable after {MAX_RETRIES + 1} attempts: {last_error}"
         )
 
     def _parse_response(self, raw: bytes, request: GenerationRequest) -> GenerationResponse:

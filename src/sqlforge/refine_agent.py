@@ -86,19 +86,19 @@ def build_debug_prompt(
     )
 
 
-def parse_question(
-    question: str,
-    replica: SchemaReplica,
+def refine_sample(
+    sample: Sample,
     generator,
     debugger,
+    replica: SchemaReplica,
     db: str | Path | ReadOnlyHandle,
     max_iters: int = DEFAULT_MAX_ITERS,
     timeout: float = DEFAULT_TIMEOUT_SECS,
-    temperature: float = 0.0,
 ) -> RefineResult:
-    """Run the full generate/check/debug loop for one question, prompting
-    with ``replica.tables``, validating every attempt on ``replica`` and
-    executing on ``db``, a path or an open handle. The caller keeps both."""
+    """Run the full generate/check/debug loop for the sample's question,
+    prompting with ``replica.tables`` of the sample's database, validating
+    every attempt on ``replica`` and executing on ``db``, a path or an open
+    handle. The caller keeps both."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     tables = replica.tables
@@ -106,16 +106,16 @@ def parse_question(
     attempts: list[RefineAttempt] = []
     for iteration in range(max_iters):
         if iteration == 0:
-            prompt = render_prompt(tables, question)
+            prompt = render_prompt(tables, sample.question)
             role = GENERATOR
             client = generator
         else:
             prev = attempts[-1]
-            prompt = build_debug_prompt(question, tables, prev.sql, prev.validity)
+            prompt = build_debug_prompt(sample.question, tables, prev.sql, prev.validity)
             role = DEBUGGER
             client = debugger
         response = client.generate(
-            GenerationRequest(prompt=prompt, temperature=temperature, n=1)
+            GenerationRequest(prompt=prompt, temperature=0.0, n=1)
         )
         sql = extract_sql(response.completions[0])
         validity, outcome = invalid_check(sql, replica, db, timeout)
@@ -178,25 +178,3 @@ def write_trace(trace_dir: str | Path, sample_id: str, result: RefineResult) -> 
     path = trace_path(trace_dir, sample_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(result_to_dict(sample_id, result), indent=2))
-
-
-def refine_sample(
-    sample: Sample,
-    generator,
-    debugger,
-    replica: SchemaReplica,
-    db: str | Path | ReadOnlyHandle,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    timeout: float = DEFAULT_TIMEOUT_SECS,
-) -> RefineResult:
-    """:func:`parse_question` on the sample's question, with ``replica``
-    of the sample's database."""
-    return parse_question(
-        sample.question,
-        replica,
-        generator,
-        debugger,
-        db,
-        max_iters=max_iters,
-        timeout=timeout,
-    )

@@ -155,6 +155,8 @@ def introspect_database(
                             f"FROM {_quote_ident(table_name)} "
                             f"WHERE {_quote_ident(col_name)} IS NOT NULL "
                             f"AND typeof({_quote_ident(col_name)}) != 'blob' "
+                            f"AND (typeof({_quote_ident(col_name)}) != 'real' "
+                            f"OR abs({_quote_ident(col_name)}) < 9e999) "
                             f"LIMIT {int(sample_value_count)}"
                         )
                         samples = tuple(row[0] for row in cur)

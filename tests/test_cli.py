@@ -84,21 +84,33 @@ class TestIntrospect:
         path.parent.mkdir(parents=True)
         conn = sqlite3.connect(path)
         with conn:
-            conn.execute("CREATE TABLE t(x)")
-            conn.execute("INSERT INTO t VALUES (x'00ff'), (1), ('a'), (NULL)")
+            conn.execute("CREATE TABLE t(x, n INTEGER)")
+            conn.execute(
+                "INSERT INTO t VALUES (x'00ff', -9223372036854775808), (1, 9e999),"
+                " ('a', 5), (9e999, NULL), (-9e999, NULL), ('Inf', NULL), (NULL, NULL)"
+            )
         conn.close()
         assert run([
             "introspect", "--corpus", str(tmp_path), "--db-id", "blobs",
-            "--sample-values", "3",
+            "--sample-values", "5",
         ]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["tables"][0]["columns"][0]["sample_values"] == [1, "a"]
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=not_json)
+        x, n = data["tables"][0]["columns"]
+        # No bytes and no infinity: JSON has a form for neither.
+        assert x["sample_values"] == [1, "a", "Inf"]
+        assert n["sample_values"] == [-9223372036854775808, 5]
 
     def test_missing_database_is_pipeline_error(self, corpus, capsys):
         assert run([
             "introspect", "--corpus", str(corpus.root), "--db-id", "nope",
         ]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "No such file or directory" in err and "nope.sqlite" in err
 
 
 class TestCorpusRoot:
@@ -305,6 +317,31 @@ class TestAugment:
             ])
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
+
+
+class TestOutOfRangeNumbers:
+    @pytest.mark.parametrize("argv,config", [
+        (["augment", "--mode", "inner-db", "--p-table", "5"], None),
+        (["augment", "--mode", "inner-db", "--p-col", "-2"], None),
+        (["augment", "--mode", "inner-db", "--p-table", "nan"], None),
+        (["eval", "--jobs", "0"], None),
+        (["eval", "--jobs", "-3"], None),
+        (["eval"], "[eval]\njobs = 0\n"),
+    ], ids=["p-table-5", "p-col--2", "p-table-nan", "jobs-0", "jobs--3", "config-jobs-0"])
+    def test_is_an_error_line(self, corpus, sample_records, tmp_path, capsys, argv, config):
+        out = tmp_path / "out.jsonl"
+        argv = [*argv, "--samples", str(corpus.samples_path), "--corpus", str(corpus.root),
+                "--out", str(out)]
+        if argv[0] == "eval":
+            write_gold_preds(corpus, sample_records, tmp_path / "preds.jsonl")
+            argv += ["--preds", str(tmp_path / "preds.jsonl")]
+        if config is not None:
+            (tmp_path / "sqlforge.ini").write_text(config)
+            argv = ["--config", str(tmp_path / "sqlforge.ini"), *argv]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestSchemasOnlySqliteAccepts:
@@ -692,9 +729,7 @@ class TestConcurrentSamples:
 
     @staticmethod
     def serial_clients(monkeypatch):
-        monkeypatch.setattr(
-            cli, "make_client", lambda spec: HttpModelClient(spec, max_in_flight=1)
-        )
+        monkeypatch.setattr(HttpModelClient, "max_in_flight", 1)
 
     @staticmethod
     def mine(corpus, url, out, samples=None):

@@ -454,7 +454,7 @@ def executed(monkeypatch):
     calls = []
     execute = metrics.execute
 
-    def spy(db, sql, timeout):
+    def spy(db, sql, timeout=executor.DEFAULT_TIMEOUT_SECS):
         calls.append((str(db), sql))
         return execute(db, sql, timeout)
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from model_server import ModelServer, reply
+from sqlforge import model_client
 from sqlforge.errors import AuthError, EndpointUnreachable, MalformedResponse, MockExhausted
 from sqlforge.model_client import (
     API_KEY_ENV,
@@ -216,9 +217,14 @@ class TestEndpointConfig:
 class TestHttpClient:
     """HttpModelClient against a chat-completions server on localhost."""
 
+    @pytest.fixture(autouse=True)
+    def quick_retries(self, monkeypatch):
+        monkeypatch.setattr(model_client, "MAX_RETRIES", 2)
+        monkeypatch.setattr(model_client, "BACKOFF_BASE_SECS", 0.0)
+
     @staticmethod
-    def client(url, **kwargs):
-        return HttpModelClient(url, max_retries=2, backoff_base=0.0, **kwargs)
+    def client(url):
+        return HttpModelClient(url)
 
     def test_retries_then_unreachable(self, model_server):
         model_server.script.extend([(503, b"busy")] * 3)
@@ -271,9 +277,10 @@ class TestHttpClient:
         with pytest.raises(EndpointUnreachable, match="after 3 attempts"):
             self.client(f"http://127.0.0.1:{port}/v1").generate(GenerationRequest(prompt="p"))
 
-    def test_shared_client_keeps_max_in_flight(self, model_server):
+    def test_shared_client_keeps_max_in_flight(self, model_server, monkeypatch):
         model_server.latency_s = 0.05
-        client = self.client(model_server.url, max_in_flight=2)
+        monkeypatch.setattr(HttpModelClient, "max_in_flight", 2)
+        client = self.client(model_server.url)
         prompts = [f"p{i}" for i in range(8)]
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(client.generate, GenerationRequest(prompt=p)) for p in prompts]

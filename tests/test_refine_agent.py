@@ -7,7 +7,6 @@ from sqlforge.refine_agent import (
     RefineResult,
     build_debug_prompt,
     invalid_check,
-    parse_question,
     refine_sample,
     result_to_dict,
     write_trace,
@@ -83,11 +82,11 @@ class TestParseQuestion:
         s = samples[0]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([{"responses": ["SHOULD NOT BE CALLED"]}])
-        result = parse_question(
-            s.question,
-            replica_of(s.db_id),
+        result = refine_sample(
+            s,
             generator,
             debugger,
+            replica_of(s.db_id),
             corpus.db_path(s.db_id),
             max_iters=3,
         )
@@ -101,11 +100,11 @@ class TestParseQuestion:
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT count(*) FROM wrong_table"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
-        result = parse_question(
-            s.question,
-            replica_of(s.db_id),
+        result = refine_sample(
+            s,
             generator,
             debugger,
+            replica_of(s.db_id),
             corpus.db_path(s.db_id),
             max_iters=3,
         )
@@ -119,11 +118,11 @@ class TestParseQuestion:
         broken = "SELECT count(*) FROM never_exists"
         generator = MockModelClient([{"responses": [broken], "cycle": True}])
         debugger = MockModelClient([{"responses": [broken], "cycle": True}])
-        result = parse_question(
-            s.question,
-            replica_of(s.db_id),
+        result = refine_sample(
+            s,
             generator,
             debugger,
+            replica_of(s.db_id),
             corpus.db_path(s.db_id),
             max_iters=3,
         )
@@ -140,8 +139,8 @@ class TestParseQuestion:
         s = samples[0]
         client = MockModelClient([{"responses": ["x"], "cycle": True}])
         with pytest.raises(ValueError):
-            parse_question(
-                s.question, replica_of(s.db_id), client, client,
+            refine_sample(
+                s, client, client, replica_of(s.db_id),
                 corpus.db_path(s.db_id), max_iters=0,
             )
 
