@@ -200,7 +200,8 @@ def _cmd_mine(args) -> int:
                 timeout=args.exec_timeout_secs,
             )
 
-        per_sample = metrics.run_samples(mine, samples, client.max_in_flight)
+        per_sample = metrics.run_samples(mine, samples, client.max_in_flight,
+                                         key=lambda s: s.db_id)
     pairs = [pair for sample_pairs in per_sample for pair in sample_pairs]
     preference_miner.write_pairs(args.out, pairs)
     skipped = sum(1 for sample_pairs in per_sample if not sample_pairs)
@@ -219,19 +220,17 @@ def _cmd_refine(args) -> int:
         debugger = make_client(args.debugger)
 
         def refine(s):
-            handles = corpus.handles(s.db_id)
             return refine_agent.refine_sample(
                 s,
                 generator,
                 debugger,
-                handles.replica,
-                handles.base,
+                corpus.handles(s.db_id).base,
                 max_iters=args.max_iters,
                 timeout=args.exec_timeout_secs,
             )
 
         width = min(generator.max_in_flight, debugger.max_in_flight)
-        results = metrics.run_samples(refine, samples, width)
+        results = metrics.run_samples(refine, samples, width, key=lambda s: s.db_id)
     # Nothing is written unless every sample succeeded.
     with open(args.out, "w", encoding="utf-8") as out:
         for s, result in zip(samples, results):

@@ -146,7 +146,8 @@ def _first_copies(files: list[Path]) -> dict[Path, Path]:
 class _DbHandles:
     """One thread's read-only handles to the files of the database it is
     working on, each opened on its first query, and its schema replica,
-    built on its first compile. The pipelines borrow both."""
+    built on its first compile, for inner-db augmentation. The pipelines
+    borrow them."""
 
     def __init__(self, db_id: str, files: list[Path], tables: tuple[TableSchema, ...]):
         self.db_id = db_id
@@ -338,7 +339,8 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
 
     failure = None
     if not ex:
-        failure = db.replica.validate(pred_sql).status
+        tables = corpus.schema(sample.db_id).tables
+        failure = sql_analysis.validate_on(db.base, pred_sql, tables).status
     return EvalVerdict(
         sample_id=sample.sample_id,
         ex_match=ex,
@@ -470,8 +472,9 @@ def evaluate_corpus(
     deterministic regardless of ``parallelism``.
 
     Samples run through :func:`run_samples`, grouped by db_id, so each
-    thread keeps its database's read-only handles and schema replica open
-    across samples. They run on the calling thread until one takes
+    thread keeps its database's read-only handles open across samples, and
+    classifies an EX failure by compiling it on the base file's handle.
+    They run on the calling thread until one takes
     :data:`WIDEN_AFTER_SECS`, then up to ``parallelism`` at once. All of
     ``corpus``'s handles are closed before this returns or raises."""
     unknown = set(predictions) - {s.sample_id for s in samples}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import threading
 import time
@@ -48,8 +49,8 @@ class GenerationRequest:
     n: int = 1
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and non-negative: {self.temperature}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
@@ -137,6 +138,8 @@ class HttpModelClient:
             completions = tuple(c["message"]["content"] for c in choices)
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponse(f"cannot parse endpoint response: {exc}") from exc
+        if not all(isinstance(c, str) for c in completions):
+            raise MalformedResponse("endpoint response content is not a string")
         if len(completions) != request.n:
             raise MalformedResponse(
                 f"asked for {request.n} completions, got {len(completions)}"

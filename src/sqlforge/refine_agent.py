@@ -1,8 +1,8 @@
 """Generate / invalid-check / debug loop.
 
 A question is first answered by the generator model. The resulting SQL
-goes through the invalid check (static schema validation, then a real
-execution); failures are routed to the debugger model together with the
+goes through the invalid check (a compile on the database file, then a
+real execution); failures are routed to the debugger model together with the
 failed SQL and its error, and the corrected statement loops back into the
 check until it passes or the iteration budget runs out.
 """
@@ -17,7 +17,7 @@ from .executor import DEFAULT_TIMEOUT_SECS, TIMEOUT, ExecutionOutcome, ReadOnlyH
 from .metrics import Sample
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
-from .sql_analysis import SYNTAX_ERROR, SchemaReplica, ValidityReport
+from .sql_analysis import SYNTAX_ERROR, ValidityReport, name_column_owner, validate_on
 from .sql_analysis import validate_against_tables  # noqa: F401 -- bench/tracer.py wraps this name
 
 GENERATOR = "generator"
@@ -45,18 +45,19 @@ class RefineResult:
 
 def invalid_check(
     sql: str,
-    replica: SchemaReplica,
+    tables,
     db: str | Path | ReadOnlyHandle,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> tuple[ValidityReport, ExecutionOutcome | None]:
-    """Static validation first, on ``replica``, which the caller keeps;
-    statically valid SQL is then executed on ``db``, a path or an open
-    handle, and downgraded to invalid on an engine error or timeout. An
-    empty result set is valid; a Valid report always comes with a rows
-    outcome."""
-    report = replica.validate(sql)
+    """Static validation first, by compiling ``sql`` on ``db``, a path or an
+    open handle to the file whose schema is ``tables``; statically valid
+    SQL is then executed there, and downgraded to invalid on an engine
+    error or timeout. An empty result set is valid; a Valid report always
+    comes with a rows outcome. A WrongColumnName report names the table
+    the column was looked up in, when there is one."""
+    report = validate_on(db, sql, tables)
     if not report.is_valid:
-        return report, None
+        return name_column_owner(sql, tables, report), None
     outcome = execute(db, sql, timeout)
     if outcome.is_rows:
         return report, outcome
@@ -90,18 +91,17 @@ def refine_sample(
     sample: Sample,
     generator,
     debugger,
-    replica: SchemaReplica,
     db: str | Path | ReadOnlyHandle,
     max_iters: int = DEFAULT_MAX_ITERS,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> RefineResult:
     """Run the full generate/check/debug loop for the sample's question,
-    prompting with ``replica.tables`` of the sample's database, validating
-    every attempt on ``replica`` and executing on ``db``, a path or an open
-    handle. The caller keeps both."""
+    prompting with ``sample.schema_tables``, its database's schema, and
+    checking every attempt on ``db``, a path or an open handle to that
+    database's file, which the caller keeps."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    tables = replica.tables
+    tables = sample.schema_tables
 
     attempts: list[RefineAttempt] = []
     for iteration in range(max_iters):
@@ -118,7 +118,7 @@ def refine_sample(
             GenerationRequest(prompt=prompt, temperature=0.0, n=1)
         )
         sql = extract_sql(response.completions[0])
-        validity, outcome = invalid_check(sql, replica, db, timeout)
+        validity, outcome = invalid_check(sql, tables, db, timeout)
         attempts.append(
             RefineAttempt(
                 iteration=iteration,

@@ -1,15 +1,16 @@
 """Schema-aware SQL analysis, answered by SQLite's own compiler.
 
 Both questions that need a schema are answered by compiling the statement
-with ``EXPLAIN`` on an empty in-memory replica of the tables, a
-``SchemaReplica`` that the caller owns, and the pipelines borrow, for as
-long as they stay on one schema: ``validate`` classifies it into {Valid,
-SyntaxError, WrongTableName, WrongColumnName, MissingQuotation}, and
-``references`` lists the tables and columns the compiled statement reads. The
-module-level ``validate``, ``validate_against_tables`` and
-``extract_references`` do the same on a replica made for one call. A
-lexical scan that skips quoted text and comments finds schema identifiers
-with special characters left unquoted.
+with ``EXPLAIN``. :func:`validate_on` compiles it on the database file the
+runner reads and classifies it into {Valid, SyntaxError, WrongTableName,
+WrongColumnName, MissingQuotation}. A ``SchemaReplica``, an empty
+in-memory replica of the tables that the caller owns, serves what is not
+a file: its ``references`` lists the tables and columns the compiled
+statement reads, and its ``validate`` classifies as :func:`validate_on`
+does, with the replica's known gaps. The module-level ``validate``,
+``validate_against_tables`` and ``extract_references`` do the same on a
+replica made for one call. A lexical scan that skips quoted text and
+comments finds schema identifiers with special characters left unquoted.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import re
 import sqlite3
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import ParseError
-from .executor import STATEMENT_ERRORS, read_only_authorizer
+from .executor import STATEMENT_ERRORS, ReadOnlyHandle, execute, read_only_authorizer
 from .schema_catalog import DatabaseSchema, _quote_ident, fold
 
 VALID = "Valid"
@@ -176,24 +178,7 @@ class SchemaReplica:
             self._compile(sql)
             return ValidityReport(VALID)
         except ParseError as exc:
-            engine_error = str(exc)
-
-        tables = self.tables
-        if engine_error.startswith("no such table:"):
-            name = engine_error.split(":", 1)[1].strip()
-            quoted = find_unquoted_special(sql, tables)
-            if quoted is not None and fold(name) in fold(quoted):
-                return ValidityReport(MISSING_QUOTATION, quoted)
-            return ValidityReport(WRONG_TABLE_NAME, name)
-        if engine_error.startswith(("no such column:", "ambiguous column")):
-            name = engine_error.split(":", 1)[1].strip()
-            if "." in name:
-                name = name.split(".")[-1]
-            quoted = find_unquoted_special(sql, tables)
-            if quoted is not None:
-                return ValidityReport(MISSING_QUOTATION, quoted)
-            return ValidityReport(WRONG_COLUMN_NAME, _missing_column_detail(sql, tables, name))
-        return ValidityReport(SYNTAX_ERROR, engine_error)
+            return name_column_owner(sql, self.tables, _classify(sql, self.tables, str(exc)))
 
 
 def extract_references(sql: str, tables) -> SqlReferences:
@@ -221,18 +206,59 @@ def find_unquoted_special(sql: str, tables) -> str | None:
     return None
 
 
-def _missing_column_detail(sql: str, tables, name: str) -> str:
-    """``"<name> not in <table>"`` when, once every table lacking ``name``
-    gets it, the statement reads ``name`` from exactly one of those tables;
-    otherwise ``name`` alone."""
+def _classify(sql: str, tables, engine_error: str) -> ValidityReport:
+    """The class of ``sql``, which SQLite refused to compile over ``tables``
+    with the message ``engine_error``. A WrongColumnName's detail is the
+    column's bare name; :func:`name_column_owner` adds its table."""
+    if engine_error.startswith("no such table:"):
+        name = engine_error.split(":", 1)[1].strip()
+        quoted = find_unquoted_special(sql, tables)
+        if quoted is not None and fold(name) in fold(quoted):
+            return ValidityReport(MISSING_QUOTATION, quoted)
+        return ValidityReport(WRONG_TABLE_NAME, name)
+    if engine_error.startswith(("no such column:", "ambiguous column")):
+        name = engine_error.split(":", 1)[1].strip()
+        if "." in name:
+            name = name.split(".")[-1]
+        quoted = find_unquoted_special(sql, tables)
+        if quoted is not None:
+            return ValidityReport(MISSING_QUOTATION, quoted)
+        return ValidityReport(WRONG_COLUMN_NAME, name)
+    return ValidityReport(SYNTAX_ERROR, engine_error)
+
+
+def name_column_owner(sql: str, tables, report: ValidityReport) -> ValidityReport:
+    """``report``, with a WrongColumnName's detail ``"<name> not in <table>"``
+    when, once every table of ``tables`` lacking ``name`` gets it on a
+    replica made for this one call, the statement reads ``name`` from
+    exactly one of those tables. Any other report is returned as it is."""
+    if report.status != WRONG_COLUMN_NAME:
+        return report
+    name = report.detail
     lacking = {t.name for t in tables if not t.has_column(name)}
     try:
         with SchemaReplica(tables, extra_column=name) as widened:
             _program, reads = widened._compile(sql)
     except ParseError:
-        return name
+        return report
     owners = {table for table, column in reads if column == name and table in lacking}
-    return f"{name} not in {owners.pop()}" if len(owners) == 1 else name
+    if len(owners) != 1:
+        return report
+    return ValidityReport(WRONG_COLUMN_NAME, f"{name} not in {owners.pop()}")
+
+
+def validate_on(db: str | Path | ReadOnlyHandle, sql: str, tables) -> ValidityReport:
+    """Classify ``sql`` by compiling it on the file the runner reads: ``db``,
+    a path or an open handle, under the runner's authorizer. It is Valid
+    exactly when ``EXPLAIN sql``, or ``sql`` as given if an ``EXPLAIN``,
+    compiles there; otherwise SQLite's message picks the class, with
+    ``tables``, the file's schema, for MissingQuotation. A WrongColumnName's
+    detail is the bare name (see :func:`name_column_owner`)."""
+    outcome = execute(db, sql if _explains(sql) else f"EXPLAIN {sql}")
+    if outcome.is_rows:
+        return ValidityReport(VALID)
+    # A compile cut short by the deadline has no message of its own.
+    return _classify(sql, tables, outcome.error_message or "interrupted")
 
 
 def validate_against_tables(sql: str, tables) -> ValidityReport:

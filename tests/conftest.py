@@ -114,11 +114,13 @@ def opened(monkeypatch) -> ConnectionLog:
 class ReplicaLog(list):
     """The schema replicas' connections built while a test runs, and how
     many of them were still open as each was built. The one-call replicas
-    that name a missing column's table are not counted."""
+    that name a missing column's table are not counted here: ``widened``
+    lists the column each of them adds."""
 
     def __init__(self):
         super().__init__()
         self.open_at_build: list[int] = []
+        self.widened: list[str] = []
 
     def still_open(self) -> list[sqlite3.Connection]:
         return [c for c in self if _is_open(c)]
@@ -135,6 +137,8 @@ def replicas(monkeypatch) -> ReplicaLog:
         if extra_column is None:
             log.open_at_build.append(len(log.still_open()))
             log.append(conn)
+        else:
+            log.widened.append(extra_column)
         return conn
 
     monkeypatch.setattr(sql_analysis, "_build_replica", recording_build)

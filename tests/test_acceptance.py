@@ -202,7 +202,7 @@ def _failure_plan(samples):
     return plan
 
 
-def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas, replica_of):
+def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
     plan = _failure_plan(samples)
     fixed_ids = sorted(plan)[:6]
 
@@ -226,10 +226,8 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas, repli
     baseline_preds = {}
     pipeline_preds = {}
     debugger_iterations = 0
-    replica_for = {db_id: replica_of(db_id) for db_id in schemas}
     for s in samples:
-        result = refine_sample(s, generator, debugger, replica_for[s.db_id],
-                               corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
         baseline_preds[s.sample_id] = result.attempts[0].sql
         pipeline_preds[s.sample_id] = result.final_sql
         debugger_iterations += result.iterations_used - 1
@@ -259,15 +257,14 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas, repli
     ok(5, "pipeline EX = baseline EX + 6/50 exactly; debugger used only on failures")
 
 
-def test_criterion_6_termination_and_budget(corpus, samples, replica_of):
+def test_criterion_6_termination_and_budget(corpus, samples):
     s = samples[0]
     broken = "SELECT nothing FROM nowhere"
     generator = MockModelClient([{"responses": [broken], "cycle": True}])
     debugger = MockModelClient([{"responses": [broken], "cycle": True}])
     for max_iters in (1, 3, 5):
         result = refine_sample(
-            s, generator, debugger, replica_of(s.db_id), corpus.db_path(s.db_id),
-            max_iters=max_iters,
+            s, generator, debugger, corpus.db_path(s.db_id), max_iters=max_iters,
         )
         assert not result.succeeded
         assert result.iterations_used == max_iters

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlforge import cli, metrics, sql_analysis
+from sqlforge import cli, executor, schema_catalog
 from sqlforge.cli import load_config, run
 from sqlforge.errors import ConfigError
 from sqlforge.executor import DEFAULT_TIMEOUT_SECS
@@ -175,6 +175,33 @@ class TestEval:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
+    def test_failed_predictions_build_no_replica(
+        self, corpus, sample_records, schemas, tmp_path, capsys, replicas
+    ):
+        """eval classifies every EX failure by compiling it on the sample's
+        handle of the base file: it builds no schema replica, plain or
+        widened for a missing column."""
+        wrong = [
+            lambda r: "SELECT * FROM no_such_table",
+            lambda r: f'SELECT nope FROM "{schemas[r["db_id"]].tables[0].name}"',
+            lambda r: "SELECT FROM",
+        ]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"sample_id": r["sample_id"], "sql": wrong[n % 3](r)}) + "\n"
+            for n, r in enumerate(sample_records)
+        ))
+        assert run([
+            "eval", "--samples", str(corpus.samples_path), "--preds", str(preds),
+            "--corpus", str(corpus.root), "--variants", str(corpus.variant_root),
+            "--jobs", "2", "--json",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["error_histogram"] == {
+            "SyntaxError": 16, "WrongColumnName": 17, "WrongTableName": 17,
+        }
+        assert (list(replicas), replicas.widened) == ([], [])
+
     def test_nan_timeout_is_an_error(self, corpus, sample_records, tmp_path, capsys):
         preds = tmp_path / "preds.jsonl"
         write_gold_preds(corpus, sample_records, preds)
@@ -327,7 +354,11 @@ class TestOutOfRangeNumbers:
         (["eval", "--jobs", "0"], None),
         (["eval", "--jobs", "-3"], None),
         (["eval"], "[eval]\njobs = 0\n"),
-    ], ids=["p-table-5", "p-col--2", "p-table-nan", "jobs-0", "jobs--3", "config-jobs-0"])
+        (["mine", "--temperature", "nan"], None),
+        (["mine", "--temperature", "inf"], None),
+        (["mine"], "[mine]\ntemperature = -inf\n"),
+    ], ids=["p-table-5", "p-col--2", "p-table-nan", "jobs-0", "jobs--3", "config-jobs-0",
+            "temperature-nan", "temperature-inf", "config-temperature--inf"])
     def test_is_an_error_line(self, corpus, sample_records, tmp_path, capsys, argv, config):
         out = tmp_path / "out.jsonl"
         argv = [*argv, "--samples", str(corpus.samples_path), "--corpus", str(corpus.root),
@@ -335,6 +366,10 @@ class TestOutOfRangeNumbers:
         if argv[0] == "eval":
             write_gold_preds(corpus, sample_records, tmp_path / "preds.jsonl")
             argv += ["--preds", str(tmp_path / "preds.jsonl")]
+        if argv[0] == "mine":
+            script = tmp_path / "mock.jsonl"
+            script.write_text(json.dumps({"responses": ["SELECT 1"], "cycle": True}) + "\n")
+            argv += ["--mock", str(script)]
         if config is not None:
             (tmp_path / "sqlforge.ini").write_text(config)
             argv = ["--config", str(tmp_path / "sqlforge.ini"), *argv]
@@ -418,6 +453,32 @@ class TestMine:
         ]) == 0
         [pair] = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert (pair["rejected"], pair["rejected_reason"]) == (sql, "exec_error")
+
+
+class TestEndpointReplies:
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    @pytest.mark.parametrize("content", [None, 5, ["SELECT 1"]], ids=["null", "number", "list"])
+    def test_content_that_is_not_text_is_an_error_line(
+        self, corpus, model_server, tmp_path, capsys, command, content
+    ):
+        """Chat-completions servers send ``"content": null`` beside a tool
+        call; any content that is not a string ends the run in one
+        ``error:`` line, with no output."""
+        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        model_server.script.extend([(200, body)] * 50)
+        samples, out = tmp_path / "samples.jsonl", tmp_path / "out.jsonl"
+        with open(corpus.samples_path) as fh:
+            samples.write_text(next(line for line in fh if TRYOUT_QUESTION in line))
+        common = ["--samples", str(samples), "--corpus", str(corpus.root), "--out", str(out)]
+        if command == "mine":
+            argv = ["mine", *common, "--endpoint", model_server.url, "--n-candidates", "1"]
+        else:
+            argv = ["refine", *common, "--generator", model_server.url,
+                    "--debugger", model_server.url]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not a string" in err[0]
+        assert not out.exists()
 
 
 class TestRefine:
@@ -702,6 +763,34 @@ class TestCorpusHandles:
         assert not opened.still_open()
 
     @pytest.mark.parametrize("command", ["mine", "refine"])
+    def test_serial_run_connects_once_per_database(
+        self, corpus, sample_records, tmp_path, monkeypatch, command
+    ):
+        """Samples start grouped by db_id, so a serial run connects to each
+        database once to introspect it and once to run its statements,
+        though the samples come back to each database, and still writes in
+        sample order."""
+        connected = []
+        connect = executor.connect_read_only
+
+        def counting_connect(path, **kwargs):
+            connected.append(path.name)
+            return connect(path, **kwargs)
+
+        monkeypatch.setattr(executor, "connect_read_only", counting_connect)
+        monkeypatch.setattr(schema_catalog, "connect_read_only", counting_connect)
+        other = ["SELECT 1", "SELECT * FROM no_such_table"] if command == "mine" else None
+        script = self.mock(tmp_path, sample_records, other)
+        assert run(self.argv(command, corpus, tmp_path, sample_records, script)) == 0
+        files = {f"{r['db_id']}.sqlite" for r in sample_records}
+        assert sorted(connected) == sorted([*files, *files])
+        order = [r["sample_id"] for r in sample_records]
+        written = [json.loads(line)["sample_id"]
+                   for line in (tmp_path / "out.jsonl").read_text().splitlines()]
+        assert written == sorted(written, key=order.index)
+        assert set(written) == set(order)
+
+    @pytest.mark.parametrize("command", ["mine", "refine"])
     @pytest.mark.parametrize("fails", [False, True])
     def test_no_connection_left_open(
         self, corpus, sample_records, tmp_path, capsys, opened, command, fails
@@ -776,29 +865,14 @@ class TestConcurrentSamples:
         assert any(DEBUG_MARKER in p for p in model_server.prompts)  # debugger used
 
     @pytest.mark.parametrize("fails", [False, True])
-    def test_refine_borrows_the_corpus_replicas(
-        self, corpus, model_server, tmp_path, monkeypatch, capsys, opened, replicas, fails
+    def test_refine_builds_no_replica(
+        self, corpus, model_server, tmp_path, capsys, opened, replicas, fails
     ):
-        """refine builds no schema replica of its own: every attempt
-        validates on its worker thread's corpus replica, at most one is open
-        per thread, and all are closed on return and on failure."""
-        made, held = [], []
-        replica_init = sql_analysis.SchemaReplica.__init__
-        handles_init = metrics._DbHandles.__init__
-
-        def recording_replica_init(replica, tables, extra_column=None):
-            replica_init(replica, tables, extra_column)
-            if extra_column is None:
-                made.append(replica)
-
-        def recording_handles_init(handles, *args):
-            handles_init(handles, *args)
-            held.append(handles.replica)
-
-        monkeypatch.setattr(sql_analysis.SchemaReplica, "__init__", recording_replica_init)
-        monkeypatch.setattr(metrics._DbHandles, "__init__", recording_handles_init)
+        """refine builds no schema replica: every attempt is checked on its
+        worker thread's handle of the database file, and every connection
+        is closed on return and on failure."""
         if fails:
-            # The first replies are valid, so replicas are open when a
+            # The first replies are valid, so handles are open when a
             # later model call is refused.
             ok = json.dumps({"choices": [{"message": {"content": "SELECT 1"}}]}).encode()
             model_server.script.extend([(200, ok)] * 8 + [(401, b"{}")])
@@ -806,9 +880,9 @@ class TestConcurrentSamples:
                            tmp_path / "trace") == int(fails)
         assert ("rejected credentials" in capsys.readouterr().err) == fails
         assert 1 < model_server.peak_in_flight
-        assert replicas
-        assert made == held
-        assert max(replicas.open_at_build) < self.WIDTH
+        # The endpoint's replies name no missing column.
+        assert (list(replicas), replicas.widened) == ([], [])
+        assert opened
         assert not opened.still_open()
 
     def test_first_failure_stops_the_run(self, corpus, sample_records, model_server,

@@ -108,6 +108,11 @@ class TestGenerationRequest:
         with pytest.raises(ValueError):
             GenerationRequest(prompt="p", temperature=-0.1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_temperature_that_is_not_finite(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            GenerationRequest(prompt="p", temperature=temperature)
+
     def test_rejects_zero_n(self):
         with pytest.raises(ValueError):
             GenerationRequest(prompt="p", n=0)
@@ -269,6 +274,15 @@ class TestHttpClient:
         model_server.script.append((200, b"<html>not json</html>"))
         with pytest.raises(MalformedResponse):
             self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+
+    @pytest.mark.parametrize("content", [None, 5, ["SELECT 1"], {"text": "SELECT 1"}],
+                             ids=["null", "number", "list", "object"])
+    def test_content_that_is_not_a_string_is_malformed(self, model_server, content):
+        body = {"choices": [{"message": {"content": content}}]}
+        model_server.script.append((200, json.dumps(body).encode()))
+        with pytest.raises(MalformedResponse, match="not a string"):
+            self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+        assert len(model_server.prompts) == 1
 
     def test_refused_port_is_unreachable(self):
         with socket.socket() as sock:

@@ -21,33 +21,33 @@ from sqlforge.sql_analysis import (
 
 
 class TestInvalidCheck:
-    def test_gold_sql_passes(self, corpus, samples, replica_of):
+    def test_gold_sql_passes(self, corpus, samples):
         s = samples[0]
         report, outcome = invalid_check(
-            s.gold_sql, replica_of(s.db_id), corpus.db_path(s.db_id)
+            s.gold_sql, s.schema_tables, corpus.db_path(s.db_id)
         )
         assert report.status == VALID
         assert outcome is not None and outcome.is_rows
 
-    def test_static_catch_skips_execution(self, corpus, replica_of):
+    def test_static_catch_skips_execution(self, corpus, schemas):
         report, outcome = invalid_check(
-            "SELECT * FROM no_such_table", replica_of("shop"), corpus.db_path("shop")
+            "SELECT * FROM no_such_table", schemas["shop"].tables, corpus.db_path("shop")
         )
         assert report.status == WRONG_TABLE_NAME
         assert outcome is None
 
-    def test_runtime_error_downgrades_static_pass(self, corpus, replica_of):
+    def test_runtime_error_downgrades_static_pass(self, corpus, schemas):
         # Statically fine (names resolve) but fails in the engine at runtime.
         sql = "SELECT json_extract(name, 'not a path') FROM customers"
-        report, outcome = invalid_check(sql, replica_of("shop"), corpus.db_path("shop"))
+        report, outcome = invalid_check(sql, schemas["shop"].tables, corpus.db_path("shop"))
         assert not report.is_valid
         assert outcome is not None and outcome.kind == "error"
         assert report.detail  # carries the engine message
 
-    def test_empty_result_is_valid(self, corpus, replica_of):
+    def test_empty_result_is_valid(self, corpus, schemas):
         report, outcome = invalid_check(
             "SELECT name FROM customers WHERE city = 'Nowhere'",
-            replica_of("shop"),
+            schemas["shop"].tables,
             corpus.db_path("shop"),
         )
         assert report.is_valid
@@ -78,7 +78,7 @@ class TestBuildDebugPrompt:
 
 
 class TestParseQuestion:
-    def test_generator_success_short_circuits(self, corpus, samples, replica_of):
+    def test_generator_success_short_circuits(self, corpus, samples):
         s = samples[0]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([{"responses": ["SHOULD NOT BE CALLED"]}])
@@ -86,7 +86,6 @@ class TestParseQuestion:
             s,
             generator,
             debugger,
-            replica_of(s.db_id),
             corpus.db_path(s.db_id),
             max_iters=3,
         )
@@ -96,7 +95,7 @@ class TestParseQuestion:
         assert debugger.call_count == 0
         assert [a.role for a in result.attempts] == [GENERATOR]
 
-    def test_debugger_fixes_wrong_table(self, corpus, samples, replica_of):
+    def test_debugger_fixes_wrong_table(self, corpus, samples):
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT count(*) FROM wrong_table"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
@@ -104,7 +103,6 @@ class TestParseQuestion:
             s,
             generator,
             debugger,
-            replica_of(s.db_id),
             corpus.db_path(s.db_id),
             max_iters=3,
         )
@@ -113,7 +111,7 @@ class TestParseQuestion:
         assert [a.role for a in result.attempts] == [GENERATOR, DEBUGGER]
         assert result.final_sql == s.gold_sql
 
-    def test_budget_exhaustion(self, corpus, samples, replica_of, replicas):
+    def test_budget_exhaustion(self, corpus, samples, replicas):
         s = samples[0]
         broken = "SELECT count(*) FROM never_exists"
         generator = MockModelClient([{"responses": [broken], "cycle": True}])
@@ -122,7 +120,6 @@ class TestParseQuestion:
             s,
             generator,
             debugger,
-            replica_of(s.db_id),
             corpus.db_path(s.db_id),
             max_iters=3,
         )
@@ -131,40 +128,53 @@ class TestParseQuestion:
         assert len(result.attempts) == 3
         assert result.final_sql == broken
         assert [a.validity.status for a in result.attempts] == [WRONG_TABLE_NAME] * 3
-        # Every attempt validated on the borrowed replica, left open for its owner.
-        assert len(replicas) == 1
-        assert replicas.still_open() == replicas
+        # Every attempt was checked on the file: no replica was built.
+        assert not replicas
 
-    def test_max_iters_must_be_positive(self, corpus, samples, replica_of):
+    def test_only_a_missing_column_widens_a_replica(self, corpus, samples, replicas):
+        """Every attempt is checked on the file; a WrongColumnName attempt
+        alone builds a replica, widened by its column, to name the table
+        it was looked up in for the debugger."""
+        s = samples[0]
+        table = s.schema_tables[0].name
+        generator = MockModelClient([{"responses": [f"SELECT nope FROM {table}"]}])
+        debugger = MockModelClient([{"responses": [
+            "SELECT * FROM no_such_table", "SELECT FROM", s.gold_sql,
+        ]}])
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id), max_iters=4)
+        assert [a.validity.status for a in result.attempts] == [
+            WRONG_COLUMN_NAME, WRONG_TABLE_NAME, SYNTAX_ERROR, VALID,
+        ]
+        assert result.attempts[0].validity.detail == f"nope not in {table}"
+        assert (list(replicas), replicas.widened) == ([], ["nope"])
+
+    def test_max_iters_must_be_positive(self, corpus, samples):
         s = samples[0]
         client = MockModelClient([{"responses": ["x"], "cycle": True}])
         with pytest.raises(ValueError):
             refine_sample(
-                s, client, client, replica_of(s.db_id),
-                corpus.db_path(s.db_id), max_iters=0,
+                s, client, client, corpus.db_path(s.db_id), max_iters=0,
             )
 
-    def test_succeeded_implies_execution_rows(self, corpus, samples, replica_of):
+    def test_succeeded_implies_execution_rows(self, corpus, samples):
         from sqlforge.executor import execute
 
         s = samples[5]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([])
-        result = refine_sample(s, generator, debugger, replica_of(s.db_id),
-                               corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
         assert result.succeeded
         assert execute(corpus.db_path(s.db_id), result.final_sql).is_rows
 
 
 class TestTrace:
-    def test_trace_round_trip(self, corpus, samples, tmp_path, replica_of):
+    def test_trace_round_trip(self, corpus, samples, tmp_path):
         import json
 
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT nope FROM nada"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
-        result = refine_sample(s, generator, debugger, replica_of(s.db_id),
-                               corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
         write_trace(tmp_path, s.sample_id, result)
         data = json.loads((tmp_path / f"{s.sample_id}.json").read_text())
         assert data == result_to_dict(s.sample_id, result)

@@ -17,7 +17,7 @@ from sqlforge.schema_catalog import (
     introspect_database,
     render_prompt,
 )
-from sqlforge.sql_analysis import validate
+from sqlforge.sql_analysis import validate, validate_on
 
 from corpus_builder import SQLITE_ONLY_SCHEMAS, TRYOUT_QUESTION, build_sqlite_only_database
 
@@ -402,3 +402,92 @@ def test_validate_is_valid_exactly_when_the_file_compiles(tmp_path_factory, sche
     statements = selects(specs, views) | refused(specs)
     for sql in data.draw(st.lists(statements, min_size=1, max_size=4)):
         assert validate(sql, schema).is_valid == _compiles_on_file(path, sql), sql
+
+
+# --- validate_on judges on the file: what a schema replica cannot declare ------
+
+INDEX_NAMES = ["i", "I", "i j", "ï"]
+
+
+@st.composite
+def file_only_schemas(draw):
+    """DDL for 1-3 tables, each plain, ``WITHOUT ROWID`` (keyed on its first
+    column) or with an ``INTEGER PRIMARY KEY AUTOINCREMENT`` first column,
+    and each with or without one row; 0-2 ``CREATE INDEX``es; and maybe
+    ``ANALYZE``. Returns the statements and the (table, columns) pairs."""
+    names = draw(st.lists(st.sampled_from(TABLE_NAMES), min_size=1, max_size=3,
+                          unique_by=_ascii_folded))
+    ddl, tables = [], []
+    for name in names:
+        columns = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=1, max_size=3,
+                                unique_by=_ascii_folded))
+        quoted = [_quote_ident(c) for c in columns]
+        kind = draw(st.sampled_from(["plain", "without rowid", "autoincrement"]))
+        if kind == "autoincrement":
+            quoted[0] += " INTEGER PRIMARY KEY AUTOINCREMENT"
+        elif kind == "without rowid":
+            quoted.append(f"PRIMARY KEY({_quote_ident(columns[0])})")
+        suffix = " WITHOUT ROWID" if kind == "without rowid" else ""
+        ddl.append(f"CREATE TABLE {_quote_ident(name)}({', '.join(quoted)}){suffix}")
+        if draw(st.booleans()):
+            values = ", ".join(str(n) for n in range(1, len(columns) + 1))
+            ddl.append(f"INSERT INTO {_quote_ident(name)} VALUES ({values})")
+        tables.append((name, columns))
+    for index in draw(st.lists(st.sampled_from(INDEX_NAMES), max_size=2,
+                               unique_by=_ascii_folded)):
+        name, columns = draw(st.sampled_from(tables))
+        column = draw(st.sampled_from(columns))
+        ddl.append(f"CREATE INDEX {_quote_ident(index)} ON "
+                   f"{_quote_ident(name)}({_quote_ident(column)})")
+    if draw(st.booleans()):
+        ddl.append("ANALYZE")
+    return ddl, tables
+
+
+@st.composite
+def file_only_statements(draw, tables):
+    """A statement that reads what only the file declares: a rowid,
+    ``INDEXED BY`` a named or automatic index (or a missing one),
+    ``sqlite_sequence`` or ``sqlite_stat1``."""
+    name, columns = draw(st.sampled_from(tables))
+    table = _quote_ident(name)
+    column = _quote_ident(draw(st.sampled_from(columns)))
+    index = draw(st.sampled_from(INDEX_NAMES + [f"sqlite_autoindex_{name}_1", "nope"]))
+    return draw(st.sampled_from([
+        f"SELECT rowid FROM {table}",
+        f"SELECT {table}._rowid_, {column} FROM {table}",
+        f"SELECT oid FROM {table} WHERE {column} = 1",
+        f"SELECT {column} FROM {table} INDEXED BY {_quote_ident(index)}",
+        f"SELECT {column} FROM {table} INDEXED BY {_quote_ident(index)} WHERE {column} > 0",
+        f"SELECT {column} FROM {table} NOT INDEXED",
+        "SELECT name, seq FROM sqlite_sequence",
+        "SELECT tbl, idx, stat FROM sqlite_stat1",
+        f"SELECT seq FROM sqlite_sequence JOIN {table} ON name = {_quote_ident(name.lower())}",
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema=file_only_schemas(), data=st.data())
+def test_validate_on_is_valid_exactly_when_the_file_compiles(tmp_path_factory, schema, data):
+    """What eval and refine call, on one reused handle as they do, against a
+    fresh handle per statement: ``WITHOUT ROWID`` tables, indexes,
+    ``sqlite_sequence`` and ``sqlite_stat1`` are the file's, not a replica's."""
+    ddl, tables = schema
+    path = tmp_path_factory.mktemp("file_only") / "db.sqlite"
+    conn = sqlite3.connect(path)
+    try:
+        for statement in ddl:
+            try:
+                conn.execute(statement)
+            except sqlite3.Error:
+                reject()
+        conn.commit()
+    finally:
+        conn.close()
+    schema_tables = introspect_database(path, "db").tables
+    statements = data.draw(st.lists(file_only_statements(tables), min_size=1, max_size=4))
+    with ReadOnlyHandle(path) as handle:
+        for sql in statements:
+            assert validate_on(handle, sql, schema_tables).is_valid == _compiles_on_file(
+                path, sql
+            ), sql
