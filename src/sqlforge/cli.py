@@ -176,9 +176,9 @@ def _cmd_augment(args) -> int:
                     p_col=args.p_col,
                 )
 
-            # Grouped by db_id, so one schema replica per database compiles
-            # every gold query.
-            augmented = metrics.run_samples(augment, samples, key=lambda s: s.db_id)
+            # Samples run grouped by db_id, so one schema replica per
+            # database compiles every gold query.
+            augmented = metrics.run_samples(augment, samples)
     augmentation.write_augmented(args.out, augmented)
     log.info("wrote %d augmented samples to %s", len(augmented), args.out)
     return 0
@@ -200,8 +200,7 @@ def _cmd_mine(args) -> int:
                 timeout=args.exec_timeout_secs,
             )
 
-        per_sample = metrics.run_samples(mine, samples, client.max_in_flight,
-                                         key=lambda s: s.db_id)
+        per_sample = metrics.run_samples(mine, samples, client.max_in_flight)
     pairs = [pair for sample_pairs in per_sample for pair in sample_pairs]
     preference_miner.write_pairs(args.out, pairs)
     skipped = sum(1 for sample_pairs in per_sample if not sample_pairs)
@@ -230,7 +229,7 @@ def _cmd_refine(args) -> int:
             )
 
         width = min(generator.max_in_flight, debugger.max_in_flight)
-        results = metrics.run_samples(refine, samples, width, key=lambda s: s.db_id)
+        results = metrics.run_samples(refine, samples, width)
     # Nothing is written unless every sample succeeded.
     with open(args.out, "w", encoding="utf-8") as out:
         for s, result in zip(samples, results):
@@ -255,7 +254,7 @@ def _cmd_eval(args) -> int:
             parallelism=args.jobs,
             timeout=args.exec_timeout_secs,
         )
-    record = metrics.report_to_dict(report)
+    record = asdict(report)
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if args.json:

@@ -41,6 +41,11 @@ FLOAT_REL_TOL = 1e-6
 #: and 256 KiB lowered samples per second by 14 %.
 PAGE_CACHE_SIZE = -1024
 
+#: The longest string or blob, in bytes, a statement may build or return
+#: (SQLite's ``SQLITE_LIMIT_LENGTH``); a longer one is an error outcome,
+#: so model text cannot make one cell hold gigabytes.
+MAX_CELL_BYTES = 16_000_000
+
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
@@ -201,10 +206,9 @@ def read_only_authorizer(action, *_names) -> int:
     return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
 
 
-#: What compiling or running model text can raise: Python 3.10 raises
-#: Warning for a second statement and ValueError for a NUL character, and
-#: text that cannot be encoded is a ValueError.
-STATEMENT_ERRORS = (sqlite3.Error, sqlite3.Warning, ValueError)
+#: What compiling or running model text can raise: text that cannot be
+#: encoded, such as a lone surrogate, is a ValueError.
+STATEMENT_ERRORS = (sqlite3.Error, ValueError)
 
 
 def connect_read_only(path: Path, **kwargs) -> sqlite3.Connection:
@@ -256,6 +260,7 @@ class ReadOnlyHandle:
         except sqlite3.DatabaseError as exc:
             conn.close()
             raise NotADatabaseError(f"{self.path}: {exc}") from exc
+        conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_CELL_BYTES)
         conn.set_authorizer(read_only_authorizer)
         self._conn = conn
         return conn
@@ -278,10 +283,7 @@ class ReadOnlyHandle:
             elapsed = time.monotonic() - start
             if interrupted and isinstance(exc, sqlite3.OperationalError):
                 return ExecutionOutcome.of_timeout(elapsed)
-            message = str(exc)
-            if "file is not a database" in message:
-                raise NotADatabaseError(f"{self.path}: {message}") from exc
-            return ExecutionOutcome.of_error(message, elapsed)
+            return ExecutionOutcome.of_error(str(exc), elapsed)
         elapsed = time.monotonic() - start
         if cursor.description is None:
             return ExecutionOutcome.of_error("no statement to run", elapsed)

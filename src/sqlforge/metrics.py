@@ -119,15 +119,6 @@ def variant_suite_paths(variant_root: str | Path, db_id: str) -> list[Path]:
     return sorted(suite_dir.glob("*.sqlite"))
 
 
-def _digest(path: Path) -> bytes:
-    """SHA-256 of a file's bytes, read in chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.digest()
-
-
 def _first_copies(files: list[Path]) -> dict[Path, Path]:
     """Map each file to the first of ``files`` with the same bytes. Only
     files whose size another file shares are read."""
@@ -138,7 +129,10 @@ def _first_copies(files: list[Path]) -> dict[Path, Path]:
     for same_size in by_size.values():
         seen: dict[bytes, Path] = {}
         for path in same_size:
-            content = _digest(path) if len(same_size) > 1 else b""
+            content = b""
+            if len(same_size) > 1:
+                with open(path, "rb") as fh:
+                    content = hashlib.file_digest(fh, "sha256").digest()
             first[path] = seen.setdefault(content, path)
     return first
 
@@ -363,25 +357,22 @@ def run_samples(
     fn: Callable[[Sample], Any],
     samples: Sequence[Sample],
     width: int = 1,
-    key: Callable[[Sample], Any] | None = None,
 ) -> list:
-    """``fn(s)`` for each sample, in sample order. Samples start in order of
-    ``key`` (sample order without one; ties keep it), on the calling thread.
-    With ``width`` over 1, the run widens once a sample has run for
-    :data:`WIDEN_AFTER_SECS`: a watcher thread sees it within twice that,
-    or the calling thread as it starts the next sample. The next ``width - 1``
-    samples then start at once on helper threads, and from then on up to
-    ``width`` run at once; a run never narrows. If samples fail, the error
-    of the first failing one in sample order is raised: a failure cancels
-    every later sample not yet started, and every earlier one still runs.
-    Every thread the run started has ended when it returns."""
+    """``fn(s)`` for each sample, in sample order. Samples start on the
+    calling thread in db_id order (ties keep sample order), so a thread
+    keeps to one database's handles. With ``width`` over 1, the run widens
+    once a sample has run for :data:`WIDEN_AFTER_SECS`: a watcher thread
+    sees it within twice that, or the calling thread as it starts the next
+    sample. The next ``width - 1`` samples then start at once on helper
+    threads, and from then on up to ``width`` run at once; a run never
+    narrows. If samples fail, the error of the first failing one in sample
+    order is raised: a failure cancels every later sample not yet started,
+    and every earlier one still runs. Every thread the run started has
+    ended when it returns."""
     if width < 1:
         raise ValueError(f"width must be at least 1, not {width}")
     width = min(width, len(samples))
-    order = range(len(samples))
-    if key is not None:
-        order = sorted(order, key=lambda i: key(samples[i]))
-    cursor = iter(order)
+    cursor = iter(sorted(range(len(samples)), key=lambda i: samples[i].db_id))
     results = [None] * len(samples)
     #: The first failure in sample order, as (index, error); an interrupt
     #: or exit is at index -1, so it cancels every sample not yet started.
@@ -495,7 +486,7 @@ def evaluate_corpus(
             ctx.finished(s, pred_sql)
 
     try:
-        results = run_samples(evaluate, samples, parallelism, key=lambda s: s.db_id)
+        results = run_samples(evaluate, samples, parallelism)
     finally:
         # Samples cancelled after a failure never finish: drop what they held.
         ctx.statements.clear()
@@ -590,27 +581,6 @@ def load_predictions(path: str | Path) -> dict[str, str]:
         line_of[sample_id] = n
         preds[sample_id] = sql
     return preds
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    """The eval record: ``eval --out`` writes it, ``--json`` all but its verdicts."""
-    return {
-        "ex_accuracy": report.ex_accuracy,
-        "ts_accuracy": report.ts_accuracy,
-        "n_samples": report.n_samples,
-        "error_histogram": dict(sorted(report.error_histogram.items())),
-        "verdicts": [
-            {
-                "sample_id": v.sample_id,
-                "ex_match": v.ex_match,
-                "ts_match": v.ts_match,
-                "pred_sql": v.pred_sql,
-                "failure_class": v.failure_class,
-                "outcome_kind": v.outcome_kind,
-            }
-            for v in report.verdicts
-        ],
-    }
 
 
 def format_summary_table(report: EvalReport) -> str:

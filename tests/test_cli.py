@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlforge import cli, executor, schema_catalog
@@ -681,6 +681,7 @@ HOSTILE_PIECES = [
     "ATTACH 'attached.sqlite' AS z", "PRAGMA query_only=0", "PRAGMA writable_schema=1",
     "VACUUM INTO 'vacuumed.sqlite'", "DELETE FROM customers", "DROP TABLE orders",
     "INSERT INTO customers(name) VALUES ('x')", "CREATE TABLE t(a)",
+    'SELECT * FROM "file is not a database"',
 ]
 hostile_texts = st.lists(st.sampled_from(HOSTILE_PIECES), min_size=1, max_size=4).map("".join)
 
@@ -689,6 +690,7 @@ class TestHostileModelText:
     @settings(max_examples=20, deadline=None)
     @given(preds=st.lists(hostile_texts, min_size=2, max_size=2),
            completions=st.lists(hostile_texts, min_size=1, max_size=3))
+    @example(preds=[HOSTILE_PIECES[-1], "SELECT 1"], completions=[HOSTILE_PIECES[-1]])
     def test_eval_and_mine_exit_zero_and_change_no_file(
         self, corpus, sample_records, tmp_path_factory, preds, completions
     ):

@@ -59,6 +59,20 @@ class TestExecute:
         with pytest.raises(NotADatabaseError):
             execute(path, "SELECT 1")
 
+    def test_statement_naming_not_a_database_is_an_error(self, corpus):
+        """Only opening a handle decides that a file is not a database; a
+        statement whose message says so is an error outcome."""
+        outcome = execute(corpus.db_path("shop"), 'SELECT * FROM "file is not a database"')
+        assert outcome.kind == EXEC_ERROR
+        assert "no such table: file is not a database" in outcome.error_message
+
+    def test_cell_over_16_mb_is_an_error(self, corpus):
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            outcome = handle.run("SELECT zeroblob(16000001)")
+            assert outcome.kind == EXEC_ERROR
+            assert "too big" in outcome.error_message
+            assert handle.run("SELECT length(zeroblob(16000000))").rows == ((16000000,),)
+
     def test_write_statement_fails_readonly(self, corpus):
         outcome = execute(corpus.db_path("shop"), "DELETE FROM orders")
         assert outcome.kind == EXEC_ERROR

@@ -28,7 +28,6 @@ from sqlforge.metrics import (
     format_summary_table,
     load_predictions,
     load_samples,
-    report_to_dict,
     run_samples,
     samples_from_records,
     variant_suite_paths,
@@ -54,14 +53,14 @@ def widen_at_once(monkeypatch) -> WideRuns:
     runs = WideRuns()
     run_samples = metrics.run_samples
 
-    def recording(fn, samples, width=1, key=None):
+    def recording(fn, samples, width=1):
         threads = set()
 
         def recorded(s):
             threads.add(threading.get_ident())
             return fn(s)
 
-        results = run_samples(recorded, samples, width, key)
+        results = run_samples(recorded, samples, width)
         if width > 1 and len(samples) > 1:
             runs.append(threads)
         return results
@@ -412,7 +411,7 @@ class TestIsolationAndDeterminism:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "execute",
                        lambda db, sql, timeout: executor.execute(db.path, sql, timeout))
-            reference = metrics.report_to_dict(evaluate_corpus(
+            reference = dataclasses.asdict(evaluate_corpus(
                 preds, cases, Corpus(corpus.root, corpus.variant_root)))
         assert all(v["ex_match"] for v in reference["verdicts"]
                    if v["sample_id"].startswith("like-"))
@@ -429,7 +428,7 @@ class TestIsolationAndDeterminism:
         sys.setswitchinterval(1e-5)
         try:
             reports = [
-                metrics.report_to_dict(evaluate_corpus(
+                dataclasses.asdict(evaluate_corpus(
                     preds, order, Corpus(corpus.root, corpus.variant_root),
                     parallelism=parallelism))
                 for parallelism in (1, 2, 4)
@@ -714,14 +713,14 @@ class TestGoldOutcomeCache:
                        lambda db, sql, timeout: executor.execute(db.path, sql, timeout))
             mp.setattr(metrics._EvalContext, "outcome",
                        lambda ctx, db, sql, path: executor.execute(path, sql, ctx.timeout))
-            reference = report_to_dict(evaluate_corpus(
+            reference = dataclasses.asdict(evaluate_corpus(
                 preds, order, Corpus(corpus.root, corpus.variant_root)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             reports = [
-                report_to_dict(evaluate_corpus(
+                dataclasses.asdict(evaluate_corpus(
                     preds, order, Corpus(corpus.root, corpus.variant_root),
                     parallelism=parallelism))
                 for parallelism in (1, 2, 4)
@@ -747,9 +746,8 @@ class TestRunSamples:
         db_ids=st.lists(st.sampled_from("abc"), max_size=12),
         failing=st.sets(st.integers(0, 11)),
         width=st.sampled_from([1, 2, 4]),
-        by_db=st.booleans(),
     )
-    def test_matches_a_serial_run(self, widen_at_once, db_ids, failing, width, by_db):
+    def test_matches_a_serial_run(self, widen_at_once, db_ids, failing, width):
         samples = [Sample(sample_id=str(i), db_id=d, question="q", gold_sql="")
                    for i, d in enumerate(db_ids)]
         failing = {i for i in failing if i < len(samples)}
@@ -764,20 +762,19 @@ class TestRunSamples:
                 raise Failed(i)
             return (i, s.db_id)
 
-        key = (lambda s: s.db_id) if by_db else None
-        # The serial visit order: the stable sort by db_id, or sample order.
-        by_key = sorted(range(len(samples)), key=lambda i: db_ids[i] if by_db else 0)
+        # The serial visit order: the stable sort by db_id.
+        by_db = sorted(range(len(samples)), key=lambda i: db_ids[i])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             if failing:
                 with pytest.raises(Failed) as raised:
-                    run_samples(fn, samples, width, key)
+                    run_samples(fn, samples, width)
                 first = raised.value.args[0]
                 assert first == min(failing)
                 assert set(range(first)) <= set(calls)
             else:
-                assert run_samples(fn, samples, width, key) == list(enumerate(db_ids))
+                assert run_samples(fn, samples, width) == list(enumerate(db_ids))
                 first = None
         finally:
             sys.setswitchinterval(interval)
@@ -785,9 +782,9 @@ class TestRunSamples:
         assert (len(threads) > 1) == (width > 1 and len(samples) > 1)
         if width == 1:
             assert threads <= {threading.get_ident()}
-            assert calls == [i for i in by_key if i in calls]
+            assert calls == [i for i in by_db if i in calls]
             if first is None:
-                assert calls == by_key
+                assert calls == by_db
             else:
                 assert all(i < first for i in calls[calls.index(first) + 1 :])
 
@@ -893,7 +890,7 @@ class TestSerialization:
         subset = samples[:3]
         preds = {s.sample_id: s.gold_sql for s in subset}
         report = evaluate_corpus(preds, subset, Corpus(corpus.root))
-        data = report_to_dict(report)
+        data = dataclasses.asdict(report)
         assert data["ex_accuracy"] == 1.0
         assert len(data["verdicts"]) == 3
         table = format_summary_table(report)

@@ -30,7 +30,7 @@ def compiles_on_replica(sql, tables):
             conn.execute(f"CREATE TABLE {_quote_ident(t.name)}({cols})")
         conn.execute(f"EXPLAIN {sql}")
         return True
-    except (sqlite3.Error, sqlite3.Warning):
+    except sqlite3.Error:
         return False
     finally:
         conn.close()
@@ -394,7 +394,7 @@ def fresh_compile(sql, tables):
             conn.execute(f"CREATE TABLE {_quote_ident(t.name)}({cols})")
         conn.set_authorizer(note)
         return conn.execute(f"EXPLAIN {sql}").fetchall(), reads
-    except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
+    except (sqlite3.Error, ValueError) as exc:
         raise ParseError(str(exc)) from None
     finally:
         conn.close()
