@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import logging
 import os
@@ -12,56 +11,28 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import augmentation, metrics, preference_miner, refine_agent
-from .errors import SqlforgeError, ConfigError
+from .errors import SqlforgeError
 from .executor import DEFAULT_TIMEOUT_SECS
 from .model_client import make_client
 from .schema_catalog import corpus_db_path, introspect_database
 
 log = logging.getLogger("sqlforge")
 
-# Config key -> (argument attribute, type).
-_CONFIG_KEYS = {
-    "variant_root": ("variants", str),
-    "exec_timeout_secs": ("exec_timeout_secs", float),
-    "n_candidates": ("n_candidates", int),
-    "temperature": ("temperature", float),
-    "max_iters": ("max_iters", int),
-    "jobs": ("jobs", int),
-    "seed": ("seed", int),
-}
-
 
 def _default_jobs() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def load_config(path: str | Path) -> dict[str, dict[str, str]]:
-    """The values of each section of an INI file, keyed by section name."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    sections: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        sections[section] = dict(parser.items(section))
-        for key in sections[section]:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-    return sections
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    # No abbreviated flags: _apply_config finds the flags given by their
-    # full spelling in argv.
+    # No abbreviated flags: an abbreviation that is unique today becomes
+    # ambiguous, or names another flag, once a flag sharing its prefix is
+    # added, so a saved command line or argument file would change meaning.
     parser = argparse.ArgumentParser(
         prog="sqlforge",
         description="Execution-grounded text-to-SQL toolkit",
         allow_abbrev=False,
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,9 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", allow_abbrev=False, help="mine DPO preference pairs")
     p.add_argument("--samples", required=True)
     p.add_argument("--corpus", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--endpoint", help="model endpoint URL")
-    group.add_argument("--mock", help="mock script file (JSON-lines)")
+    p.add_argument("--endpoint", required=True, help="http(s)://... or mock:<script>")
     p.add_argument("--n-candidates", type=int,
                    default=preference_miner.DEFAULT_N_CANDIDATES)
     p.add_argument("--temperature", type=float,
@@ -124,20 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the full report JSON here")
 
     return parser
-
-
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill args from the config section named after the subcommand, for
-    flags not given on the command line."""
-    if not args.config:
-        return
-    values = load_config(args.config).get(args.command, {})
-    given = {tok.split("=")[0].lstrip("-").replace("-", "_") for tok in argv
-             if tok.startswith("--")}
-    for key, value in values.items():
-        attr, cast = _CONFIG_KEYS[key]
-        if hasattr(args, attr) and attr not in given:
-            setattr(args, attr, cast(value))
 
 
 def _cmd_introspect(args) -> int:
@@ -188,7 +143,7 @@ def _cmd_mine(args) -> int:
     records = metrics.load_samples(args.samples)
     with metrics.Corpus(args.corpus) as corpus:
         samples = metrics.samples_from_records(records, corpus)
-        client = make_client(args.endpoint if args.endpoint else f"mock:{args.mock}")
+        client = make_client(args.endpoint)
 
         def mine(s):
             return preference_miner.mine_pairs(
@@ -254,7 +209,9 @@ def _cmd_eval(args) -> int:
             parallelism=args.jobs,
             timeout=args.exec_timeout_secs,
         )
-    record = asdict(report)
+    # What asdict(report) gives, without the deep copy of every leaf that
+    # asdict makes on Python 3.11.
+    record = {**vars(report), "verdicts": [vars(v) for v in report.verdicts]}
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if args.json:
@@ -282,7 +239,6 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     logging.basicConfig(level=args.log_level.upper())
     try:
-        _apply_config(args, argv)
         return _COMMANDS[args.command](args)
     except (SqlforgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,7 +48,3 @@ class MalformedResponse(SqlforgeError):
 
 class AuthError(SqlforgeError):
     """Remote endpoint rejected our credentials."""
-
-
-class ConfigError(SqlforgeError):
-    """Invalid configuration file or value."""

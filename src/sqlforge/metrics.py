@@ -548,15 +548,23 @@ def record_fields(rec, keys: tuple[str, ...], which: str) -> list:
 
 def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
     """Attach each record's full database schema, from ``corpus``, as its
-    prompt schema."""
+    prompt schema; a second record for one sample_id is a ValueError naming
+    the id and both records."""
     samples = []
+    record_of: dict[str, int] = {}
     for n, rec in enumerate(records, 1):
         sample_id, db_id, question, gold_sql = record_fields(
             rec, ("sample_id", "db_id", "question", "gold_sql"), f"sample record {n}"
         )
+        sample_id = str(sample_id)
+        if sample_id in record_of:
+            raise ValueError(
+                f"sample records {record_of[sample_id]} and {n} share sample_id {sample_id!r}"
+            )
+        record_of[sample_id] = n
         samples.append(
             Sample(
-                sample_id=str(sample_id),
+                sample_id=sample_id,
                 db_id=db_id,
                 question=question,
                 gold_sql=gold_sql,

@@ -119,8 +119,10 @@ def introspect_database(
     ``sample_value_count`` > 0 additionally fetches that many distinct
     values per column, leaving out NULL and BLOB values (JSON has no form
     for bytes); a column whose values fail to compute, such as a view's
-    whose expression overflows, gets none.
+    whose expression overflows, gets none. A negative count is a ValueError.
     """
+    if sample_value_count < 0:
+        raise ValueError(f"sample_value_count must not be negative, not {sample_value_count}")
     path = Path(path)
     conn = connect_read_only(path)
     try:

@@ -303,7 +303,7 @@ def test_criterion_7_determinism(corpus, sample_records, tmp_path):
             "mine",
             "--samples", str(corpus.samples_path),
             "--corpus", str(corpus.root),
-            "--mock", str(script),
+            "--endpoint", f"mock:{script}",
             "--n-candidates", "1",
             "--out", str(out),
         ]) == 0

@@ -62,7 +62,8 @@ def _argv(corpus, sample_records, tmp_path) -> dict[str, list[str]]:
         "augment-inner": ["augment", "--mode", "inner-db", *common, "--out", out],
         "eval": ["eval", *common, "--preds", str(preds),
                  "--variants", str(corpus.variant_root), "--jobs", "2", "--out", out],
-        "mine": ["mine", *common, "--mock", gold, "--n-candidates", "2", "--out", out],
+        "mine": ["mine", *common, "--endpoint", f"mock:{gold}", "--n-candidates", "2",
+                 "--out", out],
         "refine": ["refine", *common, "--generator", f"mock:{gold}",
                    "--debugger", f"mock:{gold}", "--out", out],
     }

@@ -1,6 +1,9 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import sqlite3
 import subprocess
@@ -12,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlforge import cli, executor, schema_catalog
-from sqlforge.cli import load_config, run
-from sqlforge.errors import ConfigError
+from sqlforge.cli import run
 from sqlforge.executor import DEFAULT_TIMEOUT_SECS
 from sqlforge.model_client import HttpModelClient, make_client
 from sqlforge.schema_catalog import corpus_db_path
@@ -57,6 +59,24 @@ class TestUsage:
     def test_subcommand_help(self, cmd, capsys):
         assert run([cmd, "--help"]) == 0
         assert "--" in capsys.readouterr().out
+
+    def test_readme_cli_block_lists_each_parsers_flags(self):
+        """Each line of README's CLI block names exactly the flags of its
+        parser (the top-level one for the line without a subcommand)."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            _, command, *rest = line.split()
+            if command.startswith("["):
+                command, rest = None, [command, *rest]
+            documented[command] = set(re.findall(r"--[a-z][a-z-]*", " ".join(rest)))
+        parser = cli._build_parser()
+        [commands] = [a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {o for a in p._actions for o in a.option_strings}
+                 for name, p in [(None, parser), *commands.items()]}
+        assert documented == {name: f - {"-h", "--help"} for name, f in flags.items()}
 
 
 class TestIntrospect:
@@ -174,6 +194,35 @@ class TestEval:
             outputs.append(out.read_bytes())
         capsys.readouterr()
         assert outputs[0] == outputs[1]
+
+    def test_report_record_is_asdict_of_the_report(
+        self, corpus, sample_records, tmp_path, capsys, monkeypatch
+    ):
+        """--out holds the bytes of ``dataclasses.asdict(report)``, so a field
+        the record builder did not foresee cannot slip past it."""
+        reports = []
+        evaluate = cli.metrics.evaluate_corpus
+
+        def spy(*args, **kwargs):
+            reports.append(evaluate(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli.metrics, "evaluate_corpus", spy)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"sample_id": r["sample_id"],
+                        "sql": r["gold_sql"] if n % 2 else "SELECT * FROM nope"}) + "\n"
+            for n, r in enumerate(sample_records)
+        ))
+        out = tmp_path / "report.json"
+        assert run(["eval", "--samples", str(corpus.samples_path), "--preds", str(preds),
+                    "--corpus", str(corpus.root), "--variants", str(corpus.variant_root),
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        [report] = reports
+        assert report.error_histogram and report.ts_accuracy is not None
+        assert out.read_text() == json.dumps(
+            dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
 
     def test_failed_predictions_build_no_replica(
         self, corpus, sample_records, schemas, tmp_path, capsys, replicas
@@ -347,19 +396,19 @@ class TestAugment:
 
 
 class TestOutOfRangeNumbers:
-    @pytest.mark.parametrize("argv,config", [
+    @pytest.mark.parametrize("argv,args_file", [
         (["augment", "--mode", "inner-db", "--p-table", "5"], None),
         (["augment", "--mode", "inner-db", "--p-col", "-2"], None),
         (["augment", "--mode", "inner-db", "--p-table", "nan"], None),
         (["eval", "--jobs", "0"], None),
         (["eval", "--jobs", "-3"], None),
-        (["eval"], "[eval]\njobs = 0\n"),
+        (["eval"], "--jobs=0\n"),
         (["mine", "--temperature", "nan"], None),
         (["mine", "--temperature", "inf"], None),
-        (["mine"], "[mine]\ntemperature = -inf\n"),
-    ], ids=["p-table-5", "p-col--2", "p-table-nan", "jobs-0", "jobs--3", "config-jobs-0",
-            "temperature-nan", "temperature-inf", "config-temperature--inf"])
-    def test_is_an_error_line(self, corpus, sample_records, tmp_path, capsys, argv, config):
+        (["mine"], "--temperature=-inf\n"),
+    ], ids=["p-table-5", "p-col--2", "p-table-nan", "jobs-0", "jobs--3", "args-file-jobs-0",
+            "temperature-nan", "temperature-inf", "args-file-temperature--inf"])
+    def test_is_an_error_line(self, corpus, sample_records, tmp_path, capsys, argv, args_file):
         out = tmp_path / "out.jsonl"
         argv = [*argv, "--samples", str(corpus.samples_path), "--corpus", str(corpus.root),
                 "--out", str(out)]
@@ -369,13 +418,21 @@ class TestOutOfRangeNumbers:
         if argv[0] == "mine":
             script = tmp_path / "mock.jsonl"
             script.write_text(json.dumps({"responses": ["SELECT 1"], "cycle": True}) + "\n")
-            argv += ["--mock", str(script)]
-        if config is not None:
-            (tmp_path / "sqlforge.ini").write_text(config)
-            argv = ["--config", str(tmp_path / "sqlforge.ini"), *argv]
+            argv += ["--endpoint", f"mock:{script}"]
+        if args_file is not None:
+            (tmp_path / "sqlforge.args").write_text(args_file)
+            argv.append(f"@{tmp_path / 'sqlforge.args'}")
         assert run(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    def test_negative_sample_value_count_is_an_error_line(self, corpus, tmp_path, capsys):
+        out = tmp_path / "schema.json"
+        assert run(["introspect", "--corpus", str(corpus.root), "--db-id", "concert_singer",
+                    "--sample-values", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sample_value_count must not be negative, not -1\n")
         assert not out.exists()
 
 
@@ -430,7 +487,7 @@ class TestMine:
             "mine",
             "--samples", str(samples_file),
             "--corpus", str(corpus.root),
-            "--mock", str(script),
+            "--endpoint", f"mock:{script}",
             "--n-candidates", "4",
             "--out", str(out_path),
         ]) == 0
@@ -449,7 +506,7 @@ class TestMine:
         out_path = tmp_path / "pairs.jsonl"
         assert run([
             "mine", "--samples", str(samples_file), "--corpus", str(corpus.root),
-            "--mock", str(script), "--n-candidates", "2", "--out", str(out_path),
+            "--endpoint", f"mock:{script}", "--n-candidates", "2", "--out", str(out_path),
         ]) == 0
         [pair] = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert (pair["rejected"], pair["rejected_reason"]) == (sql, "exec_error")
@@ -655,11 +712,38 @@ class TestMalformedRecords:
             f"error: {preds} lines 2 and 4 both predict sample {sample_id!r}\n"
         )
 
+    @pytest.mark.parametrize("command", ["augment-cross", "augment-inner", "mine", "refine",
+                                         "eval"])
+    def test_repeated_sample_id_is_an_error(self, corpus, sample_records, tmp_path, capsys,
+                                            command):
+        samples, preds = tmp_path / "samples.jsonl", tmp_path / "preds.jsonl"
+        records = [dict(r) for r in sample_records]
+        records[1]["sample_id"] = 7
+        records[3]["sample_id"] = "7"
+        self.write(samples, records)
+        self.write(preds, [{"sample_id": r["sample_id"], "sql": r["gold_sql"]}
+                           for r in sample_records])
+        script = tmp_path / "mock.jsonl"
+        script.write_text(json.dumps({"responses": ["SELECT 1"], "cycle": True}) + "\n")
+        out = tmp_path / "out.jsonl"
+        common = ["--samples", str(samples), "--corpus", str(corpus.root), "--out", str(out)]
+        argv = {
+            "augment-cross": ["augment", "--mode", "cross-db", *common],
+            "augment-inner": ["augment", "--mode", "inner-db", *common],
+            "mine": ["mine", *common, "--endpoint", f"mock:{script}"],
+            "refine": ["refine", *common, "--generator", f"mock:{script}",
+                       "--debugger", f"mock:{script}", "--trace", str(tmp_path / "trace")],
+            "eval": ["eval", *common, "--preds", str(preds)],
+        }[command]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: sample records 2 and 4 share sample_id '7'\n"
+        assert not out.exists()
+
     def test_mock_script_entry_without_responses_is_an_error(self, corpus, tmp_path, capsys):
         script = tmp_path / "mock.jsonl"
         script.write_text('{"match": "x"}\n')
         assert run(["mine", "--samples", str(corpus.samples_path), "--corpus", str(corpus.root),
-                    "--mock", str(script), "--out", str(tmp_path / "pairs.jsonl")]) == 1
+                    "--endpoint", f"mock:{script}", "--out", str(tmp_path / "pairs.jsonl")]) == 1
         assert capsys.readouterr().err == f"error: {script} line 1 has no 'responses' key\n"
 
     def test_sqlforge_imports_only_the_standard_library(self):
@@ -710,7 +794,7 @@ class TestHostileModelText:
         try:
             assert run(["eval", *common, "--preds", "preds.jsonl", "--json",
                         "--out", "eval.json"]) == 0
-            assert run(["mine", *common, "--mock", "mock.jsonl", "--n-candidates", "3",
+            assert run(["mine", *common, "--endpoint", "mock:mock.jsonl", "--n-candidates", "3",
                         "--out", "pairs.jsonl"]) == 0
         finally:
             os.chdir(cwd)
@@ -745,7 +829,7 @@ class TestCorpusHandles:
         common = ["--samples", str(samples), "--corpus", str(corpus.root),
                   "--out", str(tmp_path / "out.jsonl")]
         if command == "mine":
-            return ["mine", *common, "--mock", script, "--n-candidates", "2"]
+            return ["mine", *common, "--endpoint", f"mock:{script}", "--n-candidates", "2"]
         return ["refine", *common, "--generator", f"mock:{script}",
                 "--debugger", f"mock:{script}"]
 
@@ -906,131 +990,83 @@ class TestConcurrentSamples:
         assert len(started_after) <= self.WIDTH
 
 
-class TestConfig:
-    def test_config_file_fills_defaults(self, corpus, sample_records, tmp_path, capsys):
-        cfg = tmp_path / "sqlforge.ini"
-        cfg.write_text("[eval]\njobs = 2\nexec_timeout_secs = 10\n")
-        preds = tmp_path / "preds.jsonl"
-        write_gold_preds(corpus, sample_records, preds)
-        assert run([
-            "--config", str(cfg),
-            "eval",
-            "--samples", str(corpus.samples_path),
-            "--preds", str(preds),
-            "--corpus", str(corpus.root),
-            "--json",
-        ]) == 0
-        assert json.loads(capsys.readouterr().out)["ex_accuracy"] == 1.0
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[eval]\nbogus_key = 1\n")
-        with pytest.raises(ConfigError):
-            load_config(cfg)
-
-    def test_flag_overrides_config(self, corpus, sample_records, tmp_path, capsys):
-        cfg = tmp_path / "sqlforge.ini"
-        cfg.write_text("[eval]\njobs = 1\n")
-        preds = tmp_path / "preds.jsonl"
-        write_gold_preds(corpus, sample_records, preds)
-        assert run([
-            "--config", str(cfg),
-            "eval",
-            "--samples", str(corpus.samples_path),
-            "--preds", str(preds),
-            "--corpus", str(corpus.root),
-            "--jobs", "4",
-            "--json",
-        ]) == 0
-        capsys.readouterr()
-
-    def test_section_applies_only_to_its_subcommand(
-        self, corpus, sample_records, tmp_path, capsys, monkeypatch
-    ):
-        timeouts = []
-        evaluate = cli.metrics.evaluate_corpus
-
-        def spy(*args, timeout, **kwargs):
-            timeouts.append(timeout)
-            return evaluate(*args, timeout=timeout, **kwargs)
-
-        monkeypatch.setattr(cli.metrics, "evaluate_corpus", spy)
-        preds = tmp_path / "preds.jsonl"
-        write_gold_preds(corpus, sample_records, preds)
-        argv = ["eval", "--samples", str(corpus.samples_path), "--preds", str(preds),
-                "--corpus", str(corpus.root), "--json"]
-        cfg = tmp_path / "sqlforge.ini"
-        cfg.write_text("[mine]\nexec_timeout_secs = 0.5\n[eval]\njobs = 1\n")
-        assert run(["--config", str(cfg)] + argv) == 0
-        cfg.write_text("[eval]\nexec_timeout_secs = 7\n")
-        assert run(["--config", str(cfg)] + argv) == 0
-        capsys.readouterr()
-        assert timeouts == [DEFAULT_TIMEOUT_SECS, 7.0]
+class TestArgumentFiles:
+    """``@FILE`` puts the arguments in FILE, one per line, in its place; a
+    flag there is read exactly as one on the command line."""
 
     @staticmethod
-    def eval_timeouts(corpus, sample_records, tmp_path, monkeypatch, flags):
-        """The timeout eval runs with, given ``flags`` and a config of 7."""
-        timeouts = []
+    def eval_run(corpus, sample_records, tmp_path, monkeypatch, args_file, argv):
+        """Exit code and the (parallelism, timeout) of each evaluate_corpus
+        call for ``eval`` with ``argv``, where "@" stands for a file holding
+        ``args_file``."""
+        calls = []
         evaluate = cli.metrics.evaluate_corpus
 
-        def spy(*args, timeout, **kwargs):
-            timeouts.append(timeout)
-            return evaluate(*args, timeout=timeout, **kwargs)
+        def spy(*args, parallelism, timeout, **kwargs):
+            calls.append((parallelism, timeout))
+            return evaluate(*args, parallelism=parallelism, timeout=timeout, **kwargs)
 
         monkeypatch.setattr(cli.metrics, "evaluate_corpus", spy)
         preds = tmp_path / "preds.jsonl"
         write_gold_preds(corpus, sample_records, preds)
-        cfg = tmp_path / "sqlforge.ini"
-        cfg.write_text("[eval]\nexec_timeout_secs = 7\n")
-        code = run(["--config", str(cfg), "eval", "--samples", str(corpus.samples_path),
-                    "--preds", str(preds), "--corpus", str(corpus.root), "--json", *flags])
-        return code, timeouts
+        path = tmp_path / "eval.args"
+        path.write_text(args_file)
+        argv = [f"@{path}" if arg == "@" else arg for arg in argv]
+        code = run(["eval", "--samples", str(corpus.samples_path), "--preds", str(preds),
+                    "--corpus", str(corpus.root), "--json", *argv])
+        return code, calls
 
-    @pytest.mark.parametrize("flags", [["--exec-timeout-secs", "3"], ["--exec-timeout-secs=3"]])
-    def test_flag_spelled_in_full_beats_config(
-        self, corpus, sample_records, tmp_path, capsys, monkeypatch, flags
-    ):
-        code, timeouts = self.eval_timeouts(corpus, sample_records, tmp_path, monkeypatch, flags)
+    def test_file_fills_jobs_and_timeout(self, corpus, sample_records, tmp_path, capsys,
+                                         monkeypatch):
+        code, calls = self.eval_run(corpus, sample_records, tmp_path, monkeypatch,
+                                    "--jobs=2\n--exec-timeout-secs\n10\n", ["@"])
+        assert (code, calls) == (0, [(2, 10.0)])
+        assert json.loads(capsys.readouterr().out)["ex_accuracy"] == 1.0
+
+    @pytest.mark.parametrize("argv,timeout", [
+        (["@", "--exec-timeout-secs", "3"], 3.0),
+        (["@", "--exec-timeout-secs=3"], 3.0),
+        (["--exec-timeout-secs", "3", "@"], 7.0),
+    ], ids=["flag-after", "flag-after-with-equals", "flag-before"])
+    def test_last_occurrence_wins(self, corpus, sample_records, tmp_path, capsys,
+                                  monkeypatch, argv, timeout):
+        code, calls = self.eval_run(corpus, sample_records, tmp_path, monkeypatch,
+                                    "--exec-timeout-secs=7\n--jobs=1\n", argv)
         capsys.readouterr()
-        assert (code, timeouts) == (0, [3.0])
+        assert (code, calls) == (0, [(1, timeout)])
 
-    def test_abbreviated_flag_is_usage_error(
-        self, corpus, sample_records, tmp_path, capsys, monkeypatch
-    ):
-        code, timeouts = self.eval_timeouts(corpus, sample_records, tmp_path, monkeypatch,
-                                            ["--exec-timeout", "3"])
-        assert (code, timeouts) == (2, [])
+    @pytest.mark.parametrize("args_file,argv", [
+        ("", ["--exec-timeout", "3"]),
+        ("--exec-timeout=3\n", ["@"]),
+    ], ids=["command-line", "file"])
+    def test_abbreviated_flag_is_usage_error(self, corpus, sample_records, tmp_path, capsys,
+                                             monkeypatch, args_file, argv):
+        code, calls = self.eval_run(corpus, sample_records, tmp_path, monkeypatch,
+                                    args_file, argv)
+        assert (code, calls) == (2, [])
         assert "--exec-timeout" in capsys.readouterr().err
 
+    def test_unknown_flag_in_a_file_is_usage_error(self, corpus, sample_records, tmp_path,
+                                                   capsys, monkeypatch):
+        code, calls = self.eval_run(corpus, sample_records, tmp_path, monkeypatch,
+                                    "--bogus-flag=1\n", ["@"])
+        assert (code, calls) == (2, [])
+        assert "--bogus-flag" in capsys.readouterr().err
+
+    def test_missing_file_is_usage_error(self, corpus, tmp_path, capsys):
+        missing = tmp_path / "missing.args"
+        assert run(["introspect", f"@{missing}"]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_file_may_give_required_flags(self, corpus, tmp_path, capsys):
+        path = tmp_path / "introspect.args"
+        path.write_text(f"--corpus\n{corpus.root}\n--db-id=concert_singer\n")
+        assert run(["introspect", f"@{path}"]) == 0
+        assert json.loads(capsys.readouterr().out)["db_id"] == "concert_singer"
+
     def test_percent_in_a_value_is_literal(self, tmp_path):
-        cfg = tmp_path / "sqlforge.ini"
-        cfg.write_text("[eval]\nvariant_root = /data/100%/v\n")
-        assert load_config(cfg) == {"eval": {"variant_root": "/data/100%/v"}}
-
-    def test_file_without_section_header_is_pipeline_error(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("jobs = 2\n")
-        assert run([
-            "--config", str(cfg), "introspect",
-            "--corpus", str(corpus.root), "--db-id", "concert_singer",
-        ]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "section,key",
-        [("introspect", "corpus_root"), ("refine", "generator"), ("refine", "debugger")],
-    )
-    def test_key_for_a_required_flag_rejected(self, tmp_path, section, key):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(f"[{section}]\n{key} = /nonexistent\n")
-        with pytest.raises(ConfigError, match=key):
-            load_config(cfg)
-
-    def test_unknown_key_in_another_section_rejected(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[mine]\nbogus_key = 1\n")
-        assert run([
-            "--config", str(cfg), "introspect",
-            "--corpus", str(corpus.root), "--db-id", "concert_singer",
-        ]) == 1
-        assert "bogus_key" in capsys.readouterr().err
+        path = tmp_path / "eval.args"
+        path.write_text("--variants=/data/100%/v\n")
+        args = cli._build_parser().parse_args(
+            ["eval", f"@{path}", "--samples", "s", "--preds", "p", "--corpus", "c"])
+        assert args.variants == "/data/100%/v"
