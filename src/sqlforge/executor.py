@@ -300,8 +300,9 @@ def execute(
 ) -> ExecutionOutcome:
     """Run one statement against a SQLite file, read-only. ``db`` is either
     a path, run on a private connection closed before returning, or an
-    open :class:`ReadOnlyHandle` to reuse. Write attempts fail with an
-    ExecError outcome; the file is never modified."""
+    open :class:`ReadOnlyHandle` to reuse. A write is refused when the
+    statement is prepared, as an :data:`EXEC_ERROR` (``"error"``) outcome;
+    the file is never modified."""
     if isinstance(db, ReadOnlyHandle):
         return db.run(sql, timeout)
     with ReadOnlyHandle(db) as handle:

@@ -334,7 +334,7 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
     failure = None
     if not ex:
         tables = corpus.schema(sample.db_id).tables
-        failure = sql_analysis.validate_on(db.base, pred_sql, tables).status
+        failure = sql_analysis.classify_outcome(pred_sql, tables, pred_outcome).status
     return EvalVerdict(
         sample_id=sample.sample_id,
         ex_match=ex,
@@ -464,7 +464,7 @@ def evaluate_corpus(
 
     Samples run through :func:`run_samples`, grouped by db_id, so each
     thread keeps its database's read-only handles open across samples, and
-    classifies an EX failure by compiling it on the base file's handle.
+    classifies an EX failure by its prediction's outcome on the base file.
     They run on the calling thread until one takes
     :data:`WIDEN_AFTER_SECS`, then up to ``parallelism`` at once. All of
     ``corpus``'s handles are closed before this returns or raises."""

@@ -1,10 +1,10 @@
 """Generate / invalid-check / debug loop.
 
 A question is first answered by the generator model. The resulting SQL
-goes through the invalid check (a compile on the database file, then a
-real execution); failures are routed to the debugger model together with the
-failed SQL and its error, and the corrected statement loops back into the
-check until it passes or the iteration budget runs out.
+goes through the invalid check, one read-only run on the database file
+whose outcome is classified; failures are routed to the debugger model
+together with the failed SQL and its error, and the corrected statement
+loops back into the check until it passes or the iteration budget runs out.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .executor import DEFAULT_TIMEOUT_SECS, TIMEOUT, ExecutionOutcome, ReadOnlyH
 from .metrics import Sample
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
-from .sql_analysis import SYNTAX_ERROR, ValidityReport, name_column_owner, validate_on
+from .sql_analysis import SYNTAX_ERROR, ValidityReport, classify_outcome, name_column_owner
 from .sql_analysis import validate_against_tables  # noqa: F401 -- bench/tracer.py wraps this name
 
 GENERATOR = "generator"
@@ -31,7 +31,7 @@ class RefineAttempt:
     iteration: int
     sql: str
     validity: ValidityReport
-    outcome: ExecutionOutcome | None
+    outcome: ExecutionOutcome
     role: str
 
 
@@ -48,26 +48,17 @@ def invalid_check(
     tables,
     db: str | Path | ReadOnlyHandle,
     timeout: float = DEFAULT_TIMEOUT_SECS,
-) -> tuple[ValidityReport, ExecutionOutcome | None]:
-    """Static validation first, by compiling ``sql`` on ``db``, a path or an
-    open handle to the file whose schema is ``tables``; statically valid
-    SQL is then executed there, and downgraded to invalid on an engine
-    error or timeout. An empty result set is valid; a Valid report always
-    comes with a rows outcome. A WrongColumnName report names the table
-    the column was looked up in, when there is one."""
-    report = validate_on(db, sql, tables)
-    if not report.is_valid:
-        return name_column_owner(sql, tables, report), None
+) -> tuple[ValidityReport, ExecutionOutcome]:
+    """Run ``sql`` once on ``db``, a path or an open handle to the file
+    whose schema is ``tables``, and classify that run's outcome, which is
+    returned with the report. A rows outcome is Valid, an empty result set
+    included; a timeout is a SyntaxError naming the timeout, and an error
+    is classified by SQLite's message. A WrongColumnName report names the
+    table the column was looked up in, when there is one."""
     outcome = execute(db, sql, timeout)
-    if outcome.is_rows:
-        return report, outcome
     if outcome.kind == TIMEOUT:
-        detail = f"execution exceeded {timeout}s timeout"
-    else:
-        detail = outcome.error_message or "execution error"
-    # Runtime failures reuse the SyntaxError status, carrying the engine
-    # message as detail.
-    return ValidityReport(SYNTAX_ERROR, detail), outcome
+        return ValidityReport(SYNTAX_ERROR, f"execution exceeded {timeout}s timeout"), outcome
+    return name_column_owner(sql, tables, classify_outcome(sql, tables, outcome)), outcome
 
 
 def build_debug_prompt(
@@ -156,7 +147,7 @@ def result_to_dict(sample_id: str, result: RefineResult) -> dict:
                 "sql": a.sql,
                 "validity_status": a.validity.status,
                 "validity_detail": a.validity.detail,
-                "outcome_kind": a.outcome.kind if a.outcome is not None else None,
+                "outcome_kind": a.outcome.kind,
             }
             for a in result.attempts
         ],

@@ -1,13 +1,13 @@
-"""Schema-aware SQL analysis, answered by SQLite's own compiler.
+"""Schema-aware SQL analysis, answered by SQLite itself.
 
-Both questions that need a schema are answered by compiling the statement
-with ``EXPLAIN``. :func:`validate_on` compiles it on the database file the
-runner reads and classifies it into {Valid, SyntaxError, WrongTableName,
-WrongColumnName, MissingQuotation}. A ``SchemaReplica``, an empty
-in-memory replica of the tables that the caller owns, serves what is not
-a file: its ``references`` lists the tables and columns the compiled
-statement reads, and its ``validate`` classifies as :func:`validate_on`
-does, with the replica's known gaps. The module-level ``validate``,
+A statement is judged by how the read-only runner's SQLite treats it:
+:func:`classify_outcome` classifies the outcome of its one run on the
+database file into {Valid, SyntaxError, WrongTableName, WrongColumnName,
+MissingQuotation}. A ``SchemaReplica``, an empty in-memory replica of the
+tables that the caller owns, serves what is not a file by compiling the
+statement with ``EXPLAIN``: its ``references`` lists the tables and columns
+the compiled statement reads, and its ``validate`` classifies what does not
+compile, with the replica's known gaps. The module-level ``validate``,
 ``validate_against_tables`` and ``extract_references`` do the same on a
 replica made for one call. A lexical scan that skips quoted text and
 comments finds schema identifiers with special characters left unquoted.
@@ -18,10 +18,9 @@ from __future__ import annotations
 import re
 import sqlite3
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ParseError
-from .executor import STATEMENT_ERRORS, ReadOnlyHandle, execute, read_only_authorizer
+from .executor import EXEC_ERROR, STATEMENT_ERRORS, ExecutionOutcome, read_only_authorizer
 from .schema_catalog import DatabaseSchema, _quote_ident, fold
 
 VALID = "Valid"
@@ -207,9 +206,10 @@ def find_unquoted_special(sql: str, tables) -> str | None:
 
 
 def _classify(sql: str, tables, engine_error: str) -> ValidityReport:
-    """The class of ``sql``, which SQLite refused to compile over ``tables``
-    with the message ``engine_error``. A WrongColumnName's detail is the
-    column's bare name; :func:`name_column_owner` adds its table."""
+    """The class of ``sql``, which SQLite refused, as it compiled or ran it
+    over ``tables``, with the message ``engine_error``. A WrongColumnName's
+    detail is the column's bare name; :func:`name_column_owner` adds its
+    table."""
     if engine_error.startswith("no such table:"):
         name = engine_error.split(":", 1)[1].strip()
         quoted = find_unquoted_special(sql, tables)
@@ -247,18 +247,15 @@ def name_column_owner(sql: str, tables, report: ValidityReport) -> ValidityRepor
     return ValidityReport(WRONG_COLUMN_NAME, f"{name} not in {owners.pop()}")
 
 
-def validate_on(db: str | Path | ReadOnlyHandle, sql: str, tables) -> ValidityReport:
-    """Classify ``sql`` by compiling it on the file the runner reads: ``db``,
-    a path or an open handle, under the runner's authorizer. It is Valid
-    exactly when ``EXPLAIN sql``, or ``sql`` as given if an ``EXPLAIN``,
-    compiles there; otherwise SQLite's message picks the class, with
-    ``tables``, the file's schema, for MissingQuotation. A WrongColumnName's
-    detail is the bare name (see :func:`name_column_owner`)."""
-    outcome = execute(db, sql if _explains(sql) else f"EXPLAIN {sql}")
-    if outcome.is_rows:
+def classify_outcome(sql: str, tables, outcome: ExecutionOutcome) -> ValidityReport:
+    """Classify ``sql`` by ``outcome``, its one run by the read-only runner
+    on the file whose schema is ``tables``. A rows or timeout outcome is
+    Valid; an error outcome's message picks the class, with ``tables`` for
+    MissingQuotation. A WrongColumnName's detail is the bare name (see
+    :func:`name_column_owner`)."""
+    if outcome.kind != EXEC_ERROR:
         return ValidityReport(VALID)
-    # A compile cut short by the deadline has no message of its own.
-    return _classify(sql, tables, outcome.error_message or "interrupted")
+    return _classify(sql, tables, outcome.error_message)
 
 
 def validate_against_tables(sql: str, tables) -> ValidityReport:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlforge import metrics, sql_analysis
+from sqlforge import executor, metrics, sql_analysis
 from sqlforge.schema_catalog import DatabaseSchema, corpus_db_path, introspect_database
 
 from corpus_builder import build_corpus, make_sample_records
@@ -142,4 +142,19 @@ def replicas(monkeypatch) -> ReplicaLog:
         return conn
 
     monkeypatch.setattr(sql_analysis, "_build_replica", recording_build)
+    return log
+
+
+@pytest.fixture
+def statements(monkeypatch) -> list[str]:
+    """Records the text of every statement a ``ReadOnlyHandle`` runs during
+    the test, in the order run."""
+    log: list[str] = []
+    run = executor.ReadOnlyHandle.run
+
+    def recording_run(handle, sql, *args, **kwargs):
+        log.append(sql)
+        return run(handle, sql, *args, **kwargs)
+
+    monkeypatch.setattr(executor.ReadOnlyHandle, "run", recording_run)
     return log

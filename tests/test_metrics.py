@@ -270,6 +270,33 @@ class TestEvaluateCorpus:
         failures = sum(1 for v in report.verdicts if not v.ex_match)
         assert sum(report.error_histogram.values()) == failures == 2
 
+    def test_failure_is_classified_by_the_base_outcome(self, corpus, samples, statements,
+                                                       monkeypatch, tmp_path):
+        """A prediction SQLite refuses only when it runs is a SyntaxError, a
+        timed-out one is Valid, and classifying runs nothing more."""
+        base = next(s for s in samples if s.db_id == "shop")
+        texts = {
+            "overflow": "SELECT abs(-9223372036854775808)",
+            "vacuum": "VACUUM INTO 'vacuumed.sqlite'",
+            "endless": "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                       "SELECT count(*) FROM c",
+            "table": "SELECT * FROM no_such_table",
+            "wrong": "SELECT 1",
+        }
+        cases = [dataclasses.replace(base, sample_id=k) for k in texts]
+        monkeypatch.chdir(tmp_path)  # a relative VACUUM INTO target lands here
+        report = evaluate_corpus(texts, cases, Corpus(corpus.root), timeout=0.05)
+        classes = {v.sample_id: (v.outcome_kind, v.failure_class) for v in report.verdicts}
+        assert classes == {
+            "overflow": ("error", "SyntaxError"),
+            "vacuum": ("error", "SyntaxError"),
+            "endless": ("timeout", "Valid"),
+            "table": ("error", "WrongTableName"),
+            "wrong": ("rows", "Valid"),
+        }
+        assert sorted(statements) == sorted([base.gold_sql, *texts.values()])
+        assert not [sql for sql in statements if sql.startswith("EXPLAIN")]
+
     def test_corpus_layout_error(self, tmp_path, samples):
         with pytest.raises(CorpusLayoutError):
             evaluate_corpus({}, samples[:1], Corpus(tmp_path))

@@ -1,5 +1,11 @@
-import pytest
+import contextlib
+import dataclasses
 
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sqlforge.metrics import Corpus, evaluate_corpus
 from sqlforge.model_client import MockModelClient
 from sqlforge.refine_agent import (
     DEBUGGER,
@@ -19,6 +25,11 @@ from sqlforge.sql_analysis import (
     ValidityReport,
 )
 
+from test_cli import HOSTILE_PIECES
+
+#: A statement that runs until its deadline interrupts it.
+ENDLESS = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELECT count(*) FROM c"
+
 
 class TestInvalidCheck:
     def test_gold_sql_passes(self, corpus, samples):
@@ -27,21 +38,34 @@ class TestInvalidCheck:
             s.gold_sql, s.schema_tables, corpus.db_path(s.db_id)
         )
         assert report.status == VALID
-        assert outcome is not None and outcome.is_rows
+        assert outcome.is_rows
 
-    def test_static_catch_skips_execution(self, corpus, schemas):
+    def test_compile_error_is_classified_with_its_outcome(self, corpus, schemas):
         report, outcome = invalid_check(
             "SELECT * FROM no_such_table", schemas["shop"].tables, corpus.db_path("shop")
         )
-        assert report.status == WRONG_TABLE_NAME
-        assert outcome is None
+        assert report == ValidityReport(WRONG_TABLE_NAME, "no_such_table")
+        assert (outcome.kind, outcome.error_message) == ("error", "no such table: no_such_table")
+
+    @pytest.mark.parametrize("sql", ["", ";", "-- c"])
+    def test_text_with_no_statement_is_a_syntax_error(self, corpus, schemas, sql):
+        report, outcome = invalid_check(sql, schemas["shop"].tables, corpus.db_path("shop"))
+        assert report == ValidityReport(SYNTAX_ERROR, "no statement to run")
+        assert outcome.kind == "error"
+
+    def test_timeout_is_a_syntax_error_with_its_outcome(self, corpus, schemas):
+        report, outcome = invalid_check(
+            ENDLESS, schemas["shop"].tables, corpus.db_path("shop"), timeout=0.05
+        )
+        assert report == ValidityReport(SYNTAX_ERROR, "execution exceeded 0.05s timeout")
+        assert outcome.kind == "timeout"
 
     def test_runtime_error_downgrades_static_pass(self, corpus, schemas):
         # Statically fine (names resolve) but fails in the engine at runtime.
         sql = "SELECT json_extract(name, 'not a path') FROM customers"
         report, outcome = invalid_check(sql, schemas["shop"].tables, corpus.db_path("shop"))
         assert not report.is_valid
-        assert outcome is not None and outcome.kind == "error"
+        assert outcome.kind == "error"
         assert report.detail  # carries the engine message
 
     def test_empty_result_is_valid(self, corpus, schemas):
@@ -148,6 +172,15 @@ class TestParseQuestion:
         assert result.attempts[0].validity.detail == f"nope not in {table}"
         assert (list(replicas), replicas.widened) == ([], ["nope"])
 
+    def test_each_attempt_runs_its_text_once(self, corpus, samples, statements):
+        s = samples[0]
+        generator = MockModelClient([{"responses": ["SELECT count(*) FROM wrong_table"]}])
+        debugger = MockModelClient([{"responses": ["SELECT abs(-9223372036854775808)",
+                                                   s.gold_sql]}])
+        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        assert result.succeeded
+        assert statements == [a.sql for a in result.attempts]
+
     def test_max_iters_must_be_positive(self, corpus, samples):
         s = samples[0]
         client = MockModelClient([{"responses": ["x"], "cycle": True}])
@@ -180,6 +213,8 @@ class TestTrace:
         assert data == result_to_dict(s.sample_id, result)
         assert data["iterations_used"] == 2
         assert [a["role"] for a in data["attempts"]] == [GENERATOR, DEBUGGER]
+        # The attempt that fails to compile carries the outcome of its run.
+        assert [a["outcome_kind"] for a in data["attempts"]] == ["error", "rows"]
 
     def test_trace_cannot_leave_trace_directory(self, tmp_path):
         result = RefineResult(final_sql="SELECT 1", attempts=(), succeeded=True,
@@ -191,3 +226,34 @@ class TestTrace:
         assert list(tmp_path.iterdir()) == []
         write_trace(trace_dir, "nested/s1", result)
         assert (trace_dir / "nested" / "s1.json").exists()
+
+
+#: Text that SQLite compiles but refuses when it runs: an integer
+#: overflow, a blob over ``executor.MAX_CELL_BYTES``, a malformed JSON path.
+RUNTIME_REFUSED = [
+    "SELECT abs(-9223372036854775808)", "SELECT zeroblob(16000001)",
+    "SELECT json_extract('x', 'bad')",
+]
+agreement_texts = st.lists(
+    st.sampled_from(HOSTILE_PIECES + RUNTIME_REFUSED), min_size=1, max_size=4
+).map("".join)
+
+
+class TestEvalAndRefineAgree:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts=st.lists(agreement_texts, min_size=1, max_size=3))
+    @example(texts=[*RUNTIME_REFUSED, "VACUUM INTO 'vacuumed.sqlite'", "", ";", "-- c"])
+    def test_a_failed_verdict_has_the_class_of_the_invalid_check(
+        self, corpus, samples, tmp_path, texts
+    ):
+        base = next(s for s in samples if s.db_id == "shop")
+        cases = [dataclasses.replace(base, sample_id=f"p{i}") for i in range(len(texts))]
+        preds = {c.sample_id: sql for c, sql in zip(cases, texts)}
+        path = corpus.db_path("shop")
+        with contextlib.chdir(tmp_path):  # relative ATTACH and VACUUM INTO targets land here
+            report = evaluate_corpus(preds, cases, Corpus(corpus.root))
+            for verdict in report.verdicts:
+                if not verdict.ex_match:
+                    check, _ = invalid_check(verdict.pred_sql, base.schema_tables, path)
+                    assert verdict.failure_class == check.status, verdict.pred_sql

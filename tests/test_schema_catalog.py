@@ -17,7 +17,7 @@ from sqlforge.schema_catalog import (
     introspect_database,
     render_prompt,
 )
-from sqlforge.sql_analysis import validate, validate_on
+from sqlforge.sql_analysis import classify_outcome, validate
 
 from corpus_builder import SQLITE_ONLY_SCHEMAS, TRYOUT_QUESTION, build_sqlite_only_database
 
@@ -404,7 +404,7 @@ def test_validate_is_valid_exactly_when_the_file_compiles(tmp_path_factory, sche
         assert validate(sql, schema).is_valid == _compiles_on_file(path, sql), sql
 
 
-# --- validate_on judges on the file: what a schema replica cannot declare ------
+# --- one run judges on the file: what a schema replica cannot declare ---------
 
 INDEX_NAMES = ["i", "I", "i j", "ï"]
 
@@ -468,10 +468,12 @@ def file_only_statements(draw, tables):
 
 @settings(max_examples=200, deadline=None)
 @given(schema=file_only_schemas(), data=st.data())
-def test_validate_on_is_valid_exactly_when_the_file_compiles(tmp_path_factory, schema, data):
-    """What eval and refine call, on one reused handle as they do, against a
-    fresh handle per statement: ``WITHOUT ROWID`` tables, indexes,
-    ``sqlite_sequence`` and ``sqlite_stat1`` are the file's, not a replica's."""
+def test_classify_outcome_is_valid_exactly_when_the_file_compiles(tmp_path_factory, schema,
+                                                                   data):
+    """What eval and refine do: classify one run of each statement, on one
+    reused handle, against a compile on a fresh handle per statement.
+    ``WITHOUT ROWID`` tables, indexes, ``sqlite_sequence`` and
+    ``sqlite_stat1`` are the file's, not a replica's."""
     ddl, tables = schema
     path = tmp_path_factory.mktemp("file_only") / "db.sqlite"
     conn = sqlite3.connect(path)
@@ -488,6 +490,5 @@ def test_validate_on_is_valid_exactly_when_the_file_compiles(tmp_path_factory, s
     statements = data.draw(st.lists(file_only_statements(tables), min_size=1, max_size=4))
     with ReadOnlyHandle(path) as handle:
         for sql in statements:
-            assert validate_on(handle, sql, schema_tables).is_valid == _compiles_on_file(
-                path, sql
-            ), sql
+            report = classify_outcome(sql, schema_tables, handle.run(sql))
+            assert report.is_valid == _compiles_on_file(path, sql), sql
