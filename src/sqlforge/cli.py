@@ -141,9 +141,8 @@ def _cmd_augment(args) -> int:
 
 def _cmd_mine(args) -> int:
     records = metrics.load_samples(args.samples)
-    with metrics.Corpus(args.corpus) as corpus:
+    with metrics.Corpus(args.corpus) as corpus, make_client(args.endpoint) as client:
         samples = metrics.samples_from_records(records, corpus)
-        client = make_client(args.endpoint)
 
         def mine(s):
             return preference_miner.mine_pairs(
@@ -165,13 +164,15 @@ def _cmd_mine(args) -> int:
 
 def _cmd_refine(args) -> int:
     records = metrics.load_samples(args.samples)
-    with metrics.Corpus(args.corpus) as corpus:
+    with (
+        metrics.Corpus(args.corpus) as corpus,
+        make_client(args.generator) as generator,
+        make_client(args.debugger) as debugger,
+    ):
         samples = metrics.samples_from_records(records, corpus)
         if args.trace:
             for s in samples:
                 refine_agent.trace_path(args.trace, s.sample_id)
-        generator = make_client(args.generator)
-        debugger = make_client(args.debugger)
 
         def refine(s):
             return refine_agent.refine_sample(

@@ -14,16 +14,20 @@ responses remaining serves the request. ``cycle`` entries never exhaust.
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import math
 import os
+import queue
+import re
+import ssl
 import threading
 import time
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import (
     AuthError,
@@ -40,6 +44,9 @@ API_KEY_ENV = "SQLFORGE_API_KEY"
 MAX_RETRIES = 3
 BACKOFF_BASE_SECS = 0.5
 REQUEST_TIMEOUT_SECS = 120.0
+#: The longest reply body read; a longer one is a MalformedResponse. Far
+#: above ``n`` completions of ``DEFAULT_MAX_TOKENS`` tokens each.
+MAX_REPLY_BYTES = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -81,15 +88,98 @@ def extract_sql(completion: str) -> str:
     return (text if end == -1 else text[:end]).strip()
 
 
+def _split_url(what: str, url: str, schemes: tuple[str, ...]) -> SplitResult:
+    """The parts of ``url``. A URL no request could be sent to is a
+    ValueError naming ``what``, so it fails before anything is posted, not
+    after every retry."""
+    try:
+        if re.search(r"[\x00-\x20\x7f]", url):
+            raise ValueError("it contains whitespace or a control character")
+        parts = urlsplit(url)
+        parts.port  # a port out of range or not a number raises here
+        if parts.scheme not in schemes:
+            raise ValueError(f"its scheme is not {' or '.join(schemes)}")
+        if not parts.hostname:
+            raise ValueError("it has no host")
+    except ValueError as exc:
+        raise ValueError(f"{what} {url!r} is malformed: {exc}") from None
+    return parts
+
+
+def _proxy_variable(name: str) -> str:
+    """Environment variable ``name`` as urllib reads it: the lower-case form
+    wins, even when empty. Under CGI, where a request header can set it,
+    ``HTTP_PROXY`` is ignored. urllib's own reader decodes every variable
+    of the environment, so it costs more than the rest of ``__init__``."""
+    value = os.environ.get(name)
+    if value is None and not (name == "http_proxy" and "REQUEST_METHOD" in os.environ):
+        value = os.environ.get(name.upper())
+    return value or ""
+
+
 class HttpModelClient:
-    """Chat-completions JSON-over-HTTP client with exponential backoff."""
+    """Chat-completions JSON-over-HTTP client with exponential backoff.
+
+    The client keeps up to ``max_in_flight`` connections open between
+    requests and closes them in ``close()``; use it in a ``with`` block."""
 
     max_in_flight = 4  # requests open at once; mine and refine run this many samples
 
     def __init__(self, endpoint_url: str, model_name: str = "default"):
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self._gate = threading.Semaphore(self.max_in_flight)
+        parts = _split_url("endpoint URL", endpoint_url, ("http", "https"))
+        if parts.username is not None:
+            raise ValueError(
+                f"endpoint URL {endpoint_url!r} holds credentials; set {API_KEY_ENV} instead"
+            )
+        self._https = parts.scheme == "https"
+        self._host, self._port = parts.hostname, parts.port
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        self._proxy: tuple[str, int | None] | None = None
+        self._tunnel_headers: dict[str, str] = {}
+        proxy_url = _proxy_variable(f"{parts.scheme}_proxy")
+        bypass = {"no": _proxy_variable("no_proxy")}
+        if proxy_url and not urllib.request.proxy_bypass_environment(parts.netloc, bypass):
+            # The proxy is spoken to in plain HTTP, whatever the endpoint's scheme.
+            proxy = _split_url(
+                "proxy", proxy_url if "://" in proxy_url else f"http://{proxy_url}", ("http",)
+            )
+            self._proxy = (proxy.hostname, proxy.port)
+            auth = {}
+            if proxy.username is not None:
+                creds = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                auth["Proxy-Authorization"] = f"Basic {base64.b64encode(creds.encode()).decode()}"
+            if self._https:
+                self._tunnel_headers = auth
+            else:  # a plain-HTTP proxy takes the request in absolute form
+                self._target = f"http://{parts.netloc}{self._target}"
+                self._headers.update(auth)
+        self._tls = ssl.create_default_context() if self._https else None
+        # One slot per request in flight: an idle connection, or None when
+        # the slot has none open. Last in, first out, so a sequential
+        # caller keeps reusing one connection.
+        self._slot_count = self.max_in_flight
+        self._slots: queue.LifoQueue[http.client.HTTPConnection | None] = queue.LifoQueue()
+        for _ in range(self._slot_count):
+            self._slots.put(None)
+
+    def __enter__(self) -> "HttpModelClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every pooled connection, after waiting for the requests in
+        flight. A later request opens a new connection."""
+        slots = [self._slots.get() for _ in range(self._slot_count)]
+        for conn in slots:
+            if conn is not None:
+                conn.close()
+        for _ in slots:
+            self._slots.put(None)
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         payload = json.dumps({
@@ -100,29 +190,24 @@ class HttpModelClient:
             "max_tokens": DEFAULT_MAX_TOKENS,
             "stop": list(DEFAULT_STOP_SEQUENCES),
         }).encode()
+        headers = dict(self._headers)
+        if key := os.environ.get(API_KEY_ENV):
+            headers["Authorization"] = f"Bearer {key}"
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(BACKOFF_BASE_SECS * (2 ** (attempt - 1)))
-            post = urllib.request.Request(
-                self.endpoint_url, payload, {"Content-Type": "application/json"}
-            )
-            if key := os.environ.get(API_KEY_ENV):
-                # Unredirected: urllib copies ordinary headers to any host a 3xx points at.
-                post.add_unredirected_header("Authorization", f"Bearer {key}")
             try:
-                with self._gate:
-                    try:
-                        with urllib.request.urlopen(post, timeout=REQUEST_TIMEOUT_SECS) as resp:
-                            status, body = resp.status, resp.read()
-                    except urllib.error.HTTPError as exc:
-                        with exc:
-                            status, body = exc.code, exc.read()
+                status, body = self._post(payload, headers)
             except (http.client.HTTPException, OSError) as exc:
                 last_error = exc
                 continue
             if status in (401, 403):
                 raise AuthError(f"endpoint rejected credentials ({status})")
+            if 300 <= status < 400:
+                raise MalformedResponse(
+                    f"HTTP {status} from {self.endpoint_url}: redirects are not followed"
+                )
             if status >= 500 or status == 429:
                 last_error = EndpointUnreachable(f"HTTP {status} from {self.endpoint_url}")
                 continue
@@ -130,6 +215,54 @@ class HttpModelClient:
         raise EndpointUnreachable(
             f"{self.endpoint_url} unreachable after {MAX_RETRIES + 1} attempts: {last_error}"
         )
+
+    def _post(self, payload: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One attempt: POST ``payload`` and return the reply's status and
+        body. A pooled connection that fails with a ``ConnectionError`` was
+        most likely closed by the server while it sat idle, so the request
+        is sent again at once on a new connection, within this attempt. A
+        connection goes back to the pool only after a reply read to its end."""
+        conn = self._slots.get()
+        try:
+            if conn is not None:
+                try:
+                    return self._exchange(conn, payload, headers)
+                except ConnectionError:
+                    conn.close()
+            conn = self._connect()
+            return self._exchange(conn, payload, headers)
+        except BaseException:
+            if conn is not None:
+                conn.close()
+            raise
+        finally:
+            # After a reply that ends the connection, http.client has closed it.
+            self._slots.put(conn if conn is not None and conn.sock is not None else None)
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._proxy or (self._host, self._port)
+        if self._https:
+            conn = http.client.HTTPSConnection(
+                host, port, timeout=REQUEST_TIMEOUT_SECS, context=self._tls
+            )
+            if self._proxy:
+                conn.set_tunnel(self._host, self._port, self._tunnel_headers)
+            return conn
+        return http.client.HTTPConnection(host, port, timeout=REQUEST_TIMEOUT_SECS)
+
+    def _exchange(
+        self, conn: http.client.HTTPConnection, payload: bytes, headers: dict[str, str]
+    ) -> tuple[int, bytes]:
+        conn.request("POST", self._target, payload, headers)
+        with conn.getresponse() as resp:
+            body = resp.read(MAX_REPLY_BYTES + 1)
+            if len(body) > MAX_REPLY_BYTES:
+                raise MalformedResponse(
+                    f"reply from {self.endpoint_url} is over {MAX_REPLY_BYTES} bytes"
+                )
+            if resp.length:  # the server closed before the Content-Length it sent
+                raise http.client.IncompleteRead(body, resp.length)
+            return resp.status, body
 
     def _parse_response(self, raw: bytes, request: GenerationRequest) -> GenerationResponse:
         try:
@@ -198,6 +331,15 @@ class MockModelClient:
         self.model_name = model_name
         self.call_count = 0
         self._lock = threading.Lock()
+
+    def __enter__(self) -> "MockModelClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Nothing to release; here so either client can be closed."""
 
     @classmethod
     def from_script(cls, path: str | Path) -> "MockModelClient":

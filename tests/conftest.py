@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import sqlite3
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -71,6 +72,21 @@ def model_server():
     server = ModelServer().start()
     yield server
     server.stop()
+
+
+@pytest.fixture
+def http_connections(monkeypatch) -> list[http.client.HTTPConnection]:
+    """Every HTTP connection opened during the test, in order. One whose
+    ``sock`` is not None is still open."""
+    log: list[http.client.HTTPConnection] = []
+    connect = http.client.HTTPConnection.connect
+
+    def recording_connect(conn):
+        log.append(conn)
+        connect(conn)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", recording_connect)
+    return log
 
 
 class ConnectionLog(list):

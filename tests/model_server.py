@@ -7,9 +7,11 @@ requests overlap. The server counts requests in flight and keeps the peak.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import re
+import socket
 import threading
 import time
 from collections import deque
@@ -32,13 +34,17 @@ def reply(prompt: str, n: int) -> list[str]:
 
 
 class ModelServer:
-    """``ThreadingHTTPServer`` on 127.0.0.1. Each request sleeps
-    ``latency_s``, or ``slow_s`` when its prompt contains one of
+    """``ThreadingHTTPServer`` on 127.0.0.1 that speaks HTTP/1.1 and keeps
+    connections open between requests, as real endpoints do. Each request
+    sleeps ``latency_s``, or ``slow_s`` when its prompt contains one of
     ``slow_prompts``, before it is answered. While ``script`` holds
     ``(status, raw body)`` or ``(status, raw body, headers)`` entries, each
     request is answered with the first one, which is taken off the queue;
-    then requests get ``reply``. ``headers`` keeps every request's headers;
-    a GET is recorded there and answered 405."""
+    then requests get ``reply``. A scripted header replaces the default
+    of its name, and ``Connection: close`` closes the connection.
+    ``headers`` keeps every request's headers and ``targets`` its method
+    and target, as ``"POST /v1/..."``; a GET or CONNECT is recorded there
+    and answered 405. ``connections`` counts the connections accepted."""
 
     def __init__(self, latency_s: float = 0.01, slow_s: float = 0.5):
         self.latency_s = latency_s
@@ -47,8 +53,11 @@ class ModelServer:
         self.script: deque[tuple] = deque()
         self.prompts: list[str] = []
         self.headers: list = []
+        self.targets: list[str] = []
+        self.connections = 0
         self.in_flight = 0
         self.peak_in_flight = 0
+        self._open: set[socket.socket] = set()
         self._lock = threading.Lock()
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
         self._server.daemon_threads = True
@@ -67,21 +76,53 @@ class ModelServer:
         self._server.shutdown()
         self._server.server_close()
         self._thread.join()
+        self.drop_connections()
+
+    def drop_connections(self) -> None:
+        """Close every open connection from the server's side, without
+        notice, as a server does to a keep-alive connection left idle past
+        its timeout."""
+        with self._lock:
+            for sock in self._open:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
 
     def _handler(self):
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # Headers and body go out in separate writes; without TCP_NODELAY
+            # the client's delayed ACK would hold up every reply.
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with server._lock:
+                    server.connections += 1
+                    server._open.add(self.connection)
+
+            def finish(self):
+                with server._lock:
+                    server._open.discard(self.connection)
+                super().finish()
+
+            def _record(self):
+                server.headers.append(self.headers)
+                server.targets.append(f"{self.command} {self.path}")
+
             def do_GET(self):
                 with server._lock:
-                    server.headers.append(self.headers)
+                    self._record()
                 self.send_error(405)
+
+            do_CONNECT = do_GET
 
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 prompt = body["messages"][0]["content"]
                 with server._lock:
-                    server.headers.append(self.headers)
+                    self._record()
                     server.prompts.append(prompt)
                     server.in_flight += 1
                     server.peak_in_flight = max(server.peak_in_flight, server.in_flight)
@@ -101,9 +142,9 @@ class ModelServer:
                     with server._lock:
                         server.in_flight -= 1
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                for name, value in extra.items():
+                headers = {"Content-Type": "application/json",
+                           "Content-Length": str(len(data)), **extra}
+                for name, value in headers.items():
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)

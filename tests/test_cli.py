@@ -538,6 +538,29 @@ class TestEndpointReplies:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("url,reason", [
+        ("http:///v1", "it has no host"),
+        ("http://exa mple/v1", "it contains whitespace or a control character"),
+        ("http://127.0.0.1:99999/v1", "Port out of range"),
+        ("http://127.0.0.1:80x/v1", "Port could not be cast"),
+        ("http://[::1/v1", "Invalid IPv6 URL"),
+        ("http://key@127.0.0.1/v1", "holds credentials"),
+    ])
+    def test_malformed_endpoint_url_is_an_error_line(
+        self, corpus, tmp_path, capsys, http_connections, url, reason
+    ):
+        """A URL no request could be sent to ends ``mine`` in one ``error:``
+        line that names it, before anything is posted or retried."""
+        out = tmp_path / "pairs.jsonl"
+        assert run(["mine", "--samples", str(corpus.samples_path), "--corpus",
+                    str(corpus.root), "--endpoint", url, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: endpoint URL {url!r}")
+        assert reason in err[0]
+        assert http_connections == []
+        assert not out.exists()
+
+
 class TestRefine:
     def test_refine_to_eval_round_trip(self, corpus, sample_records, tmp_path, capsys):
         gen_script = tmp_path / "gen.jsonl"
@@ -970,6 +993,29 @@ class TestConcurrentSamples:
         assert (list(replicas), replicas.widened) == ([], [])
         assert opened
         assert not opened.still_open()
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    def test_no_connection_is_left_open(
+        self, corpus, model_server, tmp_path, capsys, http_connections, command, fails
+    ):
+        """A run opens at most max_in_flight connections per client, and
+        closes them all, also after a refused call."""
+        if fails:
+            n = 4 if command == "mine" else 1
+            ok = json.dumps({"choices": [{"message": {"content": "SELECT 1"}}] * n}).encode()
+            model_server.script.extend([(200, ok)] * 8 + [(401, b"{}")])
+        if command == "mine":
+            code, clients = self.mine(corpus, model_server.url, tmp_path / "out.jsonl"), 1
+        else:
+            code = self.refine(corpus, model_server.url, tmp_path / "out.jsonl",
+                               tmp_path / "trace")
+            clients = 2  # the generator and the debugger
+        assert code == int(fails)
+        assert ("rejected credentials" in capsys.readouterr().err) == fails
+        assert 1 < model_server.connections == len(http_connections) <= clients * self.WIDTH
+        assert len(model_server.prompts) > len(http_connections)
+        assert [c for c in http_connections if c.sock is not None] == []
 
     def test_first_failure_stops_the_run(self, corpus, sample_records, model_server,
                                          tmp_path, capsys):

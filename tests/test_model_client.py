@@ -1,8 +1,13 @@
+import base64
 import json
 import re
 import socket
 import sqlite3
+import threading
+import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import assume, given, settings
@@ -227,9 +232,15 @@ class TestHttpClient:
         monkeypatch.setattr(model_client, "MAX_RETRIES", 2)
         monkeypatch.setattr(model_client, "BACKOFF_BASE_SECS", 0.0)
 
-    @staticmethod
-    def client(url):
-        return HttpModelClient(url)
+    @pytest.fixture(autouse=True)
+    def clients(self):
+        with ExitStack() as stack:
+            self._clients = stack
+            yield
+
+    def client(self, url):
+        """A client of ``url``, closed when the test ends."""
+        return self._clients.enter_context(HttpModelClient(url))
 
     def test_retries_then_unreachable(self, model_server):
         model_server.script.extend([(503, b"busy")] * 3)
@@ -251,18 +262,21 @@ class TestHttpClient:
             self.client(model_server.url).generate(GenerationRequest(prompt="p"))
         assert len(model_server.prompts) == 1
 
-    def test_key_is_not_sent_to_a_redirect_target(self, model_server, monkeypatch):
+    @pytest.mark.parametrize("status", [301, 302, 303, 307])
+    def test_redirect_is_not_followed(self, model_server, monkeypatch, status):
+        """A chat completion is a POST, which a client following a 301-303
+        resends as a GET. So a 3xx is a malformed reply, and its target
+        gets nothing."""
         monkeypatch.setenv(API_KEY_ENV, "secret")
         elsewhere = ModelServer().start()
         try:
-            model_server.script.append((302, b"", {"Location": elsewhere.url}))
-            with pytest.raises(MalformedResponse):
+            model_server.script.append((status, b"", {"Location": elsewhere.url}))
+            with pytest.raises(MalformedResponse, match=f"HTTP {status} .*not followed"):
                 self.client(model_server.url).generate(GenerationRequest(prompt="p"))
             assert [h["Authorization"] for h in model_server.headers] == ["Bearer secret"]
-            assert [h["Authorization"] for h in elsewhere.headers] == [None]
+            assert elsewhere.targets == []
         finally:
             elsewhere.stop()
-
     def test_completion_count_checked(self, model_server):
         one = {"choices": [{"message": {"content": "SELECT 1"}}]}
         model_server.script.append((200, json.dumps(one).encode()))
@@ -284,6 +298,129 @@ class TestHttpClient:
             self.client(model_server.url).generate(GenerationRequest(prompt="p"))
         assert len(model_server.prompts) == 1
 
+    def test_reply_is_read_up_to_max_reply_bytes(self, model_server, monkeypatch):
+        monkeypatch.setattr(model_client, "MAX_REPLY_BYTES", 200)
+        reply_body = json.dumps({"choices": [{"message": {"content": "SELECT 1"}}]}).encode()
+        at_cap = reply_body.ljust(200)
+        model_server.script.extend([(200, at_cap), (200, at_cap + b" ")])
+        client = self.client(model_server.url)
+        assert client.generate(GenerationRequest(prompt="p")).completions == ("SELECT 1",)
+        with pytest.raises(MalformedResponse, match="over 200 bytes"):
+            client.generate(GenerationRequest(prompt="p"))
+        assert len(model_server.prompts) == 2  # not retried
+        client.generate(GenerationRequest(prompt="p"))
+        assert model_server.connections == 2  # the oversized reply's connection was closed
+
+    def test_reply_cut_short_is_retried(self, model_server):
+        """A reply that ends before its Content-Length is a failed attempt."""
+        model_server.script.append(
+            (200, b'{"choices": [', {"Content-Length": "100", "Connection": "close"})
+        )
+        resp = self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+        assert resp.completions == tuple(reply("p", 1))
+        assert len(model_server.prompts) == model_server.connections == 2
+
+    def test_sequential_calls_share_one_connection(self, model_server, http_connections):
+        client = self.client(model_server.url)
+        for i in range(5):
+            client.generate(GenerationRequest(prompt=f"p{i}"))
+        assert model_server.connections == len(http_connections) == 1
+        client.close()
+        assert http_connections[0].sock is None
+        client.generate(GenerationRequest(prompt="again"))  # a closed client reconnects
+        assert model_server.connections == 2
+
+    def test_connection_closed_while_idle_is_sent_again_at_once(self, model_server,
+                                                                monkeypatch):
+        """A server closes a keep-alive connection that idles too long. The
+        request that finds it closed is sent again on a new connection
+        without a backoff sleep, and that is not a retry."""
+        monkeypatch.setattr(model_client, "MAX_RETRIES", 0)
+        caller, sleep, sleeps = threading.get_ident(), time.sleep, []
+
+        def recording_sleep(secs):
+            if threading.get_ident() == caller:
+                sleeps.append(secs)
+            sleep(secs)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+        client = self.client(model_server.url)
+        client.generate(GenerationRequest(prompt="p1"))
+        model_server.drop_connections()
+        assert client.generate(GenerationRequest(prompt="p2")).completions == tuple(
+            reply("p2", 1)
+        )
+        assert sleeps == []
+        assert model_server.prompts == ["p1", "p2"]
+        assert model_server.connections == 2
+
+    def test_proxy_from_the_environment(self, model_server, monkeypatch):
+        """``http_proxy`` gets the request in absolute form, with the
+        proxy's credentials; a host in ``no_proxy`` is reached directly."""
+        for name in ("http_proxy", "https_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        proxy = ModelServer().start()
+        try:
+            host, port = proxy.url.split("/")[2].split(":")
+            monkeypatch.setenv("http_proxy", f"http://us%40r:pw@{host}:{port}")
+            self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+            assert proxy.targets == [f"POST {model_server.url}"]
+            assert proxy.headers[0]["Proxy-Authorization"] == (
+                "Basic " + base64.b64encode(b"us@r:pw").decode()
+            )
+            assert model_server.targets == []
+
+            monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+            self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+            assert len(proxy.targets) == 1
+            assert model_server.targets == ["POST /v1/chat/completions"]
+            assert model_server.headers[0]["Proxy-Authorization"] is None
+        finally:
+            proxy.stop()
+
+    def test_https_goes_through_a_proxy_tunnel(self, monkeypatch):
+        """An ``https`` endpoint behind ``https_proxy`` is reached through a
+        CONNECT tunnel; the proxy here refuses it, which is a failed attempt."""
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        proxy = ModelServer().start()
+        try:
+            monkeypatch.setenv("https_proxy", proxy.url.split("/v1/")[0])
+            with pytest.raises(EndpointUnreachable, match="Tunnel connection failed: 405"):
+                self.client("https://models.example:8443/v1").generate(
+                    GenerationRequest(prompt="p")
+                )
+            assert proxy.targets == ["CONNECT models.example:8443"] * 3
+        finally:
+            proxy.stop()
+
+    @pytest.mark.parametrize("env", [
+        {"HTTP_PROXY": "http://a:1", "NO_PROXY": "a"},
+        {"http_proxy": "http://b:2", "HTTP_PROXY": "http://a:1", "no_proxy": "b", "NO_PROXY": "a"},
+        {"http_proxy": "", "HTTP_PROXY": "http://a:1", "no_proxy": "", "NO_PROXY": "a"},
+        {"HTTP_PROXY": "http://a:1", "HTTPS_PROXY": "http://a:1", "REQUEST_METHOD": "GET"},
+        {"https_proxy": "http://c:3"},
+    ])
+    def test_proxy_variables_are_read_as_urllib_reads_them(self, monkeypatch, env):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "request_method"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        expected = urllib.request.getproxies_environment()
+        for scheme in ("http", "https", "no"):
+            assert model_client._proxy_variable(f"{scheme}_proxy") == expected.get(scheme, "")
+
+    @pytest.mark.parametrize("proxy", ["https://127.0.0.1:3128", "socks5://127.0.0.1:1080",
+                                       "http://127.0.0.1:99999"])
+    def test_proxy_that_cannot_be_used_is_a_value_error(self, monkeypatch, proxy):
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        monkeypatch.setenv("http_proxy", proxy)
+        with pytest.raises(ValueError, match="proxy"):
+            HttpModelClient("http://models.example/v1")
+
     def test_refused_port_is_unreachable(self):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
@@ -300,4 +437,4 @@ class TestHttpClient:
             futures = [pool.submit(client.generate, GenerationRequest(prompt=p)) for p in prompts]
             results = [f.result(timeout=30) for f in futures]
         assert [r.completions for r in results] == [tuple(reply(p, 1)) for p in prompts]
-        assert model_server.peak_in_flight == 2
+        assert model_server.peak_in_flight == model_server.connections == 2
