@@ -80,15 +80,19 @@ def cross_db_candidates(
 
 
 def cross_db_augment(
-    sample: Sample, candidates: tuple[tuple[tuple[str, TableSchema], ...], ...], seed: int
+    sample: Sample,
+    tables: tuple[TableSchema, ...],
+    candidates: tuple[tuple[tuple[str, TableSchema], ...], ...],
+    seed: int,
 ) -> AugmentedSample:
-    """Insert 1-3 tables from other databases sharing a PK/FK column name,
-    no two of one name: a name is drawn first, then one of its tables.
-    ``candidates`` are :func:`cross_db_candidates` of the sample's db_id."""
+    """Insert 1-3 tables from other databases sharing a PK/FK column name
+    into ``tables``, the tables of the sample's database, no two of one
+    name: a name is drawn first, then one of its tables. ``candidates`` are
+    :func:`cross_db_candidates` of the sample's db_id."""
     if not candidates:
         return AugmentedSample(
             base=sample,
-            schema_tables=tuple(sample.schema_tables),
+            schema_tables=tuple(tables),
             provenance=Provenance(kind=UNCHANGED, reason="empty candidate set"),
             seed=seed,
         )
@@ -96,7 +100,7 @@ def cross_db_augment(
     rng = random.Random(seed)
     n = min(rng.randint(1, MAX_CROSS_DB_INSERTS), len(candidates))
     picked = [rng.choice(group) for group in rng.sample(candidates, n)]
-    tables = list(sample.schema_tables)
+    tables = list(tables)
     for db_id, table in picked:
         tables.insert(rng.randint(0, len(tables)), table)
     return AugmentedSample(
@@ -140,9 +144,7 @@ def inner_db_augment(
     kept_tables: list[TableSchema] = []
     removed_tables: list[str] = []
     for table in tables:
-        if table.name in used_tables:
-            kept_tables.append(table)
-        elif rng.random() < p_table:
+        if table.name in used_tables or rng.random() < p_table:
             kept_tables.append(table)
         else:
             removed_tables.append(table.name)
@@ -170,9 +172,7 @@ def inner_db_augment(
         used_cols = used_columns.get(table.name, set())
         kept_cols = []
         for col in table.columns:
-            if col.name in used_cols:
-                kept_cols.append(col)
-            elif rng.random() < p_col:
+            if col.name in used_cols or rng.random() < p_col:
                 kept_cols.append(col)
             else:
                 removed_columns.append(f"{table.name}.{col.name}")

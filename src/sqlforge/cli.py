@@ -110,8 +110,11 @@ def _cmd_augment(args) -> int:
     records = metrics.load_samples(args.samples)
     with metrics.Corpus(args.corpus) as corpus:
         samples = metrics.samples_from_records(records, corpus)
+        # Every schema, read before the first sample in the order of each
+        # database's first sample: cross-db orders each group of candidate
+        # tables so, and inner-db ran slower reading each between samples.
+        schemas = [corpus.schema(db_id) for db_id in dict.fromkeys(s.db_id for s in samples)]
         if args.mode == "cross-db":
-            schemas = list(corpus.schemas.values())
             candidates = {}
             augmented = []
             for s in samples:
@@ -119,7 +122,8 @@ def _cmd_augment(args) -> int:
                 if s.db_id not in candidates:
                     candidates[s.db_id] = augmentation.cross_db_candidates(s.db_id, schemas)
                 seed = augmentation.derive_seed(args.seed, s.sample_id)
-                augmented.append(augmentation.cross_db_augment(s, candidates[s.db_id], seed))
+                tables = corpus.schema(s.db_id).tables
+                augmented.append(augmentation.cross_db_augment(s, tables, candidates[s.db_id], seed))
         else:
 
             def augment(s):
@@ -148,7 +152,7 @@ def _cmd_mine(args) -> int:
             return preference_miner.mine_pairs(
                 s,
                 client,
-                corpus.handles(s.db_id).base,
+                corpus,
                 n=args.n_candidates,
                 temperature=args.temperature,
                 timeout=args.exec_timeout_secs,
@@ -179,7 +183,7 @@ def _cmd_refine(args) -> int:
                 s,
                 generator,
                 debugger,
-                corpus.handles(s.db_id).base,
+                corpus,
                 max_iters=args.max_iters,
                 timeout=args.exec_timeout_secs,
             )

@@ -21,6 +21,7 @@ import sqlite3
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -230,10 +231,14 @@ class ReadOnlyHandle:
 
     Statements are prepared under :func:`read_only_authorizer`. A handle is
     used by one thread at a time, but may be closed from another.
+    ``on_open``, if given, is called with each new connection before its
+    authorizer is installed, so it may read what model text may not; no
+    statement runs on the connection before it returns.
     """
 
-    def __init__(self, db_path: str | Path):
+    def __init__(self, db_path: str | Path, on_open: Callable | None = None):
         self.path = Path(db_path)
+        self._on_open = on_open
         self._conn: sqlite3.Connection | None = None
         #: Statements armed with the watchdog so far, and the last one it
         #: interrupted.
@@ -249,7 +254,8 @@ class ReadOnlyHandle:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _connection(self) -> sqlite3.Connection:
+    def open(self) -> sqlite3.Connection:
+        """The handle's connection, opened on the first call."""
         if self._conn is not None:
             return self._conn
         conn = connect_read_only(self.path, check_same_thread=False)
@@ -257,9 +263,13 @@ class ReadOnlyHandle:
             # Force a header read; junk files fail here, not at connect time.
             conn.execute("SELECT 1 FROM sqlite_master LIMIT 1")
             conn.execute(f"PRAGMA cache_size = {PAGE_CACHE_SIZE}")
-        except sqlite3.DatabaseError as exc:
+            if self._on_open is not None:
+                self._on_open(conn)
+        except BaseException as exc:
             conn.close()
-            raise NotADatabaseError(f"{self.path}: {exc}") from exc
+            if isinstance(exc, sqlite3.DatabaseError):
+                raise NotADatabaseError(f"{self.path}: {exc}") from exc
+            raise
         conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_CELL_BYTES)
         conn.set_authorizer(read_only_authorizer)
         self._conn = conn
@@ -270,7 +280,7 @@ class ReadOnlyHandle:
         which must be positive and finite; text with no statement is an error."""
         if not 0 < timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, not {timeout}")
-        conn = self._connection()
+        conn = self.open()
         start = time.monotonic()
         _WATCHDOG.arm(self, conn, start + timeout)
         try:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sqlite3
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -21,12 +23,7 @@ from .executor import (
     execute,
     results_match,
 )
-from .schema_catalog import (
-    DatabaseSchema,
-    TableSchema,
-    corpus_db_path,
-    introspect_database,
-)
+from .schema_catalog import DatabaseSchema, corpus_db_path, introspect_database, read_schema
 
 MISSING_PREDICTION_DETAIL = "missing prediction"
 
@@ -37,7 +34,6 @@ class Sample:
     db_id: str
     question: str
     gold_sql: str
-    schema_tables: tuple[TableSchema, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -140,20 +136,27 @@ def _first_copies(files: list[Path]) -> dict[Path, Path]:
 class _DbHandles:
     """One thread's read-only handles to the files of the database it is
     working on, each opened on its first query, and its schema replica,
-    built on its first compile, for inner-db augmentation. The pipelines
-    borrow them."""
+    built on first use, for inner-db augmentation. The pipelines borrow
+    them. As the base file's handle opens, it reads the database's schema
+    for the corpus, unless the corpus has it already."""
 
-    def __init__(self, db_id: str, files: list[Path], tables: tuple[TableSchema, ...]):
+    def __init__(self, corpus: Corpus, db_id: str):
         self.db_id = db_id
-        self.on = {path: ReadOnlyHandle(path) for path in files}
+        self._corpus = corpus
+        base, *suite = corpus.files(db_id)
         #: The base file's handle.
-        self.base = self.on[files[0]]
-        self.replica = sql_analysis.SchemaReplica(tables)
+        self.base = ReadOnlyHandle(base, on_open=lambda conn: corpus.schema(db_id, conn))
+        self.on = {base: self.base, **{path: ReadOnlyHandle(path) for path in suite}}
+
+    @cached_property
+    def replica(self) -> sql_analysis.SchemaReplica:
+        return sql_analysis.SchemaReplica(self._corpus.schema(self.db_id).tables)
 
     def close(self) -> None:
         for handle in self.on.values():
             handle.close()
-        self.replica.close()
+        if "replica" in vars(self):
+            self.replica.close()
 
 
 class Corpus:
@@ -161,16 +164,19 @@ class Corpus:
     and, with ``variant_root``, each database's test-suite variants,
     ``<variant_root>/<db_id>/*.sqlite`` in name order.
 
-    It introspects each database once, lists each database's files once,
+    It keeps one schema per database, lists each database's files once,
     compares their bytes once, and keeps each thread's read-only handles
-    and schema replica for the database that thread is on. :meth:`close`
-    closes every thread's handles and replicas; the corpus stays usable
-    afterwards. Use it as a context manager, or call :meth:`close`."""
+    and schema replica for the database that thread is on. A database is
+    introspected on the connection of the first base-file handle opened
+    for it, or, asked for its schema with no such handle, on a connection
+    of its own. :meth:`close` closes every thread's handles and replicas;
+    the corpus stays usable afterwards. Use it as a context manager, or
+    call :meth:`close`."""
 
     def __init__(self, root: str | Path, variant_root: str | Path | None = None):
         self.root = Path(root)
         self.variant_root = Path(variant_root) if variant_root is not None else None
-        #: Schemas by db_id, in order of first use.
+        #: Schemas by db_id, as read.
         self.schemas: dict[str, DatabaseSchema] = {}
         self._files: dict[str, list[Path]] = {}
         #: Each database's files mapped to their first copy, once compared.
@@ -185,24 +191,32 @@ class Corpus:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def schema(self, db_id: str) -> DatabaseSchema:
-        """``db_id``'s schema, introspected on first use."""
-        if db_id not in self.schemas:
-            path = corpus_db_path(self.root, db_id)
-            if not path.exists():
-                raise CorpusLayoutError(f"expected database file at {path}")
-            self.schemas[db_id] = introspect_database(path, db_id)
-        return self.schemas[db_id]
+    def schema(self, db_id: str, conn: sqlite3.Connection | None = None) -> DatabaseSchema:
+        """``db_id``'s schema, introspected on first use: on ``conn``, an
+        open connection to its base file with no authorizer, if given, or
+        else on a connection of its own. Threads that ask at once all get
+        the one schema kept."""
+        schema = self.schemas.get(db_id)
+        if schema is None:
+            base = self.files(db_id)[0]
+            read = read_schema(conn, base, db_id) if conn else introspect_database(base, db_id)
+            schema = self.schemas.setdefault(db_id, read)
+        return schema
 
     def files(self, db_id: str) -> list[Path]:
-        """``db_id``'s files: the base file, then its variants in order."""
+        """``db_id``'s files: the base file, then its variants in order. They
+        are listed, and the base file's existence checked, on first use; a
+        missing base file is a CorpusLayoutError."""
         if db_id not in self._files:
+            base = corpus_db_path(self.root, db_id)
+            if not base.exists():
+                raise CorpusLayoutError(f"expected database file at {base}")
             suite = (
                 variant_suite_paths(self.variant_root, db_id)
                 if self.variant_root is not None
                 else []
             )
-            self._files[db_id] = [corpus_db_path(self.root, db_id), *suite]
+            self._files[db_id] = [base, *suite]
         return self._files[db_id]
 
     def handles(self, db_id: str) -> _DbHandles:
@@ -213,9 +227,7 @@ class Corpus:
         if current is None or current.db_id != db_id:
             if current is not None:
                 current.close()
-            current = self._open[key] = _DbHandles(
-                db_id, self.files(db_id), self.schema(db_id).tables
-            )
+            current = self._open[key] = _DbHandles(self, db_id)
         return current
 
     def first_copy(self, db_id: str, path: Path) -> Path:
@@ -270,9 +282,9 @@ class _EvalContext:
     def expect(self, sample: Sample, pred_sql: str | None) -> None:
         """Note, before any thread starts, one more sample that needs the
         outcomes of its gold query and of its prediction."""
+        files = self.corpus.files(sample.db_id)
         for key in _statement_keys(sample, pred_sql):
             if key not in self.statements:
-                files = self.corpus.files(sample.db_id)
                 self.statements[key] = _Statement(locks={p: threading.Lock() for p in files})
             self.statements[key].pending += 1
 
@@ -333,6 +345,7 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
 
     failure = None
     if not ex:
+        # The base file's handle that ran the gold read the schema as it opened.
         tables = corpus.schema(sample.db_id).tables
         failure = sql_analysis.classify_outcome(pred_sql, tables, pred_outcome).status
     return EvalVerdict(
@@ -472,10 +485,10 @@ def evaluate_corpus(
     if unknown:
         raise CorpusLayoutError(f"predictions for unknown sample ids: {sorted(unknown)}")
     ctx = _EvalContext(corpus=corpus, timeout=timeout)
-    # Warm the schema and file caches serially, so worker threads only
-    # read them, and count the samples that need each statement's outcomes.
+    # List each database's files serially, checking that its base file
+    # exists, so worker threads only read the list, and count the samples
+    # that need each statement's outcomes.
     for s in samples:
-        corpus.schema(s.db_id)
         ctx.expect(s, predictions.get(s.sample_id))
 
     def evaluate(s: Sample) -> EvalVerdict:
@@ -547,9 +560,9 @@ def record_fields(rec, keys: tuple[str, ...], which: str) -> list:
 
 
 def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
-    """Attach each record's full database schema, from ``corpus``, as its
-    prompt schema; a second record for one sample_id is a ValueError naming
-    the id and both records."""
+    """Each record as a Sample. A record whose database has no file in
+    ``corpus`` is a CorpusLayoutError, and a second record for one
+    sample_id is a ValueError naming the id and both records."""
     samples = []
     record_of: dict[str, int] = {}
     for n, rec in enumerate(records, 1):
@@ -562,15 +575,8 @@ def samples_from_records(records: list[dict], corpus: Corpus) -> list[Sample]:
                 f"sample records {record_of[sample_id]} and {n} share sample_id {sample_id!r}"
             )
         record_of[sample_id] = n
-        samples.append(
-            Sample(
-                sample_id=sample_id,
-                db_id=db_id,
-                question=question,
-                gold_sql=gold_sql,
-                schema_tables=corpus.schema(db_id).tables,
-            )
-        )
+        corpus.files(db_id)
+        samples.append(Sample(sample_id, db_id, question, gold_sql))
     return samples
 
 

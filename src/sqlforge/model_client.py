@@ -47,6 +47,8 @@ REQUEST_TIMEOUT_SECS = 120.0
 #: The longest reply body read; a longer one is a MalformedResponse. Far
 #: above ``n`` completions of ``DEFAULT_MAX_TOKENS`` tokens each.
 MAX_REPLY_BYTES = 16_000_000
+#: How much of a refused reply's body its error shows.
+REPLY_PREVIEW_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class GenerationRequest:
 @dataclass(frozen=True)
 class GenerationResponse:
     completions: tuple[str, ...]
-    model_name: str = ""
     usage: dict = field(default_factory=dict)
 
 
@@ -75,11 +76,7 @@ def extract_sql(completion: str) -> str:
     them, so that an unterminated one runs to the end of the text."""
     text = completion.strip()
     if text.startswith("```"):
-        first_newline = text.find("\n")
-        if first_newline != -1:
-            text = text[first_newline + 1 :]
-        else:
-            text = text[3:]
+        text = text.split("\n", 1)[1] if "\n" in text else text[3:]
         fence_end = text.rfind("```")
         if fence_end != -1:
             text = text[:fence_end]
@@ -204,13 +201,13 @@ class HttpModelClient:
                 continue
             if status in (401, 403):
                 raise AuthError(f"endpoint rejected credentials ({status})")
-            if 300 <= status < 400:
-                raise MalformedResponse(
-                    f"HTTP {status} from {self.endpoint_url}: redirects are not followed"
-                )
             if status >= 500 or status == 429:
                 last_error = EndpointUnreachable(f"HTTP {status} from {self.endpoint_url}")
                 continue
+            if not 200 <= status < 300:
+                start = repr(body[:REPLY_PREVIEW_BYTES])
+                why = "redirects are not followed" if status < 400 else start
+                raise MalformedResponse(f"HTTP {status} from {self.endpoint_url}: {why}")
             return self._parse_response(body, request)
         raise EndpointUnreachable(
             f"{self.endpoint_url} unreachable after {MAX_RETRIES + 1} attempts: {last_error}"
@@ -277,11 +274,7 @@ class HttpModelClient:
             raise MalformedResponse(
                 f"asked for {request.n} completions, got {len(completions)}"
             )
-        return GenerationResponse(
-            completions=completions,
-            model_name=body.get("model", self.model_name),
-            usage=body.get("usage", {}),
-        )
+        return GenerationResponse(completions=completions, usage=body.get("usage", {}))
 
 
 @dataclass
@@ -291,16 +284,11 @@ class _MockEntry:
     cycle: bool = False
     cursor: int = 0
 
-    def remaining(self) -> int:
-        if self.cycle:
-            return 1 << 30
-        return len(self.responses) - self.cursor
+    def exhausted(self) -> bool:
+        return not self.cycle and self.cursor == len(self.responses)
 
     def take(self) -> str:
-        if self.cycle:
-            value = self.responses[self.cursor % len(self.responses)]
-        else:
-            value = self.responses[self.cursor]
+        value = self.responses[self.cursor % len(self.responses)]
         self.cursor += 1
         return value
 
@@ -326,10 +314,8 @@ class MockModelClient:
 
     max_in_flight = 1  # entries are consumed in arrival order: serial keeps replies deterministic
 
-    def __init__(self, entries: list[dict], model_name: str = "mock"):
+    def __init__(self, entries: list[dict]):
         self._entries = [_MockEntry.of(e, f"script entry {n}") for n, e in enumerate(entries, 1)]
-        self.model_name = model_name
-        self.call_count = 0
         self._lock = threading.Lock()
 
     def __enter__(self) -> "MockModelClient":
@@ -345,13 +331,12 @@ class MockModelClient:
     def from_script(cls, path: str | Path) -> "MockModelClient":
         """The client that plays the JSON-lines script at ``path``; a line
         that is not an entry is a ValueError naming the file and line."""
-        client = cls([], model_name=f"mock:{path}")
+        client = cls([])
         client._entries = [_MockEntry.of(e, f"{path} line {n}") for n, e in read_json_lines(path)]
         return client
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         with self._lock:
-            self.call_count += 1
             completions = []
             for _ in range(request.n):
                 entry = self._find_entry(request.prompt)
@@ -361,15 +346,11 @@ class MockModelClient:
                         f"{request.prompt[:60]!r}"
                     )
                 completions.append(entry.take())
-            return GenerationResponse(
-                completions=tuple(completions), model_name=self.model_name
-            )
+            return GenerationResponse(completions=tuple(completions))
 
     def _find_entry(self, prompt: str) -> _MockEntry | None:
         for entry in self._entries:
-            if entry.remaining() <= 0:
-                continue
-            if entry.match is None or entry.match in prompt:
+            if not entry.exhausted() and (entry.match is None or entry.match in prompt):
                 return entry
         return None
 

@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import GoldExecutionFailed
-from .executor import DEFAULT_TIMEOUT_SECS, EXEC_ERROR, TIMEOUT, ReadOnlyHandle
-from .executor import execute, results_match
-from .metrics import Sample, order_sensitive
+from .executor import DEFAULT_TIMEOUT_SECS, EXEC_ERROR, TIMEOUT, execute, results_match
+from .metrics import Corpus, Sample, order_sensitive
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
 from .sql_analysis import extract_references  # noqa: F401 -- bench/tracer.py wraps this name
@@ -45,21 +44,23 @@ def normalize_whitespace(sql: str) -> str:
 def mine_pairs(
     sample: Sample,
     client,
-    db: str | Path | ReadOnlyHandle,
+    corpus: Corpus,
     n: int = DEFAULT_N_CANDIDATES,
     temperature: float = DEFAULT_TEMPERATURE,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> list[PreferencePair]:
-    """Generate, execute on ``db`` (a path or an open handle), and
-    partition candidates for one sample."""
-    gold_outcome = execute(db, sample.gold_sql, timeout)
+    """Generate, execute on the calling thread's handle of the sample's
+    base file in ``corpus``, and partition candidates for one sample. The
+    prompt shows the database's schema, read as that handle opened."""
+    db = corpus.handles(sample.db_id)
+    gold_outcome = execute(db.base, sample.gold_sql, timeout)
     if not gold_outcome.is_rows:
         raise GoldExecutionFailed(
             f"{sample.sample_id}: gold execution was {gold_outcome.kind}"
         )
     ordered = order_sensitive(sample.gold_sql)
 
-    prompt = render_prompt(sample.schema_tables, sample.question)
+    prompt = render_prompt(corpus.schema(sample.db_id).tables, sample.question)
     response = client.generate(
         GenerationRequest(prompt=prompt, temperature=temperature, n=n)
     )
@@ -73,15 +74,12 @@ def mine_pairs(
         if norm == gold_norm or norm in seen:
             continue
         seen.add(norm)  # one run and one verdict, even if nondeterministic
-        outcome = execute(db, candidate, timeout)
+        outcome = execute(db.base, candidate, timeout)
         if results_match(outcome, gold_outcome, ordered):
             continue  # execution-equivalent candidates are correct, not rejected
-        if outcome.kind == EXEC_ERROR:
-            reason = EXEC_ERROR_REASON
-        elif outcome.kind == TIMEOUT:
-            reason = TIMEOUT_REASON
-        else:
-            reason = RESULT_MISMATCH
+        reason = {EXEC_ERROR: EXEC_ERROR_REASON, TIMEOUT: TIMEOUT_REASON}.get(
+            outcome.kind, RESULT_MISMATCH
+        )
         pairs.append(
             PreferencePair(
                 prompt=prompt,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .executor import DEFAULT_TIMEOUT_SECS, TIMEOUT, ExecutionOutcome, ReadOnlyHandle, execute
-from .metrics import Sample
+from .metrics import Corpus, Sample
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
 from .sql_analysis import SYNTAX_ERROR, ValidityReport, classify_outcome, name_column_owner
@@ -82,17 +82,19 @@ def refine_sample(
     sample: Sample,
     generator,
     debugger,
-    db: str | Path | ReadOnlyHandle,
+    corpus: Corpus,
     max_iters: int = DEFAULT_MAX_ITERS,
     timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> RefineResult:
     """Run the full generate/check/debug loop for the sample's question,
-    prompting with ``sample.schema_tables``, its database's schema, and
-    checking every attempt on ``db``, a path or an open handle to that
-    database's file, which the caller keeps."""
+    prompting with its database's schema and checking every attempt on the
+    calling thread's handle of that database's base file in ``corpus``.
+    The schema is read as that handle opens, before any attempt runs."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    tables = sample.schema_tables
+    db = corpus.handles(sample.db_id)
+    db.base.open()  # which reads the schema, unless the corpus has it
+    tables = corpus.schema(sample.db_id).tables
 
     attempts: list[RefineAttempt] = []
     for iteration in range(max_iters):
@@ -109,7 +111,7 @@ def refine_sample(
             GenerationRequest(prompt=prompt, temperature=0.0, n=1)
         )
         sql = extract_sql(response.completions[0])
-        validity, outcome = invalid_check(sql, tables, db, timeout)
+        validity, outcome = invalid_check(sql, tables, db.base, timeout)
         attempts.append(
             RefineAttempt(
                 iteration=iteration,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,9 +60,6 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return fold(name) in self.by_folded_name
 
-    def column(self, name: str) -> ColumnSchema:
-        return self.by_folded_name[fold(name)]
-
 
 @dataclass(frozen=True)
 class ForeignKey:
@@ -84,9 +82,6 @@ class DatabaseSchema:
             raise ValueError(f"duplicate table names in database {self.db_id!r}")
         # The tables by fold() of their names; not a field, as above.
         object.__setattr__(self, "by_folded_name", by_name)
-
-    def table(self, name: str) -> TableSchema | None:
-        return self.by_folded_name.get(fold(name))
 
     def key_column_names(self) -> set[str]:
         """Folded names of all columns participating in a PK or FK."""
@@ -123,63 +118,67 @@ def introspect_database(
     """
     if sample_value_count < 0:
         raise ValueError(f"sample_value_count must not be negative, not {sample_value_count}")
-    path = Path(path)
-    conn = connect_read_only(path)
-    try:
-        try:
-            names = [
-                row[0]
-                for row in conn.execute(
-                    "SELECT name FROM sqlite_master "
-                    "WHERE type IN ('table', 'view') AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\' "
-                    "ORDER BY rowid"
-                )
-            ]
-        except sqlite3.DatabaseError as exc:
-            raise NotADatabaseError(f"{path}: {exc}") from exc
+    with closing(connect_read_only(Path(path))) as conn:
+        return read_schema(conn, path, db_id, sample_value_count)
 
-        tables = []
-        # Primary-key columns by place in the key (from 1), by folded table name.
-        keys: dict[str, dict[int, str]] = {}
-        declared = []  # (table name, row of PRAGMA foreign_key_list)
-        for table_name in names:
-            try:
-                info = conn.execute(f"PRAGMA table_xinfo({_quote_ident(table_name)})").fetchall()
-            except sqlite3.OperationalError:
-                continue
-            cols = []
-            for _, col_name, decl_type, _notnull, _default, pk, _hidden in info:
-                samples: tuple = ()
-                if sample_value_count > 0:
-                    try:
-                        cur = conn.execute(
-                            f"SELECT DISTINCT {_quote_ident(col_name)} "
-                            f"FROM {_quote_ident(table_name)} "
-                            f"WHERE {_quote_ident(col_name)} IS NOT NULL "
-                            f"AND typeof({_quote_ident(col_name)}) != 'blob' "
-                            f"AND (typeof({_quote_ident(col_name)}) != 'real' "
-                            f"OR abs({_quote_ident(col_name)}) < 9e999) "
-                            f"LIMIT {int(sample_value_count)}"
-                        )
-                        samples = tuple(row[0] for row in cur)
-                    except sqlite3.OperationalError:
-                        pass
-                cols.append(
-                    ColumnSchema(
-                        name=col_name,
-                        declared_type=decl_type or "",
-                        is_primary_key=bool(pk),
-                        sample_values=samples,
-                    )
-                )
-            tables.append(TableSchema(name=table_name, columns=tuple(cols)))
-            keys[fold(table_name)] = {row[5]: row[1] for row in info if row[5]}
-            declared.extend(
-                (table_name, row)
-                for row in conn.execute(f"PRAGMA foreign_key_list({_quote_ident(table_name)})")
+
+def read_schema(
+    conn: sqlite3.Connection, path: str | Path, db_id: str, sample_value_count: int = 0
+) -> DatabaseSchema:
+    """:func:`introspect_database` on ``conn``, an open connection to the
+    file at ``path`` with no authorizer, which the caller keeps."""
+    try:
+        names = [
+            row[0]
+            for row in conn.execute(
+                "SELECT name FROM sqlite_master "
+                "WHERE type IN ('table', 'view') AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\' "
+                "ORDER BY rowid"
             )
-    finally:
-        conn.close()
+        ]
+    except sqlite3.DatabaseError as exc:
+        raise NotADatabaseError(f"{path}: {exc}") from exc
+
+    tables = []
+    # Primary-key columns by place in the key (from 1), by folded table name.
+    keys: dict[str, dict[int, str]] = {}
+    declared = []  # (table name, row of PRAGMA foreign_key_list)
+    for table_name in names:
+        try:
+            info = conn.execute(f"PRAGMA table_xinfo({_quote_ident(table_name)})").fetchall()
+        except sqlite3.OperationalError:
+            continue
+        cols = []
+        for _, col_name, decl_type, _notnull, _default, pk, _hidden in info:
+            samples: tuple = ()
+            if sample_value_count > 0:
+                try:
+                    cur = conn.execute(
+                        f"SELECT DISTINCT {_quote_ident(col_name)} "
+                        f"FROM {_quote_ident(table_name)} "
+                        f"WHERE {_quote_ident(col_name)} IS NOT NULL "
+                        f"AND typeof({_quote_ident(col_name)}) != 'blob' "
+                        f"AND (typeof({_quote_ident(col_name)}) != 'real' "
+                        f"OR abs({_quote_ident(col_name)}) < 9e999) "
+                        f"LIMIT {int(sample_value_count)}"
+                    )
+                    samples = tuple(row[0] for row in cur)
+                except sqlite3.OperationalError:
+                    pass
+            cols.append(
+                ColumnSchema(
+                    name=col_name,
+                    declared_type=decl_type or "",
+                    is_primary_key=bool(pk),
+                    sample_values=samples,
+                )
+            )
+        tables.append(TableSchema(name=table_name, columns=tuple(cols)))
+        keys[fold(table_name)] = {row[5]: row[1] for row in info if row[5]}
+        declared.extend(
+            (table_name, row)
+            for row in conn.execute(f"PRAGMA foreign_key_list({_quote_ident(table_name)})")
+        )
     fks = []
     for table_name, (_id, seq, ref_table, from_col, to_col, *_) in declared:
         if to_col is None:

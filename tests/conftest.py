@@ -48,6 +48,13 @@ def samples(corpus, sample_records) -> list[metrics.Sample]:
     return metrics.samples_from_records(sample_records, metrics.Corpus(corpus.root))
 
 
+@pytest.fixture
+def db_corpus(corpus):
+    """A ``metrics.Corpus`` of the fixture corpus, closed when the test ends."""
+    with metrics.Corpus(corpus.root) as opened_corpus:
+        yield opened_corpus
+
+
 @pytest.fixture(scope="session")
 def schemas(corpus) -> dict[str, DatabaseSchema]:
     out = {}

@@ -109,10 +109,10 @@ def test_criterion_2_ex_oracle_equivalence(corpus, samples):
     ok(2, "results_match agreed with the brute-force comparator on 200/200 pairs")
 
 
-def test_criterion_3_reference_example_fidelity(corpus, samples):
+def test_criterion_3_reference_example_fidelity(corpus, samples, db_corpus):
     sample = next(s for s in samples if s.question == TRYOUT_QUESTION)
     client = MockModelClient([{"responses": [TRYOUT_REJECTED]}])
-    pairs = mine_pairs(sample, client, corpus.db_path(sample.db_id), n=1)
+    pairs = mine_pairs(sample, client, db_corpus, n=1)
     assert len(pairs) == 1
     pair = pairs[0]
     assert pair.chosen == TRYOUT_GOLD
@@ -140,7 +140,9 @@ def test_criterion_4_augmentation_invariants(corpus, samples, schemas, replica_o
 
     for i in range(1000):
         s = samples[i % len(samples)]
-        aug = cross_db_augment(s, cross_db_candidates(s.db_id, corpus_schemas), seed=i)
+        aug = cross_db_augment(
+            s, schemas[s.db_id].tables, cross_db_candidates(s.db_id, corpus_schemas), seed=i
+        )
         if aug.provenance.kind == CROSS_DB:
             n = len(aug.provenance.inserted_tables)
             if not 1 <= n <= 3:
@@ -202,7 +204,19 @@ def _failure_plan(samples):
     return plan
 
 
-def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
+class CountedClient:
+    """A model client that counts the calls made to it."""
+
+    def __init__(self, client):
+        self.client = client
+        self.calls = 0
+
+    def generate(self, request):
+        self.calls += 1
+        return self.client.generate(request)
+
+
+def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas, db_corpus):
     plan = _failure_plan(samples)
     fixed_ids = sorted(plan)[:6]
 
@@ -220,14 +234,14 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
                 dbg_entries.append(
                     {"match": s.question, "responses": [broken], "cycle": True}
                 )
-    generator = MockModelClient(gen_entries)
-    debugger = MockModelClient(dbg_entries)  # no catch-all: stray calls raise
+    generator = CountedClient(MockModelClient(gen_entries))
+    debugger = CountedClient(MockModelClient(dbg_entries))  # no catch-all: stray calls raise
 
     baseline_preds = {}
     pipeline_preds = {}
     debugger_iterations = 0
     for s in samples:
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, db_corpus)
         baseline_preds[s.sample_id] = result.attempts[0].sql
         pipeline_preds[s.sample_id] = result.final_sql
         debugger_iterations += result.iterations_used - 1
@@ -252,19 +266,19 @@ def test_criterion_5_reflection_loop_improvement(corpus, samples, schemas):
     assert pipeline.ex_accuracy == 46 / 50
     # Only the 10 failing samples contacted the debugger (the mock would
     # have raised on any other prompt); call count matches the traces.
-    assert debugger.call_count == debugger_iterations
-    assert generator.call_count == 50
+    assert debugger.calls == debugger_iterations
+    assert generator.calls == 50
     ok(5, "pipeline EX = baseline EX + 6/50 exactly; debugger used only on failures")
 
 
-def test_criterion_6_termination_and_budget(corpus, samples):
+def test_criterion_6_termination_and_budget(samples, db_corpus):
     s = samples[0]
     broken = "SELECT nothing FROM nowhere"
     generator = MockModelClient([{"responses": [broken], "cycle": True}])
     debugger = MockModelClient([{"responses": [broken], "cycle": True}])
     for max_iters in (1, 3, 5):
         result = refine_sample(
-            s, generator, debugger, corpus.db_path(s.db_id), max_iters=max_iters,
+            s, generator, debugger, db_corpus, max_iters=max_iters,
         )
         assert not result.succeeded
         assert result.iterations_used == max_iters

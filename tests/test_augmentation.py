@@ -23,8 +23,12 @@ from corpus_builder import build_sqlite_only_database
 
 
 def augment(sample, schemas, seed):
-    """Cross-db augment ``sample`` with the candidates found on ``schemas``."""
-    return cross_db_augment(sample, cross_db_candidates(sample.db_id, schemas), seed)
+    """Cross-db augment ``sample`` with the candidates found on ``schemas``,
+    which hold its own database's."""
+    own = next(schema for schema in schemas if schema.db_id == sample.db_id)
+    return cross_db_augment(
+        sample, own.tables, cross_db_candidates(sample.db_id, schemas), seed
+    )
 
 
 def sample_for(samples, db_id, fragment=""):
@@ -57,7 +61,7 @@ class TestCrossDb:
         s = sample_for(samples, "shop", "orders")
         aug = augment(s, [schemas["shop"]], 7)
         assert aug.provenance.kind == UNCHANGED
-        assert aug.schema_tables == s.schema_tables
+        assert aug.schema_tables == schemas["shop"].tables
 
     def test_deterministic(self, samples, schemas):
         corpus_schemas = list(schemas.values())
@@ -188,7 +192,7 @@ class TestInnerDb:
         # The gold must also read the same columns: a NATURAL join that lost
         # its shared column would still compile, as a cross join.
         schema = schemas["concert_singer"]
-        s = Sample("g", "concert_singer", "q", gold, schema.tables)
+        s = Sample("g", "concert_singer", "q", gold)
         reads = extract_references(gold, schema.tables)
         replica = replica_of("concert_singer")
         for seed in range(10):
@@ -205,7 +209,7 @@ class TestInnerDb:
         # SQLite folds ASCII letters only: "É" and "é" are two tables.
         path = build_sqlite_only_database(tmp_path / "pair.sqlite", "accented_table_pair")
         schema = introspect_database(path, "pair")
-        s = Sample("g", "pair", "q", gold, schema.tables)
+        s = Sample("g", "pair", "q", gold)
         with SchemaReplica(schema.tables) as replica:
             aug = inner_db_augment(s, replica, 1, p_table=0, p_col=0)
         assert [(t.name, t.column_names()) for t in aug.schema_tables] == [kept]
@@ -216,13 +220,12 @@ class TestInnerDb:
             s, replica_of("hr"), 3
         )
 
-    def test_gold_referencing_unknown_column_rejected(self, schemas, replica_of):
+    def test_gold_referencing_unknown_column_rejected(self, replica_of):
         s = Sample(
             sample_id="bad",
             db_id="shop",
             question="q",
             gold_sql="SELECT customers.phantom FROM customers",
-            schema_tables=schemas["shop"].tables,
         )
         with pytest.raises(GoldReferencesUnknownColumn):
             inner_db_augment(s, replica_of("shop"), 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlforge import cli, executor, schema_catalog
+from sqlforge import augmentation, cli, executor, metrics, schema_catalog
 from sqlforge.cli import run
 from sqlforge.executor import DEFAULT_TIMEOUT_SECS
 from sqlforge.model_client import HttpModelClient, make_client
@@ -153,6 +153,35 @@ class TestCorpusRoot:
         assert json.loads(capsys.readouterr().out)["ex_accuracy"] == 1.0
         # No database was opened, or made, under a shorter name.
         assert [p.name for p in root.parent.iterdir()] == [name]
+
+
+class TestMissingDatabase:
+    @pytest.mark.parametrize("command", ["eval", "mine", "refine", "cross-db", "inner-db"])
+    def test_is_an_error_line_before_any_connection(
+        self, corpus, sample_records, tmp_path, capsys, opened, command
+    ):
+        """A sample whose database has no file ends the run before any
+        database is opened, however late in the records it comes."""
+        records = [*sample_records, {**sample_records[0], "sample_id": "lost", "db_id": "lost"}]
+        samples, preds, out = (tmp_path / name for name in ("samples", "preds", "out"))
+        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        write_gold_preds(corpus, records, preds)
+        script = tmp_path / "mock.jsonl"
+        script.write_text(json.dumps({"responses": ["SELECT 1"], "cycle": True}) + "\n")
+        common = ["--samples", str(samples), "--corpus", str(corpus.root), "--out", str(out)]
+        argv = {
+            "eval": ["eval", *common, "--preds", str(preds)],
+            "mine": ["mine", *common, "--endpoint", f"mock:{script}"],
+            "refine": ["refine", *common, "--generator", f"mock:{script}",
+                       "--debugger", f"mock:{script}"],
+            "cross-db": ["augment", "--mode", "cross-db", *common],
+            "inner-db": ["augment", "--mode", "inner-db", *common],
+        }[command]
+        assert run(argv) == 1
+        expected = f"error: expected database file at {corpus_db_path(corpus.root, 'lost')}"
+        assert capsys.readouterr().err.splitlines() == [expected]
+        assert not out.exists()
+        assert opened == []
 
 
 class TestEval:
@@ -380,6 +409,45 @@ class TestAugment:
             assert raised in capsys.readouterr().err
         assert not opened.still_open()
 
+    def test_cross_db_follows_the_records_not_the_directory(
+        self, corpus, sample_records, tmp_path
+    ):
+        """Each group of candidate tables is in the order of its databases'
+        first samples in the records, which here is not the directory's.
+        Every fixture database is copied under two db_ids, so each group
+        holds a table of each copy."""
+        root = tmp_path / "copies"
+        records = []
+        for suffix in ("_b", "_a"):  # the directory lists "_a" first
+            for db_dir in sorted((corpus.root / "database").iterdir()):
+                db_id = db_dir.name + suffix
+                (root / "database" / db_id).mkdir(parents=True)
+                shutil.copyfile(corpus.db_path(db_dir.name), corpus_db_path(root, db_id))
+            records += [{**r, "sample_id": r["sample_id"] + suffix, "db_id": r["db_id"] + suffix}
+                        for r in sample_records]
+        samples, out = tmp_path / "samples.jsonl", tmp_path / "out.jsonl"
+        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run(["augment", "--mode", "cross-db", "--samples", str(samples),
+                    "--corpus", str(root), "--seed", "3", "--out", str(out)]) == 0
+        written = [json.loads(line) for line in out.read_text().splitlines()]
+
+        schemas = {db_id: schema_catalog.introspect_database(corpus_db_path(root, db_id), db_id)
+                   for db_id in sorted(p.name for p in (root / "database").iterdir())}
+
+        def augmented(order):
+            in_order = [schemas[db_id] for db_id in order]
+            return [
+                augmentation.augmented_to_record(augmentation.cross_db_augment(
+                    s, schemas[s.db_id].tables,
+                    augmentation.cross_db_candidates(s.db_id, in_order),
+                    augmentation.derive_seed(3, s.sample_id),
+                ))
+                for s in metrics.samples_from_records(records, metrics.Corpus(root))
+            ]
+
+        assert written == augmented(dict.fromkeys(r["db_id"] for r in records))
+        assert written != augmented(schemas)
+
     def test_different_seeds_differ(self, corpus, tmp_path):
         outs = []
         for seed in ("1", "2"):
@@ -537,6 +605,34 @@ class TestEndpointReplies:
         assert len(err) == 1 and err[0].startswith("error:") and "not a string" in err[0]
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    @pytest.mark.parametrize("status, body", [
+        (404, {"choices": [{"message": {"content": "SELECT 1"}}]}),
+        (400, {"error": {"message": "context length exceeded"}}),
+    ], ids=["404-with-choices", "400-context-length"])
+    def test_refused_status_is_an_error_line(
+        self, corpus, model_server, tmp_path, capsys, command, status, body
+    ):
+        """A reply outside 2xx is not a completion, whatever its body holds:
+        the run ends in one ``error:`` line naming the status and the start
+        of the body, with no output."""
+        model_server.script.append((status, json.dumps(body).encode()))
+        samples, out = tmp_path / "samples.jsonl", tmp_path / "out.jsonl"
+        with open(corpus.samples_path) as fh:
+            samples.write_text(next(line for line in fh if TRYOUT_QUESTION in line))
+        common = ["--samples", str(samples), "--corpus", str(corpus.root), "--out", str(out)]
+        if command == "mine":
+            argv = ["mine", *common, "--endpoint", model_server.url, "--n-candidates", "1"]
+        else:
+            argv = ["refine", *common, "--generator", model_server.url,
+                    "--debugger", model_server.url]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: HTTP {status} from "), err
+        assert next(iter(body)) in err[0]
+        assert not out.exists()
+        assert len(model_server.prompts) == 1
 
     @pytest.mark.parametrize("url,reason", [
         ("http:///v1", "it has no host"),
@@ -867,8 +963,8 @@ class TestCorpusHandles:
         script = self.mock(tmp_path, records, other)
         assert run(self.argv(command, corpus, tmp_path, records, script)) == 0
         path = str(corpus.db_path("shop"))
-        # One connection introspects the schema; one runs every statement.
-        assert len([d for d in opened.databases if path in d]) == 2
+        # One connection introspects the schema, then runs every statement.
+        assert len([d for d in opened.databases if path in d]) == 1
         assert not opened.still_open()
 
     @pytest.mark.parametrize("command", ["mine", "refine"])
@@ -876,9 +972,9 @@ class TestCorpusHandles:
         self, corpus, sample_records, tmp_path, monkeypatch, command
     ):
         """Samples start grouped by db_id, so a serial run connects to each
-        database once to introspect it and once to run its statements,
-        though the samples come back to each database, and still writes in
-        sample order."""
+        database once, to introspect it and run its statements, though the
+        samples come back to each database, and still writes in sample
+        order."""
         connected = []
         connect = executor.connect_read_only
 
@@ -892,7 +988,7 @@ class TestCorpusHandles:
         script = self.mock(tmp_path, sample_records, other)
         assert run(self.argv(command, corpus, tmp_path, sample_records, script)) == 0
         files = {f"{r['db_id']}.sqlite" for r in sample_records}
-        assert sorted(connected) == sorted([*files, *files])
+        assert sorted(connected) == sorted(files)
         order = [r["sample_id"] for r in sample_records]
         written = [json.loads(line)["sample_id"]
                    for line in (tmp_path / "out.jsonl").read_text().splitlines()]

@@ -197,6 +197,29 @@ class TestReadOnlyHandle:
         assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
         handle.close()
 
+    @pytest.mark.parametrize("error", [ValueError("stop"), sqlite3.OperationalError("stop")])
+    def test_on_open_reads_before_the_authorizer_and_a_failure_closes(self, corpus, opened,
+                                                                      error):
+        """The hook may run what model text may not; when it raises, the
+        connection is closed and the handle opens again at its next use.
+        A SQLite error there means the file cannot be read."""
+        read = []
+
+        def on_open(conn):
+            read.append(conn.execute("PRAGMA table_info(customers)").fetchall())
+            if len(read) == 1:
+                raise error
+
+        with ReadOnlyHandle(corpus.db_path("shop"), on_open=on_open) as handle:
+            expected = NotADatabaseError if isinstance(error, sqlite3.Error) else ValueError
+            with pytest.raises(expected, match="stop"):
+                handle.run("SELECT 1")
+            assert len(opened) == 1 and not opened.still_open()
+            assert handle.run("PRAGMA table_info(customers)").kind == "error"
+            assert handle.run("SELECT count(*) FROM customers").rows == ((4,),)
+        assert len(read) == 2 and read[0] == read[1] and read[0]
+        assert len(opened) == 2 and not opened.still_open()
+
 
 def counting(n):
     """A query that counts to ``n`` through a recursive CTE: CPU-bound

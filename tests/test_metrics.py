@@ -367,6 +367,121 @@ class TestHandleReuse:
         assert not opened.still_open()
 
 
+class TestSchemaOnTheRunningHandle:
+    """A database is introspected on the connection of the base-file handle
+    that runs its statements, before that handle's authorizer is installed."""
+
+    def test_eval_connects_once_per_file_it_runs_on(self, corpus, samples, opened,
+                                                    monkeypatch):
+        ran_on = set()
+        run = executor.ReadOnlyHandle.run
+
+        def recording_run(handle, sql, *args, **kwargs):
+            ran_on.add(handle.path)
+            return run(handle, sql, *args, **kwargs)
+
+        monkeypatch.setattr(executor.ReadOnlyHandle, "run", recording_run)
+        wrong = ["SELECT * FROM no_such_table", "SELECT nope FROM no_such_table", "SELECT FROM"]
+        preds = {s.sample_id: wrong[i % 4] if i % 4 < 3 else s.gold_sql
+                 for i, s in enumerate(samples)}
+        fixture_corpus = Corpus(corpus.root, corpus.variant_root)
+        report = evaluate_corpus(preds, samples, fixture_corpus)
+        assert report.error_histogram["WrongTableName"] > 0
+        # Every database was introspected, each on the handle of its base file.
+        assert set(fixture_corpus.schemas) == {s.db_id for s in samples}
+        assert any(path.parent.parent == corpus.variant_root for path in ran_on)
+        uris = sorted(f"{path.absolute().as_uri()}?mode=ro" for path in ran_on)
+        assert sorted(opened.databases) == uris
+        assert not opened.still_open()
+
+    @pytest.mark.parametrize("sql", [
+        # The text introspection ran on the connection, which SQLite caches.
+        'PRAGMA table_xinfo("customers")',
+        'PRAGMA foreign_key_list("customers")',
+        "PRAGMA table_info(customers)",
+        "ATTACH 'attached.sqlite' AS other",
+    ])
+    def test_a_handle_that_introspected_still_refuses_them(self, corpus, samples, tmp_path,
+                                                           monkeypatch, sql):
+        monkeypatch.chdir(tmp_path)  # where a relative ATTACH would make its file
+        subset = [s for s in samples if s.db_id == "shop"]
+        fixture_corpus = Corpus(corpus.root)
+        report = evaluate_corpus({s.sample_id: sql for s in subset}, subset, fixture_corpus)
+        assert "shop" in fixture_corpus.schemas
+        assert {v.outcome_kind for v in report.verdicts} == {executor.EXEC_ERROR}
+        assert list(tmp_path.iterdir()) == []
+        with fixture_corpus:
+            db = fixture_corpus.handles("shop")
+            db.base.open()
+            assert fixture_corpus.schema("shop").tables
+            assert db.base.run(sql).kind == executor.EXEC_ERROR
+
+    @pytest.mark.parametrize("ways", [("handle", "handle"), ("corpus", "corpus"),
+                                      ("handle", "corpus")])
+    def test_two_threads_get_one_schema(self, corpus, schemas, monkeypatch, ways):
+        """Two threads that both read ``shop``'s schema before either keeps
+        it get the one schema kept."""
+        together = threading.Barrier(2, timeout=10)
+
+        def meeting(read):
+            def wrapper(*args, **kwargs):
+                together.wait()
+                return read(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "read_schema", meeting(metrics.read_schema))
+        monkeypatch.setattr(metrics, "introspect_database",
+                            meeting(metrics.introspect_database))
+        got = []
+        with Corpus(corpus.root) as fixture_corpus:
+            def on_handle():
+                fixture_corpus.handles("shop").base.open()
+                return fixture_corpus.schema("shop")
+
+            ask = {"handle": on_handle, "corpus": lambda: fixture_corpus.schema("shop")}
+            threads = [threading.Thread(target=lambda way=way: got.append(ask[way]()))
+                       for way in ways]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+                assert not thread.is_alive()
+            assert fixture_corpus.schemas["shop"] is got[0]
+        assert len(got) == 2 and got[0] is got[1]
+        assert got[0] == schemas["shop"]
+
+    def test_many_threads_keep_one_schema_per_database(self, corpus, schemas):
+        """Eight threads, each opening its base-file handles or asking the
+        corpus in turn, with switches every microsecond: every thread sees
+        one schema object per database."""
+        db_ids = list(schemas)
+        seen = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Corpus(corpus.root) as fixture_corpus:
+                def work(k):
+                    got = {}
+                    for db_id in db_ids[k % 2::2] + db_ids[1 - k % 2::2]:
+                        if k % 2:
+                            fixture_corpus.handles(db_id).base.open()
+                        got[db_id] = fixture_corpus.schema(db_id)
+                    seen.append(got)
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                kept = dict(fixture_corpus.schemas)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(seen) == 8
+        assert all(got[db_id] is kept[db_id] for got in seen for db_id in db_ids)
+        assert kept == schemas
+
+
 class TestSchemaReplicaLifetime:
     """Eval builds no schema replica: each worker thread classifies an EX
     failure on its handle of the base file, and closes it with its other
@@ -905,8 +1020,12 @@ class TestSerialization:
     def test_samples_round_trip(self, corpus, sample_records):
         loaded = load_samples(corpus.samples_path)
         assert loaded == sample_records
-        samples = samples_from_records(loaded, Corpus(corpus.root))
-        assert all(s.schema_tables for s in samples)
+        fixture_corpus = Corpus(corpus.root)
+        samples = samples_from_records(loaded, fixture_corpus)
+        assert [dataclasses.astuple(s) for s in samples] == [
+            (r["sample_id"], r["db_id"], r["question"], r["gold_sql"]) for r in sample_records
+        ]
+        assert all(fixture_corpus.schema(s.db_id).tables for s in samples)
 
     def test_predictions_file(self, tmp_path):
         path = tmp_path / "preds.jsonl"

@@ -217,7 +217,8 @@ class TestEndpointConfig:
         script.write_text(json.dumps({"responses": ["SELECT 1"]}) + "\n")
         client = make_client(f"mock:{script}")
         assert isinstance(client, MockModelClient)
-        assert client.model_name == f"mock:{script}"
+        # It plays the script at the path.
+        assert client.generate(GenerationRequest(prompt="p")).completions == ("SELECT 1",)
 
     def test_parse_garbage_rejected(self):
         with pytest.raises(ValueError):
@@ -277,6 +278,17 @@ class TestHttpClient:
             assert elsewhere.targets == []
         finally:
             elsewhere.stop()
+    @pytest.mark.parametrize("status", [400, 404, 405, 409, 410, 413, 422])
+    def test_other_4xx_is_malformed_and_not_retried(self, model_server, status):
+        """A 4xx is not a completion, even when its body holds a valid list
+        of choices: the error names the status and the start of the body."""
+        body = {"choices": [{"message": {"content": "SELECT 1"}}], "error": "x" * 400}
+        model_server.script.append((status, json.dumps(body).encode()))
+        with pytest.raises(MalformedResponse, match=f"HTTP {status} from .*choices") as raised:
+            self.client(model_server.url).generate(GenerationRequest(prompt="p"))
+        assert len(str(raised.value)) < 400
+        assert len(model_server.prompts) == 1
+
     def test_completion_count_checked(self, model_server):
         one = {"choices": [{"message": {"content": "SELECT 1"}}]}
         model_server.script.append((200, json.dumps(one).encode()))

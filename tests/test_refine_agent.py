@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sqlforge.metrics import Corpus, evaluate_corpus
-from sqlforge.model_client import MockModelClient
+from sqlforge.model_client import GenerationRequest, MockModelClient
 from sqlforge.refine_agent import (
     DEBUGGER,
     GENERATOR,
@@ -32,10 +32,10 @@ ENDLESS = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELEC
 
 
 class TestInvalidCheck:
-    def test_gold_sql_passes(self, corpus, samples):
+    def test_gold_sql_passes(self, corpus, samples, schemas):
         s = samples[0]
         report, outcome = invalid_check(
-            s.gold_sql, s.schema_tables, corpus.db_path(s.db_id)
+            s.gold_sql, schemas[s.db_id].tables, corpus.db_path(s.db_id)
         )
         assert report.status == VALID
         assert outcome.is_rows
@@ -102,7 +102,7 @@ class TestBuildDebugPrompt:
 
 
 class TestParseQuestion:
-    def test_generator_success_short_circuits(self, corpus, samples):
+    def test_generator_success_short_circuits(self, samples, db_corpus):
         s = samples[0]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([{"responses": ["SHOULD NOT BE CALLED"]}])
@@ -110,16 +110,17 @@ class TestParseQuestion:
             s,
             generator,
             debugger,
-            corpus.db_path(s.db_id),
+            db_corpus,
             max_iters=3,
         )
         assert result.succeeded
         assert result.final_sql == s.gold_sql
         assert result.iterations_used == 1
-        assert debugger.call_count == 0
+        # The debugger's one scripted reply was never taken.
+        assert debugger.generate(GenerationRequest("p")).completions == ("SHOULD NOT BE CALLED",)
         assert [a.role for a in result.attempts] == [GENERATOR]
 
-    def test_debugger_fixes_wrong_table(self, corpus, samples):
+    def test_debugger_fixes_wrong_table(self, samples, db_corpus):
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT count(*) FROM wrong_table"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
@@ -127,7 +128,7 @@ class TestParseQuestion:
             s,
             generator,
             debugger,
-            corpus.db_path(s.db_id),
+            db_corpus,
             max_iters=3,
         )
         assert result.succeeded
@@ -135,7 +136,7 @@ class TestParseQuestion:
         assert [a.role for a in result.attempts] == [GENERATOR, DEBUGGER]
         assert result.final_sql == s.gold_sql
 
-    def test_budget_exhaustion(self, corpus, samples, replicas):
+    def test_budget_exhaustion(self, samples, replicas, db_corpus):
         s = samples[0]
         broken = "SELECT count(*) FROM never_exists"
         generator = MockModelClient([{"responses": [broken], "cycle": True}])
@@ -144,7 +145,7 @@ class TestParseQuestion:
             s,
             generator,
             debugger,
-            corpus.db_path(s.db_id),
+            db_corpus,
             max_iters=3,
         )
         assert not result.succeeded
@@ -155,59 +156,59 @@ class TestParseQuestion:
         # Every attempt was checked on the file: no replica was built.
         assert not replicas
 
-    def test_only_a_missing_column_widens_a_replica(self, corpus, samples, replicas):
+    def test_only_a_missing_column_widens_a_replica(self, samples, replicas, db_corpus, schemas):
         """Every attempt is checked on the file; a WrongColumnName attempt
         alone builds a replica, widened by its column, to name the table
         it was looked up in for the debugger."""
         s = samples[0]
-        table = s.schema_tables[0].name
+        table = schemas[s.db_id].tables[0].name
         generator = MockModelClient([{"responses": [f"SELECT nope FROM {table}"]}])
         debugger = MockModelClient([{"responses": [
             "SELECT * FROM no_such_table", "SELECT FROM", s.gold_sql,
         ]}])
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id), max_iters=4)
+        result = refine_sample(s, generator, debugger, db_corpus, max_iters=4)
         assert [a.validity.status for a in result.attempts] == [
             WRONG_COLUMN_NAME, WRONG_TABLE_NAME, SYNTAX_ERROR, VALID,
         ]
         assert result.attempts[0].validity.detail == f"nope not in {table}"
         assert (list(replicas), replicas.widened) == ([], ["nope"])
 
-    def test_each_attempt_runs_its_text_once(self, corpus, samples, statements):
+    def test_each_attempt_runs_its_text_once(self, samples, statements, db_corpus):
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT count(*) FROM wrong_table"]}])
         debugger = MockModelClient([{"responses": ["SELECT abs(-9223372036854775808)",
                                                    s.gold_sql]}])
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, db_corpus)
         assert result.succeeded
         assert statements == [a.sql for a in result.attempts]
 
-    def test_max_iters_must_be_positive(self, corpus, samples):
+    def test_max_iters_must_be_positive(self, samples, db_corpus):
         s = samples[0]
         client = MockModelClient([{"responses": ["x"], "cycle": True}])
         with pytest.raises(ValueError):
             refine_sample(
-                s, client, client, corpus.db_path(s.db_id), max_iters=0,
+                s, client, client, db_corpus, max_iters=0,
             )
 
-    def test_succeeded_implies_execution_rows(self, corpus, samples):
+    def test_succeeded_implies_execution_rows(self, corpus, samples, db_corpus):
         from sqlforge.executor import execute
 
         s = samples[5]
         generator = MockModelClient([{"responses": [s.gold_sql]}])
         debugger = MockModelClient([])
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, db_corpus)
         assert result.succeeded
         assert execute(corpus.db_path(s.db_id), result.final_sql).is_rows
 
 
 class TestTrace:
-    def test_trace_round_trip(self, corpus, samples, tmp_path):
+    def test_trace_round_trip(self, samples, tmp_path, db_corpus):
         import json
 
         s = samples[0]
         generator = MockModelClient([{"responses": ["SELECT nope FROM nada"]}])
         debugger = MockModelClient([{"responses": [s.gold_sql]}])
-        result = refine_sample(s, generator, debugger, corpus.db_path(s.db_id))
+        result = refine_sample(s, generator, debugger, db_corpus)
         write_trace(tmp_path, s.sample_id, result)
         data = json.loads((tmp_path / f"{s.sample_id}.json").read_text())
         assert data == result_to_dict(s.sample_id, result)
@@ -245,7 +246,7 @@ class TestEvalAndRefineAgree:
     @given(texts=st.lists(agreement_texts, min_size=1, max_size=3))
     @example(texts=[*RUNTIME_REFUSED, "VACUUM INTO 'vacuumed.sqlite'", "", ";", "-- c"])
     def test_a_failed_verdict_has_the_class_of_the_invalid_check(
-        self, corpus, samples, tmp_path, texts
+        self, corpus, samples, tmp_path, texts, schemas
     ):
         base = next(s for s in samples if s.db_id == "shop")
         cases = [dataclasses.replace(base, sample_id=f"p{i}") for i in range(len(texts))]
@@ -255,5 +256,5 @@ class TestEvalAndRefineAgree:
             report = evaluate_corpus(preds, cases, Corpus(corpus.root))
             for verdict in report.verdicts:
                 if not verdict.ex_match:
-                    check, _ = invalid_check(verdict.pred_sql, base.schema_tables, path)
+                    check, _ = invalid_check(verdict.pred_sql, schemas["shop"].tables, path)
                     assert verdict.failure_class == check.status, verdict.pred_sql

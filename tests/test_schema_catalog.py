@@ -14,6 +14,7 @@ from sqlforge.schema_catalog import (
     ForeignKey,
     TableSchema,
     _quote_ident,
+    fold,
     introspect_database,
     render_prompt,
 )
@@ -33,12 +34,12 @@ CREATE TABLE singer_in_concert(concert_ID, Singer_ID);
 def test_introspect_concert_singer(corpus):
     schema = introspect_database(corpus.db_path("concert_singer"), "concert_singer")
     assert [t.name for t in schema.tables] == ["stadium", "singer", "concert", "singer_in_concert"]
-    stadium = schema.table("stadium")
+    stadium = schema.by_folded_name[fold("stadium")]
     assert stadium.column_names() == [
         "Stadium_ID", "Location", "Name", "Capacity", "Highest", "Lowest", "Average",
     ]
-    assert stadium.column("Stadium_ID").is_primary_key
-    assert not stadium.column("Location").is_primary_key
+    assert stadium.by_folded_name[fold("Stadium_ID")].is_primary_key
+    assert not stadium.by_folded_name[fold("Location")].is_primary_key
 
 
 def test_introspect_foreign_keys_round_trip(tmp_path):
@@ -85,7 +86,7 @@ def test_sample_values_capped(corpus):
     for table in schema.tables:
         for col in table.columns:
             assert len(col.sample_values) <= 2
-    names = schema.table("singer").column("Name").sample_values
+    names = schema.by_folded_name[fold("singer")].by_folded_name[fold("Name")].sample_values
     assert len(names) == 2
 
 
@@ -173,12 +174,12 @@ def test_every_schema_sqlite_reads_introspects(tmp_path, name):
 def test_lookups_fold_ascii_case_only(tmp_path):
     path = build_sqlite_only_database(tmp_path / "pair.sqlite", "accented_table_pair")
     schema = introspect_database(path, "pair")
-    assert schema.table("é").name == "é"
-    assert schema.table("É").name == "É"
-    assert schema.table("C").name == "c"
-    assert schema.table("e") is None
-    assert schema.table("é").has_column("B")
-    assert not schema.table("É").has_column("b")
+    assert schema.by_folded_name[fold("é")].name == "é"
+    assert schema.by_folded_name[fold("É")].name == "É"
+    assert schema.by_folded_name[fold("C")].name == "c"
+    assert schema.by_folded_name.get(fold("e")) is None
+    assert schema.by_folded_name[fold("é")].has_column("B")
+    assert not schema.by_folded_name[fold("É")].has_column("b")
     assert schema.key_column_names() == {"id"}
 
 
