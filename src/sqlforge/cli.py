@@ -145,7 +145,10 @@ def _cmd_augment(args) -> int:
 
 def _cmd_mine(args) -> int:
     records = metrics.load_samples(args.samples)
-    with metrics.Corpus(args.corpus) as corpus, make_client(args.endpoint) as client:
+    with (
+        metrics.Corpus(args.corpus, timeout=args.exec_timeout_secs) as corpus,
+        make_client(args.endpoint) as client,
+    ):
         samples = metrics.samples_from_records(records, corpus)
 
         def mine(s):
@@ -155,7 +158,6 @@ def _cmd_mine(args) -> int:
                 corpus,
                 n=args.n_candidates,
                 temperature=args.temperature,
-                timeout=args.exec_timeout_secs,
             )
 
         per_sample = metrics.run_samples(mine, samples, client.max_in_flight)
@@ -169,7 +171,7 @@ def _cmd_mine(args) -> int:
 def _cmd_refine(args) -> int:
     records = metrics.load_samples(args.samples)
     with (
-        metrics.Corpus(args.corpus) as corpus,
+        metrics.Corpus(args.corpus, timeout=args.exec_timeout_secs) as corpus,
         make_client(args.generator) as generator,
         make_client(args.debugger) as debugger,
     ):
@@ -180,12 +182,7 @@ def _cmd_refine(args) -> int:
 
         def refine(s):
             return refine_agent.refine_sample(
-                s,
-                generator,
-                debugger,
-                corpus,
-                max_iters=args.max_iters,
-                timeout=args.exec_timeout_secs,
+                s, generator, debugger, corpus, max_iters=args.max_iters
             )
 
         width = min(generator.max_in_flight, debugger.max_in_flight)
@@ -204,16 +201,10 @@ def _cmd_refine(args) -> int:
 
 def _cmd_eval(args) -> int:
     records = metrics.load_samples(args.samples)
-    with metrics.Corpus(args.corpus, args.variants) as corpus:
+    with metrics.Corpus(args.corpus, args.variants, args.exec_timeout_secs) as corpus:
         samples = metrics.samples_from_records(records, corpus)
         predictions = metrics.load_predictions(args.preds)
-        report = metrics.evaluate_corpus(
-            predictions,
-            samples,
-            corpus,
-            parallelism=args.jobs,
-            timeout=args.exec_timeout_secs,
-        )
+        report = metrics.evaluate_corpus(predictions, samples, corpus, parallelism=args.jobs)
     # What asdict(report) gives, without the deep copy of every leaf that
     # asdict makes on Python 3.11.
     record = {**vars(report), "verdicts": [vars(v) for v in report.verdicts]}

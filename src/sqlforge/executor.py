@@ -225,6 +225,14 @@ def connect_read_only(path: Path, **kwargs) -> sqlite3.Connection:
         raise NotADatabaseError(f"{path}: {exc}") from exc
 
 
+def check_timeout(timeout: float) -> float:
+    """``timeout``, a statement deadline in seconds, if it is positive and
+    finite; otherwise a ValueError."""
+    if not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be positive and finite, not {timeout}")
+    return timeout
+
+
 class ReadOnlyHandle:
     """A read-only connection to one SQLite file, opened on first use and
     reusable for any number of queries until :meth:`close`.
@@ -278,8 +286,7 @@ class ReadOnlyHandle:
     def run(self, sql: str, timeout: float = DEFAULT_TIMEOUT_SECS) -> ExecutionOutcome:
         """Run one statement with a fresh deadline of ``timeout`` seconds,
         which must be positive and finite; text with no statement is an error."""
-        if not 0 < timeout < math.inf:
-            raise ValueError(f"timeout must be positive and finite, not {timeout}")
+        check_timeout(timeout)
         conn = self.open()
         start = time.monotonic()
         _WATCHDOG.arm(self, conn, start + timeout)

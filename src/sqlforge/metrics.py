@@ -20,6 +20,7 @@ from .executor import (
     DEFAULT_TIMEOUT_SECS,
     ExecutionOutcome,
     ReadOnlyHandle,
+    check_timeout,
     execute,
     results_match,
 )
@@ -159,23 +160,44 @@ class _DbHandles:
             self.replica.close()
 
 
+@dataclass
+class _Statement:
+    """One statement's outcome on each distinct file content of its
+    database, for the announced uses that still need it."""
+
+    #: One lock per file, held while the statement runs there.
+    locks: dict[Path, threading.Lock]
+    pending: int = 0
+    #: Outcomes by the first file with each content.
+    outcomes: dict[Path, ExecutionOutcome] = field(default_factory=dict)
+
+
 class Corpus:
     """One Spider-layout corpus, ``<root>/database/<db_id>/<db_id>.sqlite``,
     and, with ``variant_root``, each database's test-suite variants,
-    ``<variant_root>/<db_id>/*.sqlite`` in name order.
+    ``<variant_root>/<db_id>/*.sqlite`` in name order. Every pipeline
+    statement runs by :meth:`outcome`, with the deadline ``timeout``.
 
     It keeps one schema per database, lists each database's files once,
-    compares their bytes once, and keeps each thread's read-only handles
-    and schema replica for the database that thread is on. A database is
-    introspected on the connection of the first base-file handle opened
-    for it, or, asked for its schema with no such handle, on a connection
-    of its own. :meth:`close` closes every thread's handles and replicas;
-    the corpus stays usable afterwards. Use it as a context manager, or
-    call :meth:`close`."""
+    compares their bytes once, keeps each thread's read-only handles and
+    schema replica for the database that thread is on, and keeps announced
+    statements' outcomes. A database is introspected on the connection of
+    the first base-file handle opened for it, or, asked for its schema with
+    no such handle, on a connection of its own. :meth:`close` closes every
+    thread's handles and replicas and drops every outcome kept; the corpus
+    stays usable afterwards. Use it as a context manager, or call
+    :meth:`close`."""
 
-    def __init__(self, root: str | Path, variant_root: str | Path | None = None):
+    def __init__(
+        self,
+        root: str | Path,
+        variant_root: str | Path | None = None,
+        timeout: float = DEFAULT_TIMEOUT_SECS,
+    ):
         self.root = Path(root)
         self.variant_root = Path(variant_root) if variant_root is not None else None
+        #: Each statement's deadline, in seconds.
+        self.timeout = check_timeout(timeout)
         #: Schemas by db_id, as read.
         self.schemas: dict[str, DatabaseSchema] = {}
         self._files: dict[str, list[Path]] = {}
@@ -184,6 +206,9 @@ class Corpus:
         self._copies_lock = threading.Lock()
         #: Each thread's handles, by thread id; a thread only touches its own.
         self._open: dict[int, _DbHandles] = {}
+        #: Announced statements' outcomes by (db_id, sql), shared by all threads.
+        self._statements: dict[tuple[str, str], _Statement] = {}
+        self._statements_lock = threading.Lock()
 
     def __enter__(self) -> "Corpus":
         return self
@@ -243,76 +268,54 @@ class Corpus:
                 self._copies[db_id] = _first_copies(files)
             return self._copies[db_id][path]
 
-    def close(self) -> None:
-        for handles in self._open.values():
-            handles.close()
-        self._open.clear()
+    def expect(self, db_id: str, sqls: Sequence[str]) -> None:
+        """Announce one more use of the outcomes of each of ``sqls`` on
+        ``db_id``'s files, so that they are kept until :meth:`finished`
+        releases it. Announce before the threads that use them start."""
+        files = self.files(db_id)
+        with self._statements_lock:
+            for sql in sqls:
+                statement = self._statements.get((db_id, sql))
+                if statement is None:
+                    locks = {path: threading.Lock() for path in files}
+                    statement = self._statements[(db_id, sql)] = _Statement(locks)
+                statement.pending += 1
 
-
-@dataclass
-class _Statement:
-    """One statement's outcome on each distinct file content of its
-    database, for the samples that still need it."""
-
-    #: One lock per file, held while the statement runs there.
-    locks: dict[Path, threading.Lock]
-    pending: int = 0
-    #: Outcomes by the first file with each content.
-    outcomes: dict[Path, ExecutionOutcome] = field(default_factory=dict)
-
-
-def _statement_keys(sample: Sample, pred_sql: str | None) -> list[tuple[str, str]]:
-    """The outcome-cache keys a sample reads: its gold and its prediction."""
-    keys = [(sample.db_id, sample.gold_sql)]
-    if pred_sql is not None:
-        keys.append((sample.db_id, pred_sql))
-    return keys
-
-
-@dataclass
-class _EvalContext:
-    """One eval run's outcome cache, on ``corpus``'s files."""
-
-    corpus: Corpus
-    timeout: float
-    #: Gold and prediction outcomes by (db_id, sql), shared by all threads.
-    statements: dict[tuple[str, str], _Statement] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
-
-    def expect(self, sample: Sample, pred_sql: str | None) -> None:
-        """Note, before any thread starts, one more sample that needs the
-        outcomes of its gold query and of its prediction."""
-        files = self.corpus.files(sample.db_id)
-        for key in _statement_keys(sample, pred_sql):
-            if key not in self.statements:
-                self.statements[key] = _Statement(locks={p: threading.Lock() for p in files})
-            self.statements[key].pending += 1
-
-    def outcome(self, db: _DbHandles, sql: str, path: Path) -> ExecutionOutcome:
-        """``sql``'s outcome on the bytes of ``path``, one of ``db``'s
-        files. It runs once per distinct content, on the first file with
-        those bytes: a thread that needs an outcome another is computing
-        waits for it."""
-        source = self.corpus.first_copy(db.db_id, path)
-        statement = self.statements[(db.db_id, sql)]
+    def outcome(self, db_id: str, sql: str, path: Path | None = None) -> ExecutionOutcome:
+        """``sql``'s outcome on ``path``, one of ``db_id``'s files (the
+        base file when None), run on the calling thread's handle of the
+        first file with its bytes. An announced statement runs once per
+        distinct content until released: a thread that needs an outcome
+        another is computing waits for it. Any other runs each time, and
+        its outcome is not kept."""
+        db = self.handles(db_id)
+        source = self.files(db_id)[0] if path is None else self.first_copy(db_id, path)
+        statement = self._statements.get((db_id, sql))
+        if statement is None:
+            return execute(db.on[source], sql, self.timeout)
         with statement.locks[source]:
             if source not in statement.outcomes:
                 statement.outcomes[source] = execute(db.on[source], sql, self.timeout)
             return statement.outcomes[source]
 
-    def finished(self, sample: Sample, pred_sql: str | None) -> None:
-        """Drop the outcomes of the sample's gold and prediction once the
-        last sample needing them is done, whether it passed or failed."""
-        with self._lock:
-            for key in _statement_keys(sample, pred_sql):
-                statement = self.statements[key]
+    def finished(self, db_id: str, sqls: Sequence[str]) -> None:
+        """Release one announced use of each of ``sqls`` on ``db_id``,
+        whether it ran or not; the last release drops the outcomes."""
+        with self._statements_lock:
+            for sql in sqls:
+                statement = self._statements[(db_id, sql)]
                 statement.pending -= 1
                 if not statement.pending:
-                    del self.statements[key]
+                    del self._statements[(db_id, sql)]
+
+    def close(self) -> None:
+        for handles in self._open.values():
+            handles.close()
+        self._open.clear()
+        self._statements.clear()
 
 
-def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> EvalVerdict:
-    corpus = ctx.corpus
+def _evaluate_one(corpus: Corpus, sample: Sample, pred_sql: str | None) -> EvalVerdict:
     base, *suite = corpus.files(sample.db_id)
     if pred_sql is None:
         return EvalVerdict(
@@ -323,10 +326,9 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
             failure_class=sql_analysis.SYNTAX_ERROR,
             outcome_kind=executor.EXEC_ERROR,
         )
-    db = corpus.handles(sample.db_id)
     order = order_sensitive(sample.gold_sql)
-    gold = ctx.outcome(db, sample.gold_sql, base)
-    pred_outcome = ctx.outcome(db, pred_sql, base)
+    gold = corpus.outcome(sample.db_id, sample.gold_sql)
+    pred_outcome = corpus.outcome(sample.db_id, pred_sql)
     ex = results_match(pred_outcome, gold, order)
     # Verdicts by first copy: a file with the bytes of one already compared
     # (the base file included) takes that file's verdict.
@@ -335,8 +337,9 @@ def _evaluate_one(ctx: _EvalContext, sample: Sample, pred_sql: str | None) -> Ev
     def matches_on(path: Path) -> bool:
         first = corpus.first_copy(sample.db_id, path)
         if first not in verdicts:
-            gold = ctx.outcome(db, sample.gold_sql, first)
-            verdicts[first] = results_match(ctx.outcome(db, pred_sql, first), gold, order)
+            gold = corpus.outcome(sample.db_id, sample.gold_sql, first)
+            pred = corpus.outcome(sample.db_id, pred_sql, first)
+            verdicts[first] = results_match(pred, gold, order)
         return verdicts[first]
 
     ts: bool | None = None
@@ -469,40 +472,43 @@ def evaluate_corpus(
     samples: list[Sample],
     corpus: Corpus,
     parallelism: int = 1,
-    timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> EvalReport:
     """Score every sample on ``corpus``, with TS on its variants if it has
     a variant root; missing predictions count as failures. The report is
     deterministic regardless of ``parallelism``.
 
+    Every statement runs through ``corpus.outcome``, with its deadline.
     Samples run through :func:`run_samples`, grouped by db_id, so each
     thread keeps its database's read-only handles open across samples, and
     classifies an EX failure by its prediction's outcome on the base file.
     They run on the calling thread until one takes
-    :data:`WIDEN_AFTER_SECS`, then up to ``parallelism`` at once. All of
-    ``corpus``'s handles are closed before this returns or raises."""
+    :data:`WIDEN_AFTER_SECS`, then up to ``parallelism`` at once.
+    ``corpus`` is closed before this returns or raises."""
     unknown = set(predictions) - {s.sample_id for s in samples}
     if unknown:
         raise CorpusLayoutError(f"predictions for unknown sample ids: {sorted(unknown)}")
-    ctx = _EvalContext(corpus=corpus, timeout=timeout)
+
+    def statements(s: Sample) -> list[str]:
+        """The statements whose outcomes ``s`` reads: its gold and its prediction."""
+        pred_sql = predictions.get(s.sample_id)
+        return [s.gold_sql] if pred_sql is None else [s.gold_sql, pred_sql]
+
     # List each database's files serially, checking that its base file
     # exists, so worker threads only read the list, and count the samples
     # that need each statement's outcomes.
     for s in samples:
-        ctx.expect(s, predictions.get(s.sample_id))
+        corpus.expect(s.db_id, statements(s))
 
     def evaluate(s: Sample) -> EvalVerdict:
-        pred_sql = predictions.get(s.sample_id)
         try:
-            return _evaluate_one(ctx, s, pred_sql)
+            return _evaluate_one(corpus, s, predictions.get(s.sample_id))
         finally:
-            ctx.finished(s, pred_sql)
+            corpus.finished(s.db_id, statements(s))
 
     try:
         results = run_samples(evaluate, samples, parallelism)
     finally:
-        # Samples cancelled after a failure never finish: drop what they held.
-        ctx.statements.clear()
+        # Samples cancelled after a failure never finish: closing drops what they held.
         corpus.close()
     verdicts = sorted(results, key=lambda v: v.sample_id)
 

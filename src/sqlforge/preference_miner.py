@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import GoldExecutionFailed
-from .executor import DEFAULT_TIMEOUT_SECS, EXEC_ERROR, TIMEOUT, execute, results_match
+from .executor import EXEC_ERROR, TIMEOUT, results_match
+from .executor import execute  # noqa: F401 -- bench/tracer.py wraps this name
 from .metrics import Corpus, Sample, order_sensitive
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
@@ -47,13 +48,11 @@ def mine_pairs(
     corpus: Corpus,
     n: int = DEFAULT_N_CANDIDATES,
     temperature: float = DEFAULT_TEMPERATURE,
-    timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> list[PreferencePair]:
-    """Generate, execute on the calling thread's handle of the sample's
-    base file in ``corpus``, and partition candidates for one sample. The
-    prompt shows the database's schema, read as that handle opened."""
-    db = corpus.handles(sample.db_id)
-    gold_outcome = execute(db.base, sample.gold_sql, timeout)
+    """Generate, run with ``corpus.outcome`` on the sample's base file, and
+    partition candidates for one sample. The prompt shows the database's
+    schema, read as the calling thread's handle of that file opened."""
+    gold_outcome = corpus.outcome(sample.db_id, sample.gold_sql)
     if not gold_outcome.is_rows:
         raise GoldExecutionFailed(
             f"{sample.sample_id}: gold execution was {gold_outcome.kind}"
@@ -74,7 +73,7 @@ def mine_pairs(
         if norm == gold_norm or norm in seen:
             continue
         seen.add(norm)  # one run and one verdict, even if nondeterministic
-        outcome = execute(db.base, candidate, timeout)
+        outcome = corpus.outcome(sample.db_id, candidate)
         if results_match(outcome, gold_outcome, ordered):
             continue  # execution-equivalent candidates are correct, not rejected
         reason = {EXEC_ERROR: EXEC_ERROR_REASON, TIMEOUT: TIMEOUT_REASON}.get(

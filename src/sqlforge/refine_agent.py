@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .executor import DEFAULT_TIMEOUT_SECS, TIMEOUT, ExecutionOutcome, ReadOnlyHandle, execute
+from .executor import TIMEOUT, ExecutionOutcome
+from .executor import execute  # noqa: F401 -- bench/tracer.py wraps this name
 from .metrics import Corpus, Sample
 from .model_client import GenerationRequest, extract_sql
 from .schema_catalog import render_prompt
@@ -43,22 +44,16 @@ class RefineResult:
     iterations_used: int
 
 
-def invalid_check(
-    sql: str,
-    tables,
-    db: str | Path | ReadOnlyHandle,
-    timeout: float = DEFAULT_TIMEOUT_SECS,
-) -> tuple[ValidityReport, ExecutionOutcome]:
-    """Run ``sql`` once on ``db``, a path or an open handle to the file
-    whose schema is ``tables``, and classify that run's outcome, which is
-    returned with the report. A rows outcome is Valid, an empty result set
-    included; a timeout is a SyntaxError naming the timeout, and an error
-    is classified by SQLite's message. A WrongColumnName report names the
-    table the column was looked up in, when there is one."""
-    outcome = execute(db, sql, timeout)
+def invalid_check(sql: str, tables, outcome: ExecutionOutcome, timeout: float) -> ValidityReport:
+    """Classify ``outcome``, the run of ``sql`` with deadline ``timeout`` on
+    the file whose schema is ``tables``; it runs nothing. A rows outcome is
+    Valid, an empty result set included; a timeout is a SyntaxError naming
+    the timeout, and an error is classified by SQLite's message. A
+    WrongColumnName report names the table the column was looked up in,
+    when there is one."""
     if outcome.kind == TIMEOUT:
-        return ValidityReport(SYNTAX_ERROR, f"execution exceeded {timeout}s timeout"), outcome
-    return name_column_owner(sql, tables, classify_outcome(sql, tables, outcome)), outcome
+        return ValidityReport(SYNTAX_ERROR, f"execution exceeded {timeout}s timeout")
+    return name_column_owner(sql, tables, classify_outcome(sql, tables, outcome))
 
 
 def build_debug_prompt(
@@ -84,16 +79,15 @@ def refine_sample(
     debugger,
     corpus: Corpus,
     max_iters: int = DEFAULT_MAX_ITERS,
-    timeout: float = DEFAULT_TIMEOUT_SECS,
 ) -> RefineResult:
     """Run the full generate/check/debug loop for the sample's question,
-    prompting with its database's schema and checking every attempt on the
-    calling thread's handle of that database's base file in ``corpus``.
-    The schema is read as that handle opens, before any attempt runs."""
+    prompting with its database's schema and checking every attempt by its
+    run with ``corpus.outcome`` on that database's base file. The schema is
+    read as the calling thread's handle of that file opens, before the
+    first model call."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    db = corpus.handles(sample.db_id)
-    db.base.open()  # which reads the schema, unless the corpus has it
+    corpus.handles(sample.db_id).base.open()  # which reads the schema, unless the corpus has it
     tables = corpus.schema(sample.db_id).tables
 
     attempts: list[RefineAttempt] = []
@@ -111,7 +105,8 @@ def refine_sample(
             GenerationRequest(prompt=prompt, temperature=0.0, n=1)
         )
         sql = extract_sql(response.completions[0])
-        validity, outcome = invalid_check(sql, tables, db.base, timeout)
+        outcome = corpus.outcome(sample.db_id, sql)
+        validity = invalid_check(sql, tables, outcome, corpus.timeout)
         attempts.append(
             RefineAttempt(
                 iteration=iteration,

@@ -4,6 +4,7 @@ times each subcommand's set-up to the first call of one such attribute. A
 subcommand that stops calling its attribute is reported as all set-up, so
 these tests run every subcommand with the worker's own probe in place."""
 
+import ast
 import importlib
 import json
 import sys
@@ -38,6 +39,34 @@ def test_tracer_installs_and_uninstalls(bench):
     finally:
         t.uninstall()
     assert [getattr(owner, attr) for owner, attr in originals] == before
+
+
+#: The comment on each ``src/`` import kept only for bench/tracer.py to wrap.
+TRACER_ONLY = "# noqa: F401 -- bench/tracer.py wraps this name"
+
+
+def test_tracer_only_imports_are_wrapped_and_otherwise_unused(bench):
+    """Each import marked :data:`TRACER_ONLY` brings in a name that
+    bench/tracer.py wraps in that module, and the module never uses the
+    name itself; so when the tracer stops wrapping it, this names the dead
+    import."""
+    import tracer
+
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        marked = {n for n, line in enumerate(source.splitlines(), 1) if line.endswith(TRACER_ONLY)}
+        nodes = list(ast.walk(ast.parse(source)))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        imports = [n for n in nodes if isinstance(n, ast.ImportFrom) and n.end_lineno in marked]
+        assert len(imports) == len(marked), f"{path.name}: a marked line ends no import"
+        found += [(f"sqlforge.{path.stem}", a.asname or a.name, used)
+                  for node in imports for a in node.names]
+    assert found
+    wrapped = {(path, attr) for path, attr, _, _ in tracer.WRAPS}
+    for module, name, used in found:
+        assert (module, name) in wrapped, f"{module}.{name} is imported for a wrap that is gone"
+        assert name not in used, f"{module} uses {name}, so its import is not tracer-only"
 
 
 def _mock(path: Path, entries: list[dict]) -> str:

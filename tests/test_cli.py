@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sqlforge
 from sqlforge import augmentation, cli, executor, metrics, schema_catalog
 from sqlforge.cli import run
 from sqlforge.executor import DEFAULT_TIMEOUT_SECS
-from sqlforge.model_client import HttpModelClient, make_client
+from sqlforge.model_client import HttpModelClient, MockModelClient, make_client
 from sqlforge.schema_catalog import corpus_db_path
 
 from corpus_builder import (
@@ -77,6 +79,23 @@ class TestUsage:
         flags = {name: {o for a in p._actions for o in a.option_strings}
                  for name, p in [(None, parser), *commands.items()]}
         assert documented == {name: f - {"-h", "--help"} for name, f in flags.items()}
+
+
+def test_readme_library_signatures_match_the_code():
+    """Each ``name(a, b, ...)`` in README's Library section whose name the
+    package exports lists a prefix of that callable's parameter names, in
+    order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = " ".join(readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0].split())
+    checked = set()
+    for name, params in re.findall(r"`(\w+)\(([^`]*)\)`", library):
+        if name in sqlforge.__all__:
+            documented = [p.split("=")[0].strip() for p in params.split(",") if p.strip()]
+            real = list(inspect.signature(getattr(sqlforge, name)).parameters)
+            assert documented == real[: len(documented)], name
+            checked.add(name)
+    assert {"Corpus", "invalid_check", "mine_pairs", "refine_sample",
+            "evaluate_corpus"} <= checked
 
 
 class TestIntrospect:
@@ -1132,21 +1151,55 @@ class TestConcurrentSamples:
         assert len(started_after) <= self.WIDTH
 
 
+class TestDeadline:
+    """The statement deadline is checked once, as the ``Corpus`` is built,
+    before any model call or statement."""
+
+    @pytest.mark.parametrize("value,shown", [
+        ("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "mine", "refine"])
+    def test_a_bad_deadline_is_one_error_line_and_nothing_runs(
+        self, corpus, tmp_path, capsys, monkeypatch, statements, command, value, shown
+    ):
+        calls = []
+        monkeypatch.setattr(MockModelClient, "generate",
+                            lambda client, request: calls.append(request))
+        mock = f"mock:{tmp_path / 'mock.jsonl'}"
+        (tmp_path / "mock.jsonl").write_text(
+            json.dumps({"responses": ["SELECT 1"], "cycle": True}) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")  # no prediction, so eval itself runs no statement
+        out = tmp_path / "out"
+        common = ["--samples", str(corpus.samples_path), "--corpus", str(corpus.root),
+                  "--exec-timeout-secs", value]
+        argv = {
+            "eval": ["eval", *common, "--preds", str(preds), "--out", str(out)],
+            "mine": ["mine", *common, "--endpoint", mock, "--out", str(out)],
+            "refine": ["refine", *common, "--generator", mock, "--debugger", mock,
+                       "--out", str(out)],
+        }[command]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: timeout must be positive and finite, not {shown}\n")
+        assert (calls, statements, out.exists()) == ([], [], False)
+
+
 class TestArgumentFiles:
     """``@FILE`` puts the arguments in FILE, one per line, in its place; a
     flag there is read exactly as one on the command line."""
 
     @staticmethod
     def eval_run(corpus, sample_records, tmp_path, monkeypatch, args_file, argv):
-        """Exit code and the (parallelism, timeout) of each evaluate_corpus
-        call for ``eval`` with ``argv``, where "@" stands for a file holding
-        ``args_file``."""
+        """Exit code and the (parallelism, corpus timeout) of each
+        evaluate_corpus call for ``eval`` with ``argv``, where "@" stands for
+        a file holding ``args_file``."""
         calls = []
         evaluate = cli.metrics.evaluate_corpus
 
-        def spy(*args, parallelism, timeout, **kwargs):
-            calls.append((parallelism, timeout))
-            return evaluate(*args, parallelism=parallelism, timeout=timeout, **kwargs)
+        def spy(predictions, samples, corpus, *, parallelism, **kwargs):
+            calls.append((parallelism, corpus.timeout))
+            return evaluate(predictions, samples, corpus, parallelism=parallelism, **kwargs)
 
         monkeypatch.setattr(cli.metrics, "evaluate_corpus", spy)
         preds = tmp_path / "preds.jsonl"

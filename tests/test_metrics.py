@@ -285,7 +285,7 @@ class TestEvaluateCorpus:
         }
         cases = [dataclasses.replace(base, sample_id=k) for k in texts]
         monkeypatch.chdir(tmp_path)  # a relative VACUUM INTO target lands here
-        report = evaluate_corpus(texts, cases, Corpus(corpus.root), timeout=0.05)
+        report = evaluate_corpus(texts, cases, Corpus(corpus.root, timeout=0.05))
         classes = {v.sample_id: (v.outcome_kind, v.failure_class) for v in report.verdicts}
         assert classes == {
             "overflow": ("error", "SyntaxError"),
@@ -603,22 +603,15 @@ def executed(monkeypatch):
 
 @pytest.fixture
 def held_at_close(monkeypatch):
-    """The statement outcomes an eval run still held when it closed its
-    handles."""
-    held, contexts = [], []
-
-    class RecordingContext(metrics._EvalContext):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            contexts.append(self)
-
+    """The statement outcomes a corpus still held once an eval run closed
+    it, one entry per close."""
+    held = []
     close = metrics.Corpus.close
 
     def recording_close(corpus):
-        held.extend(dict(ctx.statements) for ctx in contexts if ctx.corpus is corpus)
         close(corpus)
+        held.append(dict(corpus._statements))
 
-    monkeypatch.setattr(metrics, "_EvalContext", RecordingContext)
     monkeypatch.setattr(metrics.Corpus, "close", recording_close)
     return held
 
@@ -851,10 +844,9 @@ class TestGoldOutcomeCache:
         order = data.draw(st.permutations(cases))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "execute",
-                       lambda db, sql, timeout: executor.execute(db.path, sql, timeout))
-            mp.setattr(metrics._EvalContext, "outcome",
-                       lambda ctx, db, sql, path: executor.execute(path, sql, ctx.timeout))
+            mp.setattr(metrics.Corpus, "outcome",
+                       lambda c, db_id, sql, path=None: executor.execute(
+                           path or c.files(db_id)[0], sql, c.timeout))
             reference = dataclasses.asdict(evaluate_corpus(
                 preds, order, Corpus(corpus.root, corpus.variant_root)))
 

@@ -3,7 +3,6 @@ from dataclasses import asdict
 
 import pytest
 
-from sqlforge import preference_miner
 from sqlforge.errors import GoldExecutionFailed
 from sqlforge.metrics import Sample
 from sqlforge.model_client import MockModelClient
@@ -46,22 +45,15 @@ class TestMinePairs:
         pairs = mine_pairs(s, client, db_corpus, n=4)
         assert pairs == []
 
-    def test_each_distinct_candidate_runs_once(self, samples, monkeypatch, db_corpus):
+    def test_each_distinct_candidate_runs_once(self, samples, statements, db_corpus):
         s = next(s for s in samples if "min(player.hs)" in s.gold_sql)
         equivalent = (
             "SELECT min(player.hs) , tryout.ppos FROM player JOIN tryout "
             "ON player.pid = tryout.pid GROUP BY tryout.ppos"
         )
-        runs = []
-
-        def counting_execute(db, sql, timeout):
-            runs.append(sql)
-            return execute(db, sql, timeout)
-
-        monkeypatch.setattr(preference_miner, "execute", counting_execute)
         client = MockModelClient([{"responses": [equivalent] * 4}])
         assert mine_pairs(s, client, db_corpus, n=4) == []
-        assert runs == [s.gold_sql, equivalent]
+        assert statements == [s.gold_sql, equivalent]
 
     def test_duplicate_rejections_deduped(self, samples, db_corpus):
         s = tryout_sample(samples)

@@ -31,48 +31,53 @@ from test_cli import HOSTILE_PIECES
 ENDLESS = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELECT count(*) FROM c"
 
 
+def checked(corpus: Corpus, db_id: str, sql: str, tables):
+    """The invalid check of ``sql``'s run on ``db_id`` in ``corpus``, with
+    that outcome."""
+    outcome = corpus.outcome(db_id, sql)
+    return invalid_check(sql, tables, outcome, corpus.timeout), outcome
+
+
 class TestInvalidCheck:
-    def test_gold_sql_passes(self, corpus, samples, schemas):
+    def test_gold_sql_passes(self, db_corpus, samples, schemas):
         s = samples[0]
-        report, outcome = invalid_check(
-            s.gold_sql, schemas[s.db_id].tables, corpus.db_path(s.db_id)
-        )
+        report, outcome = checked(db_corpus, s.db_id, s.gold_sql, schemas[s.db_id].tables)
         assert report.status == VALID
         assert outcome.is_rows
 
-    def test_compile_error_is_classified_with_its_outcome(self, corpus, schemas):
-        report, outcome = invalid_check(
-            "SELECT * FROM no_such_table", schemas["shop"].tables, corpus.db_path("shop")
+    def test_compile_error_is_classified_with_its_outcome(self, db_corpus, schemas):
+        report, outcome = checked(
+            db_corpus, "shop", "SELECT * FROM no_such_table", schemas["shop"].tables
         )
         assert report == ValidityReport(WRONG_TABLE_NAME, "no_such_table")
         assert (outcome.kind, outcome.error_message) == ("error", "no such table: no_such_table")
 
     @pytest.mark.parametrize("sql", ["", ";", "-- c"])
-    def test_text_with_no_statement_is_a_syntax_error(self, corpus, schemas, sql):
-        report, outcome = invalid_check(sql, schemas["shop"].tables, corpus.db_path("shop"))
+    def test_text_with_no_statement_is_a_syntax_error(self, db_corpus, schemas, sql):
+        report, outcome = checked(db_corpus, "shop", sql, schemas["shop"].tables)
         assert report == ValidityReport(SYNTAX_ERROR, "no statement to run")
         assert outcome.kind == "error"
 
     def test_timeout_is_a_syntax_error_with_its_outcome(self, corpus, schemas):
-        report, outcome = invalid_check(
-            ENDLESS, schemas["shop"].tables, corpus.db_path("shop"), timeout=0.05
-        )
+        with Corpus(corpus.root, timeout=0.05) as short:
+            report, outcome = checked(short, "shop", ENDLESS, schemas["shop"].tables)
         assert report == ValidityReport(SYNTAX_ERROR, "execution exceeded 0.05s timeout")
         assert outcome.kind == "timeout"
 
-    def test_runtime_error_downgrades_static_pass(self, corpus, schemas):
+    def test_runtime_error_downgrades_static_pass(self, db_corpus, schemas):
         # Statically fine (names resolve) but fails in the engine at runtime.
         sql = "SELECT json_extract(name, 'not a path') FROM customers"
-        report, outcome = invalid_check(sql, schemas["shop"].tables, corpus.db_path("shop"))
+        report, outcome = checked(db_corpus, "shop", sql, schemas["shop"].tables)
         assert not report.is_valid
         assert outcome.kind == "error"
         assert report.detail  # carries the engine message
 
-    def test_empty_result_is_valid(self, corpus, schemas):
-        report, outcome = invalid_check(
+    def test_empty_result_is_valid(self, db_corpus, schemas):
+        report, outcome = checked(
+            db_corpus,
+            "shop",
             "SELECT name FROM customers WHERE city = 'Nowhere'",
             schemas["shop"].tables,
-            corpus.db_path("shop"),
         )
         assert report.is_valid
         assert outcome.rows == ()
@@ -251,10 +256,10 @@ class TestEvalAndRefineAgree:
         base = next(s for s in samples if s.db_id == "shop")
         cases = [dataclasses.replace(base, sample_id=f"p{i}") for i in range(len(texts))]
         preds = {c.sample_id: sql for c, sql in zip(cases, texts)}
-        path = corpus.db_path("shop")
-        with contextlib.chdir(tmp_path):  # relative ATTACH and VACUUM INTO targets land here
+        # Relative ATTACH and VACUUM INTO targets land in tmp_path.
+        with contextlib.chdir(tmp_path), Corpus(corpus.root) as checker:
             report = evaluate_corpus(preds, cases, Corpus(corpus.root))
             for verdict in report.verdicts:
                 if not verdict.ex_match:
-                    check, _ = invalid_check(verdict.pred_sql, schemas["shop"].tables, path)
+                    check, _ = checked(checker, "shop", verdict.pred_sql, schemas["shop"].tables)
                     assert verdict.failure_class == check.status, verdict.pred_sql
