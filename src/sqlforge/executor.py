@@ -25,6 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import Any
 
 from .errors import GoldExecutionFailed, NotADatabaseError
 
@@ -239,14 +240,10 @@ class ReadOnlyHandle:
 
     Statements are prepared under :func:`read_only_authorizer`. A handle is
     used by one thread at a time, but may be closed from another.
-    ``on_open``, if given, is called with each new connection before its
-    authorizer is installed, so it may read what model text may not; no
-    statement runs on the connection before it returns.
     """
 
-    def __init__(self, db_path: str | Path, on_open: Callable | None = None):
+    def __init__(self, db_path: str | Path):
         self.path = Path(db_path)
-        self._on_open = on_open
         self._conn: sqlite3.Connection | None = None
         #: Statements armed with the watchdog so far, and the last one it
         #: interrupted.
@@ -271,17 +268,28 @@ class ReadOnlyHandle:
             # Force a header read; junk files fail here, not at connect time.
             conn.execute("SELECT 1 FROM sqlite_master LIMIT 1")
             conn.execute(f"PRAGMA cache_size = {PAGE_CACHE_SIZE}")
-            if self._on_open is not None:
-                self._on_open(conn)
-        except BaseException as exc:
+        except sqlite3.DatabaseError as exc:
             conn.close()
-            if isinstance(exc, sqlite3.DatabaseError):
-                raise NotADatabaseError(f"{self.path}: {exc}") from exc
-            raise
+            raise NotADatabaseError(f"{self.path}: {exc}") from exc
         conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_CELL_BYTES)
         conn.set_authorizer(read_only_authorizer)
         self._conn = conn
         return conn
+
+    @property
+    def is_open(self) -> bool:
+        return self._conn is not None
+
+    def read(self, fn: Callable[[sqlite3.Connection], Any]) -> Any:
+        """``fn(conn)`` on the handle's connection with the authorizer lifted.
+        The authorizer is back before this returns or raises, and SQLite
+        re-prepares every statement it has cached under it."""
+        conn = self.open()
+        conn.set_authorizer(None)
+        try:
+            return fn(conn)
+        finally:
+            conn.set_authorizer(read_only_authorizer)
 
     def run(self, sql: str, timeout: float = DEFAULT_TIMEOUT_SECS) -> ExecutionOutcome:
         """Run one statement with a fresh deadline of ``timeout`` seconds,

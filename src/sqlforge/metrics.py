@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 import re
-import sqlite3
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
@@ -110,43 +109,65 @@ def test_suite_accuracy(
 
 
 def variant_suite_paths(variant_root: str | Path, db_id: str) -> list[Path]:
+    """What ``sorted(suite_dir.glob("*.sqlite"))`` lists, by one directory
+    read; a directory that is missing or cannot be listed gives none."""
     suite_dir = Path(variant_root) / db_id
-    if not suite_dir.is_dir():
+    try:
+        return [suite_dir / n for n in sorted(os.listdir(suite_dir)) if n.endswith(".sqlite")]
+    except OSError:
         return []
-    return sorted(suite_dir.glob("*.sqlite"))
+
+
+#: Bytes read at a time when files are compared.
+COMPARE_CHUNK_BYTES = 64 * 1024
+
+
+def _same_after_first_chunk(a: Path, b: Path) -> bool:
+    """Whether two files of one size hold the same bytes after their first
+    chunk, read a chunk at a time up to the first that differs."""
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        fa.seek(COMPARE_CHUNK_BYTES)
+        fb.seek(COMPARE_CHUNK_BYTES)
+        chunks = iter(lambda: fa.read(COMPARE_CHUNK_BYTES), b"")
+        return all(chunk == fb.read(COMPARE_CHUNK_BYTES) for chunk in chunks)
 
 
 def _first_copies(files: list[Path]) -> dict[Path, Path]:
     """Map each file to the first of ``files`` with the same bytes. Only
-    files whose size another file shares are read."""
+    files whose size another file shares are read, a chunk at a time: a
+    file is compared with the earlier distinct files of its size by their
+    first chunks, then, where those are equal, up to the first chunk that
+    differs. Chunks are compared, not hashed: hashing reads every byte."""
     by_size: dict[int, list[Path]] = {}
     for path in files:
         by_size.setdefault(path.stat().st_size, []).append(path)
     first: dict[Path, Path] = {}
-    for same_size in by_size.values():
-        seen: dict[bytes, Path] = {}
+    for size, same_size in by_size.items():
+        #: Each distinct content so far, as its first chunk and first file.
+        distinct: list[tuple[bytes, Path]] = []
         for path in same_size:
-            content = b""
+            head = b""
             if len(same_size) > 1:
-                with open(path, "rb") as fh:
-                    content = hashlib.file_digest(fh, "sha256").digest()
-            first[path] = seen.setdefault(content, path)
+                with open(path, "rb", buffering=0) as fh:  # one read, no buffer
+                    head = fh.read(COMPARE_CHUNK_BYTES)
+            whole = size <= COMPARE_CHUNK_BYTES  # the first chunk is the file
+            first[path] = next((d for h, d in distinct if h == head and (
+                whole or _same_after_first_chunk(d, path))), path)
+            if first[path] is path:
+                distinct.append((head, path))
     return first
 
 
 class _DbHandles:
     """One thread's read-only handles to the files of the database it is
     working on, each opened on its first query, and its schema replica,
-    built on first use, for inner-db augmentation. The pipelines borrow
-    them. As the base file's handle opens, it reads the database's schema
-    for the corpus, unless the corpus has it already."""
+    built on first use, for inner-db augmentation. The pipelines borrow them."""
 
     def __init__(self, corpus: Corpus, db_id: str):
         self.db_id = db_id
         self._corpus = corpus
         base, *suite = corpus.files(db_id)
-        #: The base file's handle.
-        self.base = ReadOnlyHandle(base, on_open=lambda conn: corpus.schema(db_id, conn))
+        self.base = ReadOnlyHandle(base)
         self.on = {base: self.base, **{path: ReadOnlyHandle(path) for path in suite}}
 
     @cached_property
@@ -181,12 +202,12 @@ class Corpus:
     It keeps one schema per database, lists each database's files once,
     compares their bytes once, keeps each thread's read-only handles and
     schema replica for the database that thread is on, and keeps announced
-    statements' outcomes. A database is introspected on the connection of
-    the first base-file handle opened for it, or, asked for its schema with
-    no such handle, on a connection of its own. :meth:`close` closes every
-    thread's handles and replicas and drops every outcome kept; the corpus
-    stays usable afterwards. Use it as a context manager, or call
-    :meth:`close`."""
+    statements' outcomes. A database is introspected when its schema is
+    first asked for: on the asking thread's open handle of its base file,
+    or, with no such handle, on a connection of its own. :meth:`close`
+    closes every thread's handles and replicas and drops every outcome
+    kept; the corpus stays usable afterwards. Use it as a context manager,
+    or call :meth:`close`."""
 
     def __init__(
         self,
@@ -216,15 +237,19 @@ class Corpus:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def schema(self, db_id: str, conn: sqlite3.Connection | None = None) -> DatabaseSchema:
-        """``db_id``'s schema, introspected on first use: on ``conn``, an
-        open connection to its base file with no authorizer, if given, or
-        else on a connection of its own. Threads that ask at once all get
-        the one schema kept."""
+    def schema(self, db_id: str) -> DatabaseSchema:
+        """``db_id``'s schema, introspected on first use: on the calling
+        thread's handle of its base file if that is open, with the handle's
+        authorizer lifted for the read, or else on a connection of its own.
+        Threads that ask at once all get the one schema kept."""
         schema = self.schemas.get(db_id)
         if schema is None:
             base = self.files(db_id)[0]
-            read = read_schema(conn, base, db_id) if conn else introspect_database(base, db_id)
+            db = self._open.get(threading.get_ident())
+            if db and db.db_id == db_id and db.base.is_open:
+                read = db.base.read(lambda conn: read_schema(conn, base, db_id))
+            else:
+                read = introspect_database(base, db_id)
             schema = self.schemas.setdefault(db_id, read)
         return schema
 
@@ -263,10 +288,11 @@ class Corpus:
         files = self.files(db_id)
         if path == files[0]:
             return path
-        with self._copies_lock:
-            if db_id not in self._copies:
-                self._copies[db_id] = _first_copies(files)
-            return self._copies[db_id][path]
+        if db_id not in self._copies:  # a mapping, once kept, never changes
+            with self._copies_lock:
+                if db_id not in self._copies:
+                    self._copies[db_id] = _first_copies(files)
+        return self._copies[db_id][path]
 
     def expect(self, db_id: str, sqls: Sequence[str]) -> None:
         """Announce one more use of the outcomes of each of ``sqls`` on
@@ -348,9 +374,10 @@ def _evaluate_one(corpus: Corpus, sample: Sample, pred_sql: str | None) -> EvalV
 
     failure = None
     if not ex:
-        # The base file's handle that ran the gold read the schema as it opened.
-        tables = corpus.schema(sample.db_id).tables
-        failure = sql_analysis.classify_outcome(pred_sql, tables, pred_outcome).status
+        # Only a name error reads the schema: on this thread's base-file handle.
+        failure = sql_analysis.classify_outcome(
+            pred_sql, lambda: corpus.schema(sample.db_id).tables, pred_outcome
+        ).status
     return EvalVerdict(
         sample_id=sample.sample_id,
         ex_match=ex,

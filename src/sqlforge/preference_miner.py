@@ -51,7 +51,7 @@ def mine_pairs(
 ) -> list[PreferencePair]:
     """Generate, run with ``corpus.outcome`` on the sample's base file, and
     partition candidates for one sample. The prompt shows the database's
-    schema, read as the calling thread's handle of that file opened."""
+    schema, read on the calling thread's handle of that file."""
     gold_outcome = corpus.outcome(sample.db_id, sample.gold_sql)
     if not gold_outcome.is_rows:
         raise GoldExecutionFailed(

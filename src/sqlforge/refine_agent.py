@@ -53,7 +53,7 @@ def invalid_check(sql: str, tables, outcome: ExecutionOutcome, timeout: float) -
     when there is one."""
     if outcome.kind == TIMEOUT:
         return ValidityReport(SYNTAX_ERROR, f"execution exceeded {timeout}s timeout")
-    return name_column_owner(sql, tables, classify_outcome(sql, tables, outcome))
+    return name_column_owner(sql, tables, classify_outcome(sql, lambda: tables, outcome))
 
 
 def build_debug_prompt(
@@ -83,11 +83,11 @@ def refine_sample(
     """Run the full generate/check/debug loop for the sample's question,
     prompting with its database's schema and checking every attempt by its
     run with ``corpus.outcome`` on that database's base file. The schema is
-    read as the calling thread's handle of that file opens, before the
+    read on the calling thread's handle of that file, opened before the
     first model call."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    corpus.handles(sample.db_id).base.open()  # which reads the schema, unless the corpus has it
+    corpus.handles(sample.db_id).base.open()  # so the schema is read on it
     tables = corpus.schema(sample.db_id).tables
 
     attempts: list[RefineAttempt] = []

@@ -10,11 +10,11 @@ from __future__ import annotations
 import re
 import sqlite3
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import EmptySchemaListError, NotADatabaseError
-from .executor import connect_read_only
+from .executor import DEFAULT_TIMEOUT_SECS, ReadOnlyHandle, connect_read_only
 
 PROMPT_INSTRUCTION = (
     "-- Using valid SQLite, answer the following questions "
@@ -113,29 +113,48 @@ def introspect_database(
 
     ``sample_value_count`` > 0 additionally fetches that many distinct
     values per column, leaving out NULL and BLOB values (JSON has no form
-    for bytes); a column whose values fail to compute, such as a view's
-    whose expression overflows, gets none. A negative count is a ValueError.
+    for bytes), each column's by one statement on a read-only handle under
+    the deadline :data:`DEFAULT_TIMEOUT_SECS`. A column whose values fail
+    to compute or time out, such as a view's whose expression overflows or
+    that recurses without end, gets none. A negative count is a ValueError.
     """
     if sample_value_count < 0:
         raise ValueError(f"sample_value_count must not be negative, not {sample_value_count}")
     with closing(connect_read_only(Path(path))) as conn:
-        return read_schema(conn, path, db_id, sample_value_count)
+        schema = read_schema(conn, path, db_id)
+    if not sample_value_count:
+        return schema
+    with ReadOnlyHandle(path) as handle:
+        return replace(schema, tables=tuple(
+            replace(t, columns=tuple(
+                replace(c, sample_values=_samples(handle, t.name, c.name, sample_value_count))
+                for c in t.columns))
+            for t in schema.tables))
 
 
-def read_schema(
-    conn: sqlite3.Connection, path: str | Path, db_id: str, sample_value_count: int = 0
-) -> DatabaseSchema:
-    """:func:`introspect_database` on ``conn``, an open connection to the
-    file at ``path`` with no authorizer, which the caller keeps."""
+def _samples(handle: ReadOnlyHandle, table: str, column: str, n: int) -> tuple:
+    """Up to ``n`` distinct values of ``table.column`` that are not NULL,
+    BLOB or an infinite REAL, or none if their statement fails or times
+    out. A REAL the runner made an int is a float again."""
+    col = _quote_ident(column)
+    outcome = handle.run(
+        f"SELECT v, typeof(v) = 'real' FROM (SELECT DISTINCT {col} AS v "
+        f"FROM {_quote_ident(table)} WHERE {col} IS NOT NULL AND typeof({col}) != 'blob' "
+        f"AND (typeof({col}) != 'real' OR abs({col}) < 9e999) LIMIT {int(n)})",
+        DEFAULT_TIMEOUT_SECS,
+    )
+    return tuple(float(v) if real else v for v, real in outcome.rows) if outcome.is_rows else ()
+
+
+def read_schema(conn: sqlite3.Connection, path: str | Path, db_id: str) -> DatabaseSchema:
+    """:func:`introspect_database`, without sample values, on ``conn``, an
+    open connection to the file at ``path`` with no authorizer, which the
+    caller keeps."""
     try:
-        names = [
-            row[0]
-            for row in conn.execute(
-                "SELECT name FROM sqlite_master "
-                "WHERE type IN ('table', 'view') AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\' "
-                "ORDER BY rowid"
-            )
-        ]
+        names = [row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type IN ('table', 'view') "
+            "AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\' ORDER BY rowid"
+        )]
     except sqlite3.DatabaseError as exc:
         raise NotADatabaseError(f"{path}: {exc}") from exc
 
@@ -148,32 +167,11 @@ def read_schema(
             info = conn.execute(f"PRAGMA table_xinfo({_quote_ident(table_name)})").fetchall()
         except sqlite3.OperationalError:
             continue
-        cols = []
-        for _, col_name, decl_type, _notnull, _default, pk, _hidden in info:
-            samples: tuple = ()
-            if sample_value_count > 0:
-                try:
-                    cur = conn.execute(
-                        f"SELECT DISTINCT {_quote_ident(col_name)} "
-                        f"FROM {_quote_ident(table_name)} "
-                        f"WHERE {_quote_ident(col_name)} IS NOT NULL "
-                        f"AND typeof({_quote_ident(col_name)}) != 'blob' "
-                        f"AND (typeof({_quote_ident(col_name)}) != 'real' "
-                        f"OR abs({_quote_ident(col_name)}) < 9e999) "
-                        f"LIMIT {int(sample_value_count)}"
-                    )
-                    samples = tuple(row[0] for row in cur)
-                except sqlite3.OperationalError:
-                    pass
-            cols.append(
-                ColumnSchema(
-                    name=col_name,
-                    declared_type=decl_type or "",
-                    is_primary_key=bool(pk),
-                    sample_values=samples,
-                )
-            )
-        tables.append(TableSchema(name=table_name, columns=tuple(cols)))
+        cols = tuple(
+            ColumnSchema(name=col_name, declared_type=decl_type or "", is_primary_key=bool(pk))
+            for _, col_name, decl_type, _notnull, _default, pk, _hidden in info
+        )
+        tables.append(TableSchema(name=table_name, columns=cols))
         keys[fold(table_name)] = {row[5]: row[1] for row in info if row[5]}
         declared.extend(
             (table_name, row)
@@ -188,12 +186,7 @@ def read_schema(
             if to_col is None:
                 continue
         fks.append(ForeignKey(table_name, from_col, ref_table, to_col))
-    return DatabaseSchema(
-        db_id=db_id,
-        file_path=str(path),
-        tables=tuple(tables),
-        foreign_keys=tuple(fks),
-    )
+    return DatabaseSchema(db_id, str(path), tuple(tables), tuple(fks))
 
 
 #: What would end a name early in a prompt line, as SQLite's tokenizer reads

@@ -177,7 +177,8 @@ class SchemaReplica:
             self._compile(sql)
             return ValidityReport(VALID)
         except ParseError as exc:
-            return name_column_owner(sql, self.tables, _classify(sql, self.tables, str(exc)))
+            report = _classify(sql, lambda: self.tables, str(exc))
+            return name_column_owner(sql, self.tables, report)
 
 
 def extract_references(sql: str, tables) -> SqlReferences:
@@ -207,12 +208,13 @@ def find_unquoted_special(sql: str, tables) -> str | None:
 
 def _classify(sql: str, tables, engine_error: str) -> ValidityReport:
     """The class of ``sql``, which SQLite refused, as it compiled or ran it
-    over ``tables``, with the message ``engine_error``. A WrongColumnName's
+    over the tables ``tables()`` returns, with the message ``engine_error``;
+    only a missing or ambiguous name calls ``tables``. A WrongColumnName's
     detail is the column's bare name; :func:`name_column_owner` adds its
     table."""
     if engine_error.startswith("no such table:"):
         name = engine_error.split(":", 1)[1].strip()
-        quoted = find_unquoted_special(sql, tables)
+        quoted = find_unquoted_special(sql, tables())
         if quoted is not None and fold(name) in fold(quoted):
             return ValidityReport(MISSING_QUOTATION, quoted)
         return ValidityReport(WRONG_TABLE_NAME, name)
@@ -220,7 +222,7 @@ def _classify(sql: str, tables, engine_error: str) -> ValidityReport:
         name = engine_error.split(":", 1)[1].strip()
         if "." in name:
             name = name.split(".")[-1]
-        quoted = find_unquoted_special(sql, tables)
+        quoted = find_unquoted_special(sql, tables())
         if quoted is not None:
             return ValidityReport(MISSING_QUOTATION, quoted)
         return ValidityReport(WRONG_COLUMN_NAME, name)
@@ -249,10 +251,10 @@ def name_column_owner(sql: str, tables, report: ValidityReport) -> ValidityRepor
 
 def classify_outcome(sql: str, tables, outcome: ExecutionOutcome) -> ValidityReport:
     """Classify ``sql`` by ``outcome``, its one run by the read-only runner
-    on the file whose schema is ``tables``. A rows or timeout outcome is
-    Valid; an error outcome's message picks the class, with ``tables`` for
-    MissingQuotation. A WrongColumnName's detail is the bare name (see
-    :func:`name_column_owner`)."""
+    on the file whose tables ``tables()`` returns. A rows or timeout
+    outcome is Valid; an error outcome's message picks the class, and only
+    a name error calls ``tables``, for MissingQuotation. A WrongColumnName's
+    detail is the bare name (see :func:`name_column_owner`)."""
     if outcome.kind != EXEC_ERROR:
         return ValidityReport(VALID)
     return _classify(sql, tables, outcome.error_message)

@@ -181,3 +181,21 @@ def statements(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(executor.ReadOnlyHandle, "run", recording_run)
     return log
+
+
+@pytest.fixture
+def schema_reads(monkeypatch) -> list[tuple[str, str]]:
+    """Records each schema a ``Corpus`` reads during the test, in order, as
+    ``(how, db_id)``: ``"handle"`` for a read on a handle's connection
+    (``read_schema``), ``"own"`` for one on a connection of its own
+    (``introspect_database``)."""
+    log: list[tuple[str, str]] = []
+    for name, how in (("read_schema", "handle"), ("introspect_database", "own")):
+
+        def recording(*args, read=getattr(metrics, name), how=how, **kwargs):
+            schema = read(*args, **kwargs)
+            log.append((how, schema.db_id))
+            return schema
+
+        monkeypatch.setattr(metrics, name, recording)
+    return log

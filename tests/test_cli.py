@@ -1015,6 +1015,16 @@ class TestCorpusHandles:
         assert set(written) == set(order)
 
     @pytest.mark.parametrize("command", ["mine", "refine"])
+    def test_each_schema_is_read_once_on_its_base_handle(
+        self, corpus, sample_records, tmp_path, schema_reads, command
+    ):
+        other = ["SELECT 1", "SELECT * FROM no_such_table"] if command == "mine" else None
+        script = self.mock(tmp_path, sample_records, other)
+        assert run(self.argv(command, corpus, tmp_path, sample_records, script)) == 0
+        db_ids = {r["db_id"] for r in sample_records}
+        assert sorted(schema_reads) == sorted(("handle", db_id) for db_id in db_ids)
+
+    @pytest.mark.parametrize("command", ["mine", "refine"])
     @pytest.mark.parametrize("fails", [False, True])
     def test_no_connection_left_open(
         self, corpus, sample_records, tmp_path, capsys, opened, command, fails

@@ -197,28 +197,43 @@ class TestReadOnlyHandle:
         assert execute(handle, "SELECT count(*) FROM customers").rows == ((4,),)
         handle.close()
 
-    @pytest.mark.parametrize("error", [ValueError("stop"), sqlite3.OperationalError("stop")])
-    def test_on_open_reads_before_the_authorizer_and_a_failure_closes(self, corpus, opened,
-                                                                      error):
-        """The hook may run what model text may not; when it raises, the
-        connection is closed and the handle opens again at its next use.
-        A SQLite error there means the file cannot be read."""
+    #: What only an introspecting read may run: the text of read_schema's
+    #: PRAGMA, which SQLite caches on the connection, another PRAGMA, and
+    #: an ATTACH.
+    READ_ONLY_BY_READ = ["PRAGMA table_info(customers)", 'PRAGMA table_xinfo("customers")',
+                         "ATTACH 'attached.sqlite' AS other"]
+
+    @pytest.mark.parametrize("error", [None, ValueError("stop"),
+                                       sqlite3.OperationalError("stop")])
+    def test_read_lifts_the_authorizer_and_puts_it_back(self, corpus, opened, tmp_path,
+                                                        monkeypatch, error):
+        """``read`` may run what model text may not, on the handle's one
+        connection. Once it returns or raises, the authorizer is back, and
+        the same text, re-prepared, is refused as an error outcome."""
+        monkeypatch.chdir(tmp_path)  # where a relative ATTACH would make its file
         read = []
 
-        def on_open(conn):
-            read.append(conn.execute("PRAGMA table_info(customers)").fetchall())
-            if len(read) == 1:
+        def introspect(conn):
+            read.append([conn.execute(sql).fetchall() for sql in self.READ_ONLY_BY_READ[:2]])
+            if error is not None:
                 raise error
+            return "done"
 
-        with ReadOnlyHandle(corpus.db_path("shop"), on_open=on_open) as handle:
-            expected = NotADatabaseError if isinstance(error, sqlite3.Error) else ValueError
-            with pytest.raises(expected, match="stop"):
-                handle.run("SELECT 1")
-            assert len(opened) == 1 and not opened.still_open()
-            assert handle.run("PRAGMA table_info(customers)").kind == "error"
+        with ReadOnlyHandle(corpus.db_path("shop")) as handle:
+            assert not handle.is_open
+            assert handle.run(self.READ_ONLY_BY_READ[0]).kind == EXEC_ERROR
+            assert handle.is_open
+            if error is None:
+                assert handle.read(introspect) == "done"
+            else:
+                with pytest.raises(type(error), match="stop"):
+                    handle.read(introspect)
+            for sql in self.READ_ONLY_BY_READ:
+                assert handle.run(sql).kind == EXEC_ERROR, sql
             assert handle.run("SELECT count(*) FROM customers").rows == ((4,),)
-        assert len(read) == 2 and read[0] == read[1] and read[0]
-        assert len(opened) == 2 and not opened.still_open()
+        assert len(read) == 1 and all(read[0])
+        assert len(opened) == 1 and not opened.still_open()
+        assert list(tmp_path.iterdir()) == []
 
 
 def counting(n):

@@ -1,11 +1,13 @@
 import dataclasses
 import gc
+import hashlib
 import random
 import shutil
 import sqlite3
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -367,12 +369,17 @@ class TestHandleReuse:
         assert not opened.still_open()
 
 
+#: The classes whose verdict reads the database's schema.
+NAME_ERRORS = {"WrongTableName", "WrongColumnName", "MissingQuotation"}
+
+
 class TestSchemaOnTheRunningHandle:
-    """A database is introspected on the connection of the base-file handle
-    that runs its statements, before that handle's authorizer is installed."""
+    """A database is introspected when a verdict first needs its schema: on
+    the base-file handle that runs its statements, with that handle's
+    authorizer lifted for the read."""
 
     def test_eval_connects_once_per_file_it_runs_on(self, corpus, samples, opened,
-                                                    monkeypatch):
+                                                    schema_reads, monkeypatch):
         ran_on = set()
         run = executor.ReadOnlyHandle.run
 
@@ -387,12 +394,24 @@ class TestSchemaOnTheRunningHandle:
         fixture_corpus = Corpus(corpus.root, corpus.variant_root)
         report = evaluate_corpus(preds, samples, fixture_corpus)
         assert report.error_histogram["WrongTableName"] > 0
-        # Every database was introspected, each on the handle of its base file.
-        assert set(fixture_corpus.schemas) == {s.db_id for s in samples}
+        # Only the databases with a name error were introspected, each once,
+        # on the handle of its base file.
+        db_of = {s.sample_id: s.db_id for s in samples}
+        named = {db_of[v.sample_id] for v in report.verdicts if v.failure_class in NAME_ERRORS}
+        assert named < {s.db_id for s in samples}
+        assert sorted(schema_reads) == sorted(("handle", db_id) for db_id in named)
+        assert set(fixture_corpus.schemas) == named
         assert any(path.parent.parent == corpus.variant_root for path in ran_on)
         uris = sorted(f"{path.absolute().as_uri()}?mode=ro" for path in ran_on)
         assert sorted(opened.databases) == uris
         assert not opened.still_open()
+
+    def test_eval_of_right_predictions_reads_no_schema(self, corpus, samples, schema_reads):
+        fixture_corpus = Corpus(corpus.root, corpus.variant_root)
+        report = evaluate_corpus({s.sample_id: s.gold_sql for s in samples}, samples,
+                                 fixture_corpus)
+        assert report.ex_accuracy == 1.0
+        assert schema_reads == [] and fixture_corpus.schemas == {}
 
     @pytest.mark.parametrize("sql", [
         # The text introspection ran on the connection, which SQLite caches.
@@ -402,19 +421,35 @@ class TestSchemaOnTheRunningHandle:
         "ATTACH 'attached.sqlite' AS other",
     ])
     def test_a_handle_that_introspected_still_refuses_them(self, corpus, samples, tmp_path,
-                                                           monkeypatch, sql):
+                                                           schema_reads, monkeypatch, sql):
         monkeypatch.chdir(tmp_path)  # where a relative ATTACH would make its file
         subset = [s for s in samples if s.db_id == "shop"]
+        # The first sample's name error reads the schema on the base-file
+        # handle; the others' predictions then run on it.
+        preds = {s.sample_id: sql for s in subset}
+        preds[subset[0].sample_id] = "SELECT * FROM no_such_table"
         fixture_corpus = Corpus(corpus.root)
-        report = evaluate_corpus({s.sample_id: sql for s in subset}, subset, fixture_corpus)
-        assert "shop" in fixture_corpus.schemas
-        assert {v.outcome_kind for v in report.verdicts} == {executor.EXEC_ERROR}
+        report = evaluate_corpus(preds, subset, fixture_corpus)
+        assert schema_reads == [("handle", "shop")]
+        verdict = {v.sample_id: v for v in report.verdicts}
+        assert verdict[subset[0].sample_id].failure_class == "WrongTableName"
+        assert {verdict[s.sample_id].outcome_kind for s in subset[1:]} == {executor.EXEC_ERROR}
         assert list(tmp_path.iterdir()) == []
-        with fixture_corpus:
-            db = fixture_corpus.handles("shop")
+        with Corpus(corpus.root) as fresh:
+            db = fresh.handles("shop")
             db.base.open()
-            assert fixture_corpus.schema("shop").tables
+            assert fresh.schema("shop").tables
             assert db.base.run(sql).kind == executor.EXEC_ERROR
+        assert schema_reads == [("handle", "shop")] * 2
+
+    def test_a_thread_without_an_open_base_handle_reads_on_its_own(self, corpus, opened,
+                                                                   schema_reads):
+        with Corpus(corpus.root) as fixture_corpus:
+            fixture_corpus.handles("shop")
+            assert fixture_corpus.schema("shop").tables
+            assert not fixture_corpus.handles("shop").base.is_open
+        assert schema_reads == [("own", "shop")]
+        assert len(opened) == 1 and not opened.still_open()
 
     @pytest.mark.parametrize("ways", [("handle", "handle"), ("corpus", "corpus"),
                                       ("handle", "corpus")])
@@ -871,6 +906,97 @@ class Failed(Exception):
 
 def numbered(n):
     return [Sample(sample_id=str(i), db_id="a", question="q", gold_sql="") for i in range(n)]
+
+
+CHUNK = metrics.COMPARE_CHUNK_BYTES
+
+
+def sha256_first_copies(files):
+    """The oracle: ``_first_copies`` as it was, comparing the SHA-256 of
+    each file whose size another file shares."""
+    by_size = {}
+    for path in files:
+        by_size.setdefault(path.stat().st_size, []).append(path)
+    first = {}
+    for same_size in by_size.values():
+        seen = {}
+        for path in same_size:
+            content = b""
+            if len(same_size) > 1:
+                with open(path, "rb") as fh:
+                    content = hashlib.file_digest(fh, "sha256").digest()
+            first[path] = seen.setdefault(content, path)
+    return first
+
+
+@st.composite
+def file_contents(draw):
+    """Up to six file contents: new ones of sizes around the chunk size,
+    byte copies of earlier ones, and earlier ones with their first, middle
+    or last byte changed. New contents of one size come from four seeds, so
+    they are often equal too."""
+    contents = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "copy", "changed"])) if contents else "new"
+        if kind == "new":
+            size = draw(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK]))
+            contents.append(random.Random(draw(st.integers(0, 3))).randbytes(size))
+            continue
+        source = draw(st.sampled_from(contents))
+        if kind == "changed" and source:
+            changed = bytearray(source)
+            changed[draw(st.sampled_from([0, len(source) // 2, len(source) - 1]))] ^= 0xFF
+            source = bytes(changed)
+        contents.append(source)
+    return contents
+
+
+class TestFileComparison:
+    """Which variant files are byte copies of an earlier file, and which
+    files a suite directory holds, come out as they did when files were
+    compared by SHA-256 and listed by ``Path.glob``."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(contents=file_contents())
+    def test_first_copies_equal_the_sha256_comparison(self, tmp_path_factory, contents):
+        directory = tmp_path_factory.mktemp("files")
+        files = []
+        for i, content in enumerate(contents):
+            files.append(directory / f"{i}.sqlite")
+            files[-1].write_bytes(content)
+        assert metrics._first_copies(files) == sha256_first_copies(files)
+
+    @pytest.mark.parametrize("last_byte_differs", [False, True])
+    def test_comparing_large_files_holds_no_file_whole(self, tmp_path, last_byte_differs):
+        size = 8 * 1024 * 1024
+        a, b = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
+        a.write_bytes(bytes(size))
+        b.write_bytes(bytes(size - 1) + (b"\x01" if last_byte_differs else b"\x00"))
+        tracemalloc.start()
+        try:
+            first = metrics._first_copies([a, b])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == {a: a, b: b if last_byte_differs else a}
+        assert peak < 1024 * 1024
+
+    def test_suite_lists_what_glob_lists(self, tmp_path):
+        suite = tmp_path / "db"
+        suite.mkdir()
+        for name in [".a.sqlite", "B.SQLITE", "c.sqlite-journal", "b.sqlite", "a.sqlite",
+                     ".sqlite", "x.sqlite.sqlite", "sqlite"]:
+            (suite / name).write_bytes(b"")
+        (suite / "d.sqlite").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        for db_id in ["db", "missing", "file"]:
+            expected = sorted((tmp_path / db_id).glob("*.sqlite"))
+            assert variant_suite_paths(tmp_path, db_id) == expected
+        assert [p.name for p in variant_suite_paths(tmp_path, "db")] == [
+            ".a.sqlite", ".sqlite", "a.sqlite", "b.sqlite", "d.sqlite", "x.sqlite.sqlite"]
+        assert variant_suite_paths(tmp_path, "missing") == []
+        assert variant_suite_paths(tmp_path, "file") == []
 
 
 class TestRunSamples:

@@ -1,11 +1,14 @@
 import re
 import sqlite3
+import time
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from sqlforge import schema_catalog
 from sqlforge.errors import EmptySchemaListError, NotADatabaseError
 from sqlforge.executor import ReadOnlyHandle
 from sqlforge.schema_catalog import (
@@ -152,6 +155,34 @@ def _create(path, statements) -> None:
 def _fk_tuples(schema) -> list[tuple[str, str, str, str]]:
     return [(fk.from_table, fk.from_column, fk.to_table, fk.to_column)
             for fk in schema.foreign_keys]
+
+
+def test_sample_values_of_a_view_that_never_ends_time_out(tmp_path, monkeypatch, opened):
+    """A recursive view whose distinct values never reach the count gets no
+    samples once its statement's deadline passes; the other columns keep
+    theirs, and every connection is closed."""
+    monkeypatch.setattr(schema_catalog, "DEFAULT_TIMEOUT_SECS", 0.2)
+    path = tmp_path / "endless.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(
+            "CREATE TABLE t(a); INSERT INTO t VALUES (1), (2.0), (2), ('x');"
+            "CREATE VIEW v AS WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
+            "SELECT 1 AS y FROM c;"
+        )
+    start = time.monotonic()
+    schema = introspect_database(path, "endless", sample_value_count=3)
+    assert time.monotonic() - start < 5
+    t, v = schema.tables
+    # 2.0 stays a float, as SQLite stores it.
+    assert [(c.name, c.sample_values) for c in t.columns] == [("a", (1, 2.0, "x"))]
+    assert type(t.columns[0].sample_values[1]) is float
+    assert [(c.name, c.sample_values) for c in v.columns] == [("y", ())]
+    assert not opened.still_open()
+
+
+def test_introspecting_without_samples_opens_one_connection(corpus, opened):
+    introspect_database(corpus.db_path("concert_singer"), "concert_singer")
+    assert len(opened) == 1 and not opened.still_open()
 
 
 def test_dangling_foreign_key_introspects_as_declared(tmp_path):
@@ -491,5 +522,5 @@ def test_classify_outcome_is_valid_exactly_when_the_file_compiles(tmp_path_facto
     statements = data.draw(st.lists(file_only_statements(tables), min_size=1, max_size=4))
     with ReadOnlyHandle(path) as handle:
         for sql in statements:
-            report = classify_outcome(sql, schema_tables, handle.run(sql))
+            report = classify_outcome(sql, lambda: schema_tables, handle.run(sql))
             assert report.is_valid == _compiles_on_file(path, sql), sql

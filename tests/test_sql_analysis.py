@@ -491,3 +491,40 @@ class TestValidateExecutionConsistency:
         assert validate(sql, schemas[db_id]).status == status
         outcome = execute(corpus.db_path(db_id), sql)
         assert outcome.kind == (ROWS if status == VALID else EXEC_ERROR)
+
+
+class TestClassifyOutcome:
+    """``classify_outcome`` asks for the tables only to tell a name error
+    from a missing quotation."""
+
+    @pytest.mark.parametrize("sql, status, reads_tables", [
+        ("SELECT * FROM missing_table", WRONG_TABLE_NAME, True),
+        ("SELECT bogus FROM orders", WRONG_COLUMN_NAME, True),
+        ("SELECT customer_id FROM orders JOIN customers", WRONG_COLUMN_NAME, True),
+        ("SELECT FROM", SYNTAX_ERROR, False),
+        ("PRAGMA table_info(orders)", SYNTAX_ERROR, False),
+        ("SELECT count(*) FROM orders", VALID, False),
+    ])
+    def test_reads_the_tables_only_for_a_name_error(self, corpus, schemas, sql, status,
+                                                    reads_tables):
+        from sqlforge.executor import execute
+        from sqlforge.sql_analysis import classify_outcome
+
+        asked = []
+
+        def tables():
+            asked.append(sql)
+            return schemas["shop"].tables
+
+        report = classify_outcome(sql, tables, execute(corpus.db_path("shop"), sql))
+        assert report.status == status
+        assert asked == ([sql] if reads_tables else [])
+
+    def test_a_timeout_is_valid_without_the_tables(self):
+        from sqlforge.executor import ExecutionOutcome
+        from sqlforge.sql_analysis import classify_outcome
+
+        def tables():
+            raise AssertionError("tables read")
+
+        assert classify_outcome("SELECT 1", tables, ExecutionOutcome.of_timeout(1.0)).is_valid
